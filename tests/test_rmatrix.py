@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from mcybe import (Endo, InputError, Matrix, PreconditionError, induced_bracket,
-                   involutive_analyze, is_rota_baxter, mcybe_defect, r_from_rb,
-                   rb_from_r, rho)
+from mcybe import (Endo, InputError, Matrix, PreconditionError, catalog,
+                   induced_bracket, involutive_analyze, is_rota_baxter, mcybe_defect,
+                   nijenhuis_operator_check, r_from_rb, rb_from_r, rho)
 from mcybe.liealg import vadd
 
 from conftest import rand_endo, rand_vector
@@ -191,3 +191,43 @@ def test_involutive_analyze_rejects_non_involution(sl2):
     a, _ = sl2
     with pytest.raises(InputError, match="h"):
         involutive_analyze(Endo.from_diagonal(a, [1, -1, 2]))
+
+
+# first failing pair and value on fixed non-solutions; pinned so that any
+# rewrite of the basis-pair loops keeps reporting the same witness
+_WORSE = [[1, 1, -2], [0, 2, 1], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("n, matrix, weight, pair, value", [
+    (3, None, 0, (0, 4), (0, 0, 0, 0, 0, 1, 0, 0)),
+    (3, None, 2, (0, 4), (0, 0, 0, 0, 0, -1, 0, 0)),
+    (3, None, Fraction(-1, 2), (0, 4), (0, 0, 0, 0, 0, Fraction(3, 2), 0, 0)),
+    (2, _WORSE, 1, (0, 1), (12, -4, -2)),
+    (2, _WORSE, Fraction(1, 3), (0, 1),
+     (Fraction(32, 3), Fraction(-10, 3), Fraction(-4, 3))),
+])
+def test_rota_baxter_witness_pinned(n, matrix, weight, pair, value):
+    a, r = catalog("sl-borel", n)
+    b = rb_from_r(r) if matrix is None else Endo(Matrix(matrix), a)
+    rep = is_rota_baxter(b, weight)
+    assert not rep.ok
+    assert (rep.failing_pair, rep.value) == (pair, value)
+
+
+@pytest.mark.parametrize("n, induced, operator, pair, value", [
+    (2, False, [1, 1, -1], (0, 1), (0, 0, 4)),
+    (2, False, _WORSE, (0, 1), (7, 0, -2)),
+    (3, False, [1, 1, 1, -1, -1, -1, 1, 2], (1, 4), (0, 0, 0, 0, 0, 0, 0, 3)),
+    (3, False, [1, 1, 1, -1, -1, -1, 0, 1], (0, 3), (0, 0, 0, 0, 0, 0, -1, 0)),
+    (3, True, [[1 if (i + 2 * j) % 5 == 0 else 0 for j in range(8)] for i in range(8)],
+     (0, 1), (0, 0, 0, 0, -2, 0, 0, 0)),
+])
+def test_nijenhuis_operator_witness_pinned(n, induced, operator, pair, value):
+    a, r = catalog("sl-borel", n)
+    if isinstance(operator[0], list):
+        N = Endo(Matrix(operator), a)
+    else:
+        N = Endo.from_diagonal(a, operator)
+    rep = nijenhuis_operator_check(induced_bracket(r) if induced else a, N)
+    assert not rep.ok
+    assert (rep.failing_pair, rep.value) == (pair, value)
