@@ -10,7 +10,7 @@ diagonal/graph doubling constructions.
 from .errors import InputError, PreconditionError
 from .linalg import Matrix, Rational, ratio
 from .liealg import (Endo, JacobiResult, LieAlgebra, Vector, catalog,
-                     nijenhuis_torsion, sl_algebra, borel_r_matrix,
+                     operator_identity, sl_algebra, borel_r_matrix,
                      subspace_closure)
 from .rmatrix import (DefectReport, InvolutiveReport, RotaBaxterReport,
                       induced_bracket, involutive_analyze, is_rota_baxter,
@@ -38,7 +38,7 @@ __all__ = [
     "InputError", "PreconditionError",
     "Matrix", "Rational", "ratio",
     "Endo", "JacobiResult", "LieAlgebra", "Vector", "catalog",
-    "nijenhuis_torsion", "sl_algebra", "borel_r_matrix", "subspace_closure",
+    "operator_identity", "sl_algebra", "borel_r_matrix", "subspace_closure",
     "DefectReport", "InvolutiveReport", "RotaBaxterReport",
     "induced_bracket", "involutive_analyze", "is_rota_baxter",
     "mcybe_defect", "r_from_rb", "rb_from_r", "rho",

@@ -7,7 +7,7 @@ The complex has C^0 = 0 and C^1 = g, so B^1 = 0 by convention.
 Two flavors of coboundary are assembled from one shared sign routine:
 the R-complex of a modified r-matrix, built from
 
-    lambda_u(v) = [Ru, v] - R([u, v])        (single-argument terms)
+    lambda_u(v) = [Ru, v] - R([u, v])        (single-argument terms, rho(R, u))
     mu(u, w)    = [Ru, w] + [u, Rw]          (pair terms, the bracket [.,.]_R)
 
 and the B-complex of a weight-1 Rota-Baxter operator, built from the same
@@ -22,8 +22,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, PreconditionError
-from .liealg import (Endo, LieAlgebra, Vector, is_zero_vector, vadd, vector_from_json,
-                     vector_to_json, vzero)
+from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
+                     rho, vadd, vector_from_json, vector_to_json, vzero)
 from .linalg import Matrix, ratio
 
 FLAVOR_R = "R-complex"
@@ -269,32 +269,13 @@ def pi_cochain(algebra: LieAlgebra) -> Cochain:
 # -- coboundary operators ----------------------------------------------------
 
 
-def _lambda_matrices(P: Endo):
-    """lambda_a = ad(P e_a) - P ad(e_a) as raw row-major lists, one per basis index."""
-    a = P.algebra
-    out = []
-    for idx in range(a.dim):
-        e = a.basis_vector(idx)
-        lam = a.ad(P.apply(e)).matrix - P.matrix @ a.ad(e).matrix
-        out.append(lam.rows_list())
-    return out
-
-
 def _pair_brackets(P: Endo, flavor):
-    """mu(a, b) for a < b: [Pa, b] + [a, Pb], plus [a, b] in the B-complex."""
-    a = P.algebra
-    table = {}
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        pi = P.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            w = vadd(a.bracket(pi, ej), a.bracket(ei, P.apply(ej)))
-            if flavor == FLAVOR_B:
-                w = vadd(w, a.bracket_basis(i, j))
-            if not is_zero_vector(w):
-                table[(i, j)] = w
-    return table
+    """mu(a, b) = [Pa, b] + [a, Pb], plus [a, b] in the B-complex.
+
+    By linearity the B-complex term is the induced table of P + Id/2.
+    """
+    shift = Fraction(1, 2) if flavor == FLAVOR_B else 0
+    return induced_bracket_table(P + Endo.identity(P.algebra).scale(shift))
 
 
 def _check_flavor_axiom(P: Endo, flavor):
@@ -350,7 +331,7 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     col_index = {tup: i for i, tup in enumerate(cols_tuples)}
     out = [[0] * (len(cols_tuples) * n) for _ in range(len(rows_tuples) * n)]
 
-    lambdas = _lambda_matrices(P)
+    lambdas = [rho(P, e).matrix.rows_list() for e in a.basis()]
     mus = _pair_brackets(P, flavor)
 
     for row_pos, T in enumerate(rows_tuples):
@@ -398,7 +379,7 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     if check:
         _check_flavor_axiom(P, flavor)
 
-    lambdas = [Endo(Matrix(rows), a) for rows in _lambda_matrices(P)]
+    lambdas = [rho(P, e) for e in a.basis()]
     mus = _pair_brackets(P, flavor)
 
     coeffs = {}

@@ -8,33 +8,25 @@ ever sampled.  The defect of R + t Rhat is quadratic in t:
 
 where S2 is the weight-0 Rota-Baxter defect of Rhat, so a deformation is
 valid exactly when Rhat is a 2-cocycle (t coefficient) and a weight-0
-Rota-Baxter operator (t^2 coefficient).
+Rota-Baxter operator (t^2 coefficient).  S2, the Nijenhuis torsion and the
+deformation omega of the induced bracket all come from the kernel
+liealg.operator_identity and its induced_bracket_table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .liealg import (Endo, LieAlgebra, Vector, is_zero_vector, vadd, vsub,
-                     vzero)
+from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
+                     operator_identity, vadd, vzero)
 from .cochain import Cochain, d_apply
-from .rmatrix import induced_bracket_table, mcybe_defect, require_modified
+from .rmatrix import mcybe_defect, require_modified
 
 
 def weight0_defect_cochain(B: Endo) -> Cochain:
     """[Bx, By] - B([Bx, y] + [x, By]) on basis pairs, as an arity-2 cochain."""
-    a = B.algebra
-    coeffs = {}
-    for i in range(a.dim):
-        bi = B.apply(a.basis_vector(i))
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            bj = B.apply(ej)
-            inner = vadd(a.bracket(bi, ej), a.bracket(a.basis_vector(i), bj))
-            value = vsub(a.bracket(bi, bj), B.apply(inner))
-            if not is_zero_vector(value):
-                coeffs[(i, j)] = value
-    return Cochain(a, 2, coeffs)
+    return Cochain(B.algebra, 2, dict(operator_identity(B)))
 
 
 def defect_polynomial(R: Endo, Rhat: Endo):
@@ -102,6 +94,13 @@ class EquivalenceVerdict:
         return self.ok
 
 
+def _commutator_witness(a: LieAlgebra, x):
+    """First basis pair (j, k), j < k, with [[x, e_j], [x, e_k]] != 0, or None."""
+    images = [a.bracket(x, e) for e in a.basis()]
+    return next(((j, k) for j, k in combinations(range(a.dim), 2)
+                 if not is_zero_vector(a.bracket(images[j], images[k]))), None)
+
+
 def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
     """Decide whether Id + t ad_x intertwines R + t Rhat1 with R + t Rhat2.
 
@@ -113,17 +112,8 @@ def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdic
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
 
-    hom_ok = True
-    failing = None
-    for j in range(a.dim):
-        xj = a.bracket(x, a.basis_vector(j))
-        for k in range(j + 1, a.dim):
-            if not is_zero_vector(a.bracket(xj, a.bracket(x, a.basis_vector(k)))):
-                hom_ok = False
-                failing = (j, k)
-                break
-        if not hom_ok:
-            break
+    failing = _commutator_witness(a, x)
+    hom_ok = failing is None
 
     dx = d_apply(R, Cochain.from_vector(a, x), check=False).to_endo()
     linear_ok = (Rhat1 - Rhat2) == dx
@@ -157,15 +147,8 @@ def nijenhuis_check(R: Endo, x) -> NijenhuisVerdict:
     x = tuple(x)
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
-    eq1_ok, eq1_witness = True, None
-    for j in range(a.dim):
-        xj = a.bracket(x, a.basis_vector(j))
-        for k in range(j + 1, a.dim):
-            if not is_zero_vector(a.bracket(xj, a.bracket(x, a.basis_vector(k)))):
-                eq1_ok, eq1_witness = False, (j, k)
-                break
-        if not eq1_ok:
-            break
+    eq1_witness = _commutator_witness(a, x)
+    eq1_ok = eq1_witness is None
     eq2_ok, eq2_witness = True, None
     for j in range(a.dim):
         ej = a.basis_vector(j)
@@ -239,18 +222,8 @@ def nijenhuis_operator_check(a: LieAlgebra, N: Endo) -> NijenhuisOperatorReport:
     """
     if N.matrix.nrows != a.dim:
         raise InputError("operator does not fit the algebra")
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ni = N.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            nj = N.apply(ej)
-            inner = vadd(a.bracket(ni, ej), a.bracket(ei, nj))
-            torsion = vadd(vsub(a.bracket(ni, nj), N.apply(inner)),
-                           N.apply(N.apply(a.bracket_basis(i, j))))
-            if not is_zero_vector(torsion):
-                return NijenhuisOperatorReport(False, (i, j), torsion)
-    return NijenhuisOperatorReport(True)
+    failing = next(operator_identity(N, N.compose(N), algebra=a), None)
+    return NijenhuisOperatorReport(failing is None, *(failing or ()))
 
 
 @dataclass
@@ -276,16 +249,7 @@ def induced_bracket_deformation(R: Endo, Rhat: Endo) -> InducedDeformationReport
             f"induced_bracket_deformation needs a valid deformation; failing "
             f"pair {dv.failing_pair}")
     a = R.algebra
-    omega_coeffs = {}
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ri = Rhat.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            value = vadd(a.bracket(ri, ej), a.bracket(ei, Rhat.apply(ej)))
-            if not is_zero_vector(value):
-                omega_coeffs[(i, j)] = value
-    omega = Cochain(a, 2, omega_coeffs)
+    omega = Cochain(a, 2, induced_bracket_table(Rhat))
 
     base = Cochain(a, 2, induced_bracket_table(R))
     jacobi_ok, failing = _bracket_family_jacobi(a, base, omega)

@@ -314,14 +314,53 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
     return True, None
 
 
-def nijenhuis_torsion(N: Endo, i, j) -> Vector:
-    """[Ne_i, Ne_j] - N([Ne_i, e_j] + [e_i, Ne_j]) + N^2([e_i, e_j])."""
-    a = N.algebra
-    ei, ej = a.basis_vector(i), a.basis_vector(j)
-    ni, nj = N.apply(ei), N.apply(ej)
-    mixed = vadd(a.bracket(ni, ej), a.bracket(ei, nj))
-    return vadd(vsub(a.bracket(ni, nj), N.apply(mixed)),
-                N.apply(N.apply(a.bracket_basis(i, j))))
+# -- the operator-identity kernel ---------------------------------------
+
+def _mixed_terms(algebra: LieAlgebra, P: Endo):
+    """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) for basis pairs i < j, lex order."""
+    basis = algebra.basis()
+    images = [P.apply(e) for e in basis]
+    for i, (ei, pi) in enumerate(zip(basis, images)):
+        for j in range(i + 1, algebra.dim):
+            pj = images[j]
+            yield i, j, pi, pj, vadd(algebra.bracket(pi, basis[j]), algebra.bracket(ei, pj))
+
+
+def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):
+    """Nonzero ((i, j), [Pe_i, Pe_j] - P([Pe_i, e_j] + [e_i, Pe_j]) + S([e_i, e_j])).
+
+    Pairs i < j come in lexicographic order, so next(...) is the first
+    failing pair and dict(...) the full table; S = None is the zero map.
+    The brackets are taken in algebra (default P.algebra).  S = Id gives
+    the modified Yang-Baxter defect, S = -lambda P the weight-lambda
+    Rota-Baxter defect, S = None its weight-0 case and S = P o P the
+    Nijenhuis torsion of P.
+    """
+    a = P.algebra if algebra is None else algebra
+    for i, j, pi, pj, mixed in _mixed_terms(a, P):
+        value = vsub(a.bracket(pi, pj), P.apply(mixed))
+        if S is not None:
+            value = vadd(value, S.apply(a.bracket_basis(i, j)))
+        if not is_zero_vector(value):
+            yield (i, j), value
+
+
+def induced_bracket_table(P: Endo):
+    """Structure table of [x, y]_P = [Px, y] + [x, Py] on basis pairs."""
+    return {(i, j): mixed for i, j, _, _, mixed in _mixed_terms(P.algebra, P)
+            if not is_zero_vector(mixed)}
+
+
+def rho(P: Endo, x) -> Endo:
+    """Matrix of y -> [Px, y] - P([x, y]).
+
+    For a modified r-matrix this is a representation of (g, [.,.]_P) on g;
+    the formula itself is evaluated for any conforming P.
+    """
+    a = P.algebra
+    if len(x) != a.dim:
+        raise InputError(f"vector length {len(x)} != dim {a.dim}")
+    return a.ad(P.apply(x)) - P.compose(a.ad(x))
 
 
 # -- catalog ----------------------------------------------------------

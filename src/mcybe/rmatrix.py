@@ -5,28 +5,21 @@ The central object is the defect
     S(R)(x, y) = [Rx, Ry] - R([Rx, y] + [x, Ry]) + [x, y],
 
 which vanishes exactly when R solves the modified classical Yang-Baxter
-equation.  The module also covers the weight-lambda Rota-Baxter axiom,
-the correspondence R = Id + 2B, the induced bracket [x, y]_R, the
-representation rho, and the involutive-case equivalence analyzer.
+equation.  It, the weight-lambda Rota-Baxter axiom and the Nijenhuis
+torsion are all evaluated by the one kernel liealg.operator_identity, and
+the induced bracket [x, y]_R and the representation rho come from the same
+module.  Here also: the correspondence R = Id + 2B and the involutive-case
+equivalence analyzer.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .liealg import (Endo, LieAlgebra, Vector, is_zero_vector, nijenhuis_torsion,
-                     subspace_closure, vadd, vector_str, vsub)
+from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
+                     rho, subspace_closure, vector_str)
 from .cochain import Cochain
-
-
-def defect_value(R: Endo, i, j) -> Vector:
-    """S(R)(e_i, e_j)."""
-    a = R.algebra
-    ei, ej = a.basis_vector(i), a.basis_vector(j)
-    ri, rj = R.apply(ei), R.apply(ej)
-    inner = vadd(a.bracket(ri, ej), a.bracket(ei, rj))
-    return vadd(vsub(a.bracket(ri, rj), R.apply(inner)), a.bracket_basis(i, j))
-
 
 @dataclass
 class DefectReport:
@@ -41,17 +34,9 @@ class DefectReport:
 
 def mcybe_defect(R: Endo) -> DefectReport:
     """Evaluate S(R) on every basis pair; zero iff R is a modified r-matrix."""
-    a = R.algebra
-    coeffs = {}
-    worst = None
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            value = defect_value(R, i, j)
-            if not is_zero_vector(value):
-                coeffs[(i, j)] = value
-                if worst is None:
-                    worst = (i, j)
-    return DefectReport(worst is None, worst, Cochain(a, 2, coeffs))
+    coeffs = dict(operator_identity(R, Endo.identity(R.algebra)))
+    worst = next(iter(coeffs), None)
+    return DefectReport(worst is None, worst, Cochain(R.algebra, 2, coeffs))
 
 
 def require_modified(R: Endo, what="this operation"):
@@ -78,19 +63,8 @@ class RotaBaxterReport:
 
 def is_rota_baxter(B: Endo, weight) -> RotaBaxterReport:
     """Check [Bx, By] = B([Bx, y] + [x, By] + weight [x, y]) on basis pairs."""
-    a = B.algebra
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        bi = B.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            bj = B.apply(ej)
-            inner = vadd(vadd(a.bracket(bi, ej), a.bracket(ei, bj)),
-                         tuple(weight * c for c in a.bracket_basis(i, j)))
-            diff = vsub(a.bracket(bi, bj), B.apply(inner))
-            if not is_zero_vector(diff):
-                return RotaBaxterReport(False, weight, (i, j), diff)
-    return RotaBaxterReport(True, weight)
+    failing = next(operator_identity(B, B.scale(-weight)), None)
+    return RotaBaxterReport(failing is None, weight, *(failing or ()))
 
 
 def rb_from_r(R: Endo) -> Endo:
@@ -101,21 +75,6 @@ def rb_from_r(R: Endo) -> Endo:
 def r_from_rb(B: Endo) -> Endo:
     """R = Id + 2B; exact inverse of rb_from_r."""
     return Endo.identity(B.algebra) + B.scale(2)
-
-
-def induced_bracket_table(R: Endo):
-    """Structure table of [x, y]_R = [Rx, y] + [x, Ry] on basis pairs."""
-    a = R.algebra
-    table = {}
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ri = R.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            value = vadd(a.bracket(ri, ej), a.bracket(ei, R.apply(ej)))
-            if not is_zero_vector(value):
-                table[(i, j)] = value
-    return table
 
 
 def induced_bracket(R: Endo, force=False) -> LieAlgebra:
@@ -129,24 +88,6 @@ def induced_bracket(R: Endo, force=False) -> LieAlgebra:
         require_modified(R, "induced_bracket")
     return LieAlgebra(R.algebra.dim, induced_bracket_table(R),
                       basis_names=R.algebra.basis_names, check=False)
-
-
-def rho(R: Endo, x) -> Endo:
-    """Matrix of y -> [Rx, y] - R([x, y]).
-
-    For a modified r-matrix this is a representation of (g, [.,.]_R) on g;
-    the formula itself is evaluated for any conforming R.
-    """
-    a = R.algebra
-    if len(x) != a.dim:
-        raise InputError(f"vector length {len(x)} != dim {a.dim}")
-    rx = R.apply(x)
-    cols = []
-    for j in range(a.dim):
-        ej = a.basis_vector(j)
-        cols.append(vsub(a.bracket(rx, ej), R.apply(a.bracket(x, ej))))
-    from .linalg import Matrix
-    return Endo(Matrix.from_columns(cols, nrows=a.dim), a)
 
 
 @dataclass
@@ -193,16 +134,8 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     defect = mcybe_defect(R)
     mcybe_ok = defect.is_zero
 
-    nij_ok = True
-    nij_pair = None
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if not is_zero_vector(nijenhuis_torsion(R, i, j)):
-                nij_ok = False
-                nij_pair = (i, j)
-                break
-        if not nij_ok:
-            break
+    nij_pair = next((pair for pair, _ in operator_identity(R, R.compose(R))), None)
+    nij_ok = nij_pair is None
 
     ident = Endo.identity(a)
     plus_basis = tuple((R - ident).matrix.kernel_basis())
@@ -213,21 +146,10 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     eigensplit_ok = plus_closed and minus_closed
 
     half = Fraction(1, 2)
-    p_plus = (ident + R).scale(half)
-    p_minus = (ident - R).scale(half)
     product_ok = True
-    for proj in (p_plus, p_minus):
-        for i in range(a.dim):
-            pi = proj.apply(a.basis_vector(i))
-            for j in range(i + 1, a.dim):
-                w = a.bracket(pi, proj.apply(a.basis_vector(j)))
-                if proj.apply(w) != w:
-                    product_ok = False
-                    break
-            if not product_ok:
-                break
-        if not product_ok:
-            break
+    for proj in ((ident + R).scale(half), (ident - R).scale(half)):
+        brackets = (a.bracket(x, y) for x, y in combinations(map(proj.apply, a.basis()), 2))
+        product_ok = product_ok and all(proj.apply(w) == w for w in brackets)
 
     report = InvolutiveReport(mcybe_ok, nij_ok, eigensplit_ok, product_ok,
                               plus_basis, minus_basis,

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from mcybe import (Endo, InputError, Matrix, PreconditionError, catalog,
+from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, catalog,
                    induced_bracket, involutive_analyze, is_rota_baxter, mcybe_defect,
-                   nijenhuis_operator_check, r_from_rb, rb_from_r, rho)
+                   nijenhuis_operator_check, operator_identity, r_from_rb, rb_from_r,
+                   rho)
+from mcybe.deform import weight0_defect_cochain
 from mcybe.liealg import vadd
 
-from conftest import rand_endo, rand_vector
+from conftest import rand_endo, rand_involution, rand_vector
 
 
 def test_identity_is_modified_r_matrix(sl2, sl3, abelian3):
@@ -81,6 +83,37 @@ def test_modified_iff_weight_one_rb(sl2, sl3, rng=random.Random(13)):
     instances += [rand_endo(rng, a2) for _ in range(10)]
     for r in instances:
         assert mcybe_defect(r).is_zero == is_rota_baxter(rb_from_r(r), 1).ok
+
+
+def test_defect_is_four_times_weight_one_rb_defect(sl3, rng=random.Random(20)):
+    # R = Id + 2B turns S(R) into 4 ([Bx, By] - B([Bx, y] + [x, By] + [x, y]))
+    a, r = sl3
+    for R in [r, Endo.from_diagonal(a, [1, 1, -1, -1, 1, -1, 1, 3])] + \
+            [rand_endo(rng, a) for _ in range(6)]:
+        b = rb_from_r(R)
+        rb_defect = Cochain(a, 2, dict(operator_identity(b, b.scale(-1))))
+        assert mcybe_defect(R).defect_cochain == rb_defect.scale(4)
+
+
+def test_torsion_of_involution_is_mcybe_defect(sl3, rng=random.Random(21)):
+    a, r = sl3
+    involutions = [r] + [rand_involution(rng, a) for _ in range(4)]
+    assert any(not mcybe_defect(R).is_zero for R in involutions)
+    for R in involutions:
+        torsion = dict(operator_identity(R, R.compose(R)))
+        assert torsion == mcybe_defect(R).defect_cochain.coeffs
+        assert list(torsion) == sorted(torsion)
+
+
+def test_weight0_rb_and_defect_cochain_agree_on_values(sl3, rng=random.Random(22)):
+    a, r = sl3
+    for b in [rb_from_r(r), Endo.zero(a)] + [rand_endo(rng, a) for _ in range(6)]:
+        rep = is_rota_baxter(b, 0)
+        coeffs = weight0_defect_cochain(b).coeffs
+        first = next(iter(coeffs.items()), (None, None))
+        assert rep.ok == (not coeffs)
+        assert (rep.failing_pair, rep.value) == first
+        assert first[0] == min(coeffs, default=None)
 
 
 def test_induced_bracket_identity_doubles(sl2):
