@@ -7,7 +7,7 @@ machinery, linear/trivial deformations and Nijenhuis elements, and the
 diagonal/graph doubling constructions.
 """
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .linalg import Matrix, Rational, ratio
 from .liealg import (Endo, JacobiResult, LieAlgebra, Vector, catalog,
                      operator_identity, sl_algebra, borel_r_matrix,
@@ -35,7 +35,7 @@ from .doubling import (ComplementReport, DoubledAlgebra, SubspaceCert,
 __version__ = "0.1.0"
 
 __all__ = [
-    "InputError", "PreconditionError",
+    "InputError", "InternalError", "PreconditionError",
     "Matrix", "Rational", "ratio",
     "Endo", "JacobiResult", "LieAlgebra", "Vector", "catalog",
     "operator_identity", "sl_algebra", "borel_r_matrix", "subspace_closure",

@@ -1,7 +1,8 @@
 """Command-line front end: parse JSON inputs, dispatch, report.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
-names witnesses), 2 input or usage error.  Output is deterministic: the
+names witnesses), 2 input or usage error, 3 internal error (two independent
+routes disagreed, or a certificate failed).  Output is deterministic: the
 same inputs and flags produce byte-identical reports.  All rationals print
 as p/q (or a bare integer); no floating point appears on any output path.
 """
@@ -12,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .linalg import rational_from_json, rational_str, rational_to_json
 from .liealg import Endo, LieAlgebra, vector_str
 from . import rmatrix
@@ -129,10 +130,6 @@ def _parse_element(text, algebra):
     return vec
 
 
-def _parse_rational(text):
-    return rational_from_json(text if "/" in text else int(text))
-
-
 def _pair_names(algebra, pair):
     if pair is None:
         return None
@@ -177,7 +174,7 @@ def cmd_check_mcybe(args, report):
 def cmd_check_rota_baxter(args, report):
     algebra = _load_algebra(args, report)
     B = _load_endo(args.map, algebra, report, "map")
-    weight = _parse_rational(args.weight)
+    weight = rational_from_json(args.weight)
     res = rmatrix.is_rota_baxter(B, weight)
     report.verdict("rota_baxter_ok", res.ok,
                    f"Rota-Baxter (weight {rational_str(weight)}): "
@@ -411,8 +408,8 @@ def cmd_compatible(args, report):
     algebra = _load_algebra(args, report)
     R = _load_endo(args.map, algebra, report, "map")
     rhat = _load_endo(args.rhat, algebra, report, "rhat")
-    t1 = _parse_rational(args.t1)
-    t2 = _parse_rational(args.t2)
+    t1 = rational_from_json(args.t1)
+    t2 = rational_from_json(args.t2)
     rep = deform.compatible_bracket_check(R, rhat, t1, t2)
     report.verdict("jacobi_ok", rep.jacobi_ok)
     report.verdict("midpoint_ok", rep.midpoint_ok)
@@ -541,6 +538,9 @@ def run(argv=None):
     except PreconditionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     report.emit(args.json)
     return code
 

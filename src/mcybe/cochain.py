@@ -21,10 +21,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
                      rho, vadd, vector_from_json, vector_to_json, vzero)
-from .linalg import Matrix, ratio
+from .linalg import Matrix, json_array, ratio
 
 FLAVOR_R = "R-complex"
 FLAVOR_B = "B-complex"
@@ -248,13 +248,17 @@ class Cochain:
             entries = data.get("entries", [])
         except (TypeError, KeyError) as exc:
             raise InputError(f"bad cochain JSON: {exc}") from exc
+        if type(arity) is not int:
+            raise InputError(f"cochain degree must be an integer, got {arity!r}")
         coeffs = {}
-        for entry in entries:
+        for entry in json_array(entries, "cochain entries"):
             try:
-                tup = tuple(entry["tuple"])
+                tup = tuple(json_array(entry["tuple"], "cochain tuple"))
                 value = entry["value"]
             except (TypeError, KeyError) as exc:
                 raise InputError(f"bad cochain entry {entry!r}") from exc
+            if not all(type(t) is int for t in tup):
+                raise InputError(f"cochain tuple {list(tup)} needs integer indices")
             if tup in coeffs:
                 raise InputError(f"duplicate cochain entry for {tup}")
             coeffs[tup] = vector_from_json(value, algebra.dim)
@@ -512,12 +516,12 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         kernel = out.kernel_basis()
         dim_z = len(kernel)
         rank_out = out.rank()
-        assert rank_out + dim_z == dim_c
+        certify(rank_out + dim_z == dim_c, "rank + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
             for vec in kernel:
                 w = Cochain.from_coeff_vector(a, arity, vec)
-                assert all(not x for x in out.apply(vec))
+                certify(all(not x for x in out.apply(vec)), "kernel vector is not a cocycle")
                 z_witnesses.append(w)
         b_witnesses = []
         if degree == 1:
@@ -526,7 +530,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             inc = matrices[arity - 1].matrix
             _, pivots = inc.rref()
             dim_b = len(pivots)
-            assert dim_b == inc.rank()
+            certify(dim_b == inc.rank(), "echelon pivots and Bareiss rank disagree")
             if witnesses:
                 for col in pivots:
                     pre_vec = [0] * inc.ncols
@@ -535,7 +539,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
                     img = Cochain.from_coeff_vector(a, arity, inc.column(col))
                     b_witnesses.append((pre, img))
         dim_h = dim_z - dim_b
-        assert dim_h >= 0
+        certify(dim_h >= 0, "more coboundaries than cocycles")
         degrees[degree] = DegreeReport(degree, arity, dim_c, dim_z, dim_b, dim_h,
                                        z_witnesses, b_witnesses)
     return CohomologyReport(flavor, max_degree, degrees)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
                      operator_identity, vadd, vzero)
 from .cochain import Cochain, d_apply
@@ -42,9 +42,8 @@ def defect_polynomial(R: Endo, Rhat: Endo):
     plus = mcybe_defect(R + Rhat).defect_cochain
     minus = mcybe_defect(R - Rhat).defect_cochain
     half = Fraction(1, 2)
-    if (plus - minus).scale(half) != s1 or (plus + minus).scale(half) - s0 != s2:
-        raise RuntimeError("polynomial defect coefficients disagree with "
-                           "interpolated defect values")
+    certify((plus - minus).scale(half) == s1 and (plus + minus).scale(half) - s0 == s2,
+            "polynomial defect coefficients disagree with interpolated defect values")
     return s0, s1, s2
 
 
@@ -196,11 +195,9 @@ def trivial_deformation(R: Endo, x):
             f"{a.basis_names[verdict.eq2_witness]}])]")
     rhat = d_apply(R, Cochain.from_vector(R.algebra, tuple(x))).to_endo()
     dv = check_linear_deformation(R, rhat)
-    if not dv.valid:
-        raise RuntimeError("trivial deformation failed the validity check")
-    eq = check_equivalence(R, rhat, Endo.zero(R.algebra), x)
-    if not eq.ok:
-        raise RuntimeError("trivial deformation failed the equivalence certificate")
+    certify(dv.valid, "trivial deformation failed the validity check")
+    certify(check_equivalence(R, rhat, Endo.zero(R.algebra), x).ok,
+            "trivial deformation failed the equivalence certificate")
     return rhat, dv
 
 

@@ -9,7 +9,7 @@ subalgebras forming a direct-sum complement.
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, subspace_closure, vadd, vneg,
                      vsub)
 from .linalg import Matrix
@@ -63,8 +63,8 @@ def build_double(a: LieAlgebra) -> DoubledAlgebra:
                        for k in range(2 * n)) for i in range(n))
     diag_ok, diag_pair = subspace_closure(double, diag)
     anti_ok, anti_pair = subspace_closure(double, anti)
-    assert diag_ok
-    assert anti_ok == a.is_abelian()
+    certify(diag_ok, "the diagonal of g (+) g is not closed under the bracket")
+    certify(anti_ok == a.is_abelian(), "antidiagonal closure disagrees with abelianness")
     return DoubledAlgebra(double, a, diag, anti,
                           SubspaceCert(diag, diag_ok, diag_pair),
                           SubspaceCert(anti, anti_ok, anti_pair))
@@ -90,8 +90,7 @@ def graph_complement(R: Endo) -> SubspaceCert:
     double = build_double(R.algebra)
     basis = graph_basis(R)
     ok, pair = subspace_closure(double.algebra, basis)
-    if ok != mcybe_defect(R).is_zero:
-        raise RuntimeError("graph closure and defect verdicts disagree")
+    certify(ok == mcybe_defect(R).is_zero, "graph closure and defect verdicts disagree")
     return SubspaceCert(basis, ok, pair)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, certify
 from .liealg import Endo, is_zero_vector, vadd
 from .cochain import (Cochain, basis_tuples, coboundary_preimage, is_cocycle,
                       pi_cochain)
@@ -158,8 +158,7 @@ def mc_deformation_check(R: Endo, Rp: Endo) -> bool:
     mc = graded_bracket(as_graded(R), rp) + graded_bracket(rp, rp).scale(Fraction(1, 2))
     via_mc = mc.is_zero()
     via_defect = mcybe_defect(R + Rp).is_zero
-    if via_mc != via_defect:
-        raise RuntimeError("Maurer-Cartan and defect routes disagree")
+    certify(via_mc == via_defect, "Maurer-Cartan and defect routes disagree")
     return via_mc
 
 

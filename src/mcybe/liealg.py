@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import Matrix, Rational, ratio, rational_from_json, rational_to_json
+from .linalg import Matrix, Rational, json_array, ratio, rational_to_json, rationals_from_json
 
 Vector = tuple  # tuple of Rational, length = algebra dimension
 
@@ -42,7 +42,7 @@ def is_zero_vector(u) -> bool:
 
 
 def vector_from_json(data, dim) -> Vector:
-    vec = tuple(rational_from_json(v) for v in data)
+    vec = tuple(rationals_from_json(data, "vector"))
     if len(vec) != dim:
         raise InputError(f"vector length {len(vec)} != dim {dim}")
     return vec
@@ -192,20 +192,22 @@ class LieAlgebra:
             entries = data.get("brackets", [])
         except (TypeError, KeyError) as exc:
             raise InputError(f"bad algebra JSON: {exc}") from exc
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise InputError(f"bad algebra dim {dim!r}")
+        if names is not None:
+            json_array(names, "algebra basis")
         structure = {}
-        for entry in entries:
+        for entry in json_array(entries, "algebra brackets"):
             try:
                 i, j = entry["i"], entry["j"]
                 value = entry["value"]
             except (TypeError, KeyError) as exc:
                 raise InputError(f"bad bracket entry {entry!r}") from exc
-            if not (isinstance(i, int) and isinstance(j, int) and i < j):
+            if not (type(i) is int and type(j) is int and i < j):
                 raise InputError(f"bracket entry needs integer i < j, got i={i!r} j={j!r}")
             if (i, j) in structure:
                 raise InputError(f"duplicate bracket entry for ({i}, {j})")
-            structure[(i, j)] = [rational_from_json(v) for v in value]
+            structure[(i, j)] = rationals_from_json(value, f"bracket ({i}, {j}) value")
         return cls(dim, structure, basis_names=names, check=check)
 
 
@@ -291,8 +293,8 @@ class Endo:
             rows = data["matrix"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"bad endomorphism JSON: {exc}") from exc
-        return cls(Matrix([[rational_from_json(x) for x in row] for row in rows]),
-                   algebra)
+        return cls(Matrix([rationals_from_json(row, "matrix row")
+                           for row in json_array(rows, "matrix")]), algebra)
 
 
 def subspace_closure(algebra: LieAlgebra, basis_vectors):
@@ -454,8 +456,4 @@ def catalog(name, n):
     if name == "abelian":
         algebra = LieAlgebra(n, {}, basis_names=[f"a{i + 1}" for i in range(n)])
         return algebra, Endo.identity(algebra)
-    if name == "custom":
-        raise InputError(
-            "catalog name 'custom' is a placeholder; load an algebra from its "
-            "JSON form instead (LieAlgebra.from_json_dict)")
     raise InputError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")

@@ -11,7 +11,7 @@ normalized and deterministic.
 from fractions import Fraction
 from math import lcm
 
-from .errors import InputError
+from .errors import InputError, certify
 
 # Exact scalar: int or Fraction.  Fractions with denominator 1 are
 # normalized back to int by ratio().
@@ -41,6 +41,18 @@ def rational_from_json(v) -> Rational:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational string {v!r}: {exc}") from exc
     raise InputError(f"not a rational: {v!r} (use an int or a 'p/q' string)")
+
+
+def json_array(data, what) -> list:
+    """data itself when it is a JSON array; a string is never read as one."""
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be a JSON array, got {data!r}")
+    return data
+
+
+def rationals_from_json(data, what) -> list:
+    """Decode a JSON array of rationals."""
+    return [rational_from_json(v) for v in json_array(data, what)]
 
 
 def rational_to_json(x: Rational):
@@ -304,7 +316,7 @@ class Matrix:
         x = [0] * self.ncols
         for k, pc in enumerate(pivots):
             x[pc] = rows[k][self.ncols]
-        assert self.apply(x) == tuple(b)
+        certify(self.apply(x) == tuple(b), "solve: the solution does not reproduce b")
         return tuple(x)
 
     def inverse(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
                      rho, subspace_closure, vector_str)
 from .cochain import Cochain
@@ -140,7 +140,8 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     ident = Endo.identity(a)
     plus_basis = tuple((R - ident).matrix.kernel_basis())
     minus_basis = tuple((R + ident).matrix.kernel_basis())
-    assert len(plus_basis) + len(minus_basis) == a.dim
+    certify(len(plus_basis) + len(minus_basis) == a.dim,
+            "the eigenspaces of an involution do not span the algebra")
     plus_closed, _ = subspace_closure(a, plus_basis)
     minus_closed, _ = subspace_closure(a, minus_basis)
     eigensplit_ok = plus_closed and minus_closed
@@ -154,6 +155,5 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     report = InvolutiveReport(mcybe_ok, nij_ok, eigensplit_ok, product_ok,
                               plus_basis, minus_basis,
                               failing_pair=defect.worst_pair or nij_pair)
-    if not report.all_agree():
-        raise RuntimeError(f"involutive certificates disagree: {report}")
+    certify(report.all_agree(), f"involutive certificates disagree: {report}")
     return report

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, witnesses, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcybe
 from mcybe.cli import run
+from mcybe.rmatrix import DefectReport
 
 
 @pytest.fixture()
@@ -215,3 +221,81 @@ def test_element_parse_errors(sl2_files, capsys):
                 "--map", str(borel), "--element", "[1, 0]"]) == 2
     assert run(["nijenhuis", "check", "--algebra", str(algebra),
                 "--map", str(borel), "--element", "nope"]) == 2
+
+
+_SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
+                 {"i": 0, "j": 2, "value": [-2, 0, 0]},
+                 {"i": 1, "j": 2, "value": [0, 2, 0]}]
+
+
+# each payload was once read character by character, coerced from a
+# boolean, or crashed with a TypeError; all are input errors now
+@pytest.mark.parametrize("command, label, payload", [
+    ("check-mcybe", "map", {"matrix": ["100", "010", "001"]}),
+    ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": "001"}]}),
+    ("check-lie", "algebra", {"dim": 3, "basis": "efh", "brackets": _SL2_BRACKETS}),
+    ("check-lie", "algebra", {"dim": True, "brackets": []}),
+    ("check-lie", "algebra", {"dim": 2, "brackets": [{"i": False, "j": True,
+                                                      "value": [0, 0]}]}),
+    ("kuranishi", "cocycle", {"degree": 1, "entries": [{"tuple": "2",
+                                                        "value": [0, 0, 1]}]}),
+    ("kuranishi", "cocycle", {"degree": "1", "entries": []}),
+    ("kuranishi", "cocycle", {"matrix": 5}),
+], ids=["matrix-row-strings", "bracket-value-string", "basis-string", "dim-true",
+        "bracket-index-bools", "cochain-tuple-string", "cochain-degree-string",
+        "cochain-matrix-int"])
+def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, payload):
+    algebra, borel = sl2_files
+    path = write_json(tmp_path / "malformed.json", payload)
+    files = {"algebra": str(algebra), "map": str(borel), label: path}
+    argv = {"check-lie": ["check", "lie", "--algebra", files["algebra"]],
+            "check-mcybe": ["check", "mcybe", "--algebra", files["algebra"],
+                            "--map", files["map"]],
+            "kuranishi": ["kuranishi", "--algebra", files["algebra"], "--map",
+                          files["map"], "--cocycle", files.get("cocycle", "")]}[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and not captured.out
+
+
+@pytest.mark.parametrize("flag", ["--weight=abc", "--weight=1/0"])
+def test_bad_rational_flag_exit_2(sl2_files, flag):
+    algebra, borel = sl2_files
+    assert run(["check", "rota-baxter", "--algebra", str(algebra),
+                "--map", str(borel), flag]) == 2
+
+
+def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
+    algebra, borel = sl2_files
+    # the graph closure says "subalgebra"; make the defect route say otherwise
+    monkeypatch.setattr(mcybe.doubling, "mcybe_defect",
+                        lambda R: DefectReport(False, (0, 1), None))
+    assert run(["double", "graph", "--algebra", str(algebra), "--map", str(borel)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: graph closure and defect verdicts disagree\n"
+    assert not captured.out
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from mcybe import Matrix
+from mcybe.cli import run
+assert False, "asserts must be stripped in this interpreter"
+true_rank = Matrix.rank
+Matrix.rank = lambda self: true_rank(self) + 1
+sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2],
+              "--max-degree", "1"]))
+"""
+
+
+def test_certificate_survives_python_O(sl2_files):
+    # the rank + nullity certificate in cohomology() was an assert once
+    algebra, borel = sl2_files
+    src = str(Path(mcybe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
+                           str(algebra), str(borel)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "internal error: rank + nullity != cochain dimension\n"
