@@ -276,10 +276,14 @@ def pi_cochain(algebra: LieAlgebra) -> Cochain:
 def _pair_brackets(P: Endo, flavor):
     """mu(a, b) = [Pa, b] + [a, Pb], plus [a, b] in the B-complex.
 
-    By linearity the B-complex term is the induced table of P + Id/2.
+    By linearity the B-complex term is half the induced table of
+    Id + 2P, which keeps the brackets integral for B = (R - Id)/2 with R
+    integral; P + Id/2 would put fractions into every one of them.
     """
-    shift = Fraction(1, 2) if flavor == FLAVOR_B else 0
-    return induced_bracket_table(P + Endo.identity(P.algebra).scale(shift))
+    if flavor == FLAVOR_R:
+        return induced_bracket_table(P)
+    doubled = induced_bracket_table(Endo.identity(P.algebra) + P.scale(2))
+    return {key: tuple(ratio(Fraction(x, 2)) for x in w) for key, w in doubled.items()}
 
 
 def _check_flavor_axiom(P: Endo, flavor):

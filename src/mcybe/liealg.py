@@ -318,14 +318,14 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
 
 # -- the operator-identity kernel ---------------------------------------
 
-def _mixed_terms(algebra: LieAlgebra, P: Endo):
+def _mixed_terms(a: LieAlgebra, P: Endo):
     """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) for basis pairs i < j, lex order."""
-    basis = algebra.basis()
+    basis = a.basis()
     images = [P.apply(e) for e in basis]
     for i, (ei, pi) in enumerate(zip(basis, images)):
-        for j in range(i + 1, algebra.dim):
+        for j in range(i + 1, a.dim):
             pj = images[j]
-            yield i, j, pi, pj, vadd(algebra.bracket(pi, basis[j]), algebra.bracket(ei, pj))
+            yield i, j, pi, pj, vadd(a.bracket(pi, basis[j]), a.bracket(ei, pj))
 
 
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):

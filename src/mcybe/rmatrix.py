@@ -14,12 +14,13 @@ equivalence analyzer.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
-                     rho, subspace_closure, vector_str)
+                     subspace_closure, vector_str)
+from .liealg import rho  # noqa: F401  (re-exported next to the induced bracket)
 from .cochain import Cochain
+
 
 @dataclass
 class DefectReport:
@@ -147,10 +148,21 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     eigensplit_ok = plus_closed and minus_closed
 
     half = Fraction(1, 2)
+    p_plus = (ident + R).scale(half)
+    p_minus = (ident - R).scale(half)
     product_ok = True
-    for proj in ((ident + R).scale(half), (ident - R).scale(half)):
-        brackets = (a.bracket(x, y) for x, y in combinations(map(proj.apply, a.basis()), 2))
-        product_ok = product_ok and all(proj.apply(w) == w for w in brackets)
+    for proj in (p_plus, p_minus):
+        for i in range(a.dim):
+            pi = proj.apply(a.basis_vector(i))
+            for j in range(i + 1, a.dim):
+                w = a.bracket(pi, proj.apply(a.basis_vector(j)))
+                if proj.apply(w) != w:
+                    product_ok = False
+                    break
+            if not product_ok:
+                break
+        if not product_ok:
+            break
 
     report = InvolutiveReport(mcybe_ok, nij_ok, eigensplit_ok, product_ok,
                               plus_basis, minus_basis,
