@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, InternalError, PreconditionError
-from .linalg import rational_from_json, rational_str, rational_to_json
+from .linalg import rational_from_json, rational_str, rational_to_json, rationals_from_json
 from .liealg import Endo, LieAlgebra, vector_str
 from . import rmatrix
 from .cochain import Cochain, cohomology
@@ -122,9 +122,7 @@ def _parse_element(text, algebra):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"--element is not valid JSON: {exc.msg}") from exc
-    if not isinstance(data, list):
-        raise InputError("--element must be a JSON array of rationals")
-    vec = tuple(rational_from_json(v) for v in data)
+    vec = tuple(rationals_from_json(data, "--element"))
     if len(vec) != algebra.dim:
         raise InputError(f"--element length {len(vec)} != dim {algebra.dim}")
     return vec
