@@ -24,7 +24,7 @@ from math import comb
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
                      rho, vadd, vector_from_json, vector_to_json, vzero)
-from .linalg import Matrix, json_array, ratio
+from .linalg import Matrix, json_array, rank_mod_p, ratio
 
 FLAVOR_R = "R-complex"
 FLAVOR_B = "B-complex"
@@ -325,6 +325,8 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     """Matrix of the coboundary on arity-k cochains (degree k+1 -> k+2).
 
     For k = 0 the domain is g itself and (d x)(y) = [Ry, x] - R([y, x]).
+    Rows are assembled as sparse dicts, block by block of n rows per
+    (k+1)-tuple; no dense rows x cols table is built.
     """
     flavor = _canon_flavor(flavor)
     a = P.algebra
@@ -334,28 +336,20 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     if check:
         _check_flavor_axiom(P, flavor)
 
-    rows_tuples = basis_tuples(n, k + 1)
-    cols_tuples = basis_tuples(n, k)
-    col_index = {tup: i for i, tup in enumerate(cols_tuples)}
-    out = [[0] * (len(cols_tuples) * n) for _ in range(len(rows_tuples) * n)]
+    col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
+    lambdas = [[[(c, v) for c, v in enumerate(row) if v]
+                for row in rho(P, e).matrix.rows_list()] for e in a.basis()]
+    mus = _pair_brackets(P, flavor) if k else {}    # no pair terms at k = 0
 
-    lambdas = [rho(P, e).matrix.rows_list() for e in a.basis()]
-    mus = _pair_brackets(P, flavor)
-
-    for row_pos, T in enumerate(rows_tuples):
-        row_base = row_pos * n
+    rows = []
+    for T in basis_tuples(n, k + 1):
+        block = [{} for _ in range(n)]
         for pos in range(k + 1):
-            sub = T[:pos] + T[pos + 1:]
             sgn = -1 if pos % 2 else 1
-            col_base = col_index[sub] * n
-            lam = lambdas[T[pos]]
-            for r in range(n):
-                orow = out[row_base + r]
-                lrow = lam[r]
-                for c in range(n):
-                    v = lrow[c]
-                    if v:
-                        orow[col_base + c] += sgn * v
+            base = col_base[T[:pos] + T[pos + 1:]]
+            for out, lrow in zip(block, lambdas[T[pos]]):
+                for c, v in lrow:
+                    out[base + c] = out.get(base + c, 0) + sgn * v
         for p1 in range(k + 1):
             for p2 in range(p1 + 1, k + 1):
                 w = mus.get((T[p1], T[p2]))
@@ -370,12 +364,13 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
                     if ins is None:
                         continue
                     isgn, key = ins
-                    col_base = col_index[key] * n
+                    base = col_base[key]
                     coeff = sgn2 * isgn * ws
-                    for m in range(n):
-                        out[row_base + m][col_base + m] += coeff
-    return CoboundaryMatrix(k + 1, k + 2,
-                            Matrix(out, ncols=len(cols_tuples) * n), flavor)
+                    for m, out in enumerate(block):
+                        out[base + m] = out.get(base + m, 0) + coeff
+        rows.extend({j: ratio(x) for j, x in out.items() if x} for out in block)
+    return CoboundaryMatrix(k + 1, k + 2, Matrix.from_sparse(rows, len(col_base) * n),
+                            flavor)
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
@@ -504,11 +499,16 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     n = a.dim
 
     # degree m needs the outgoing matrix at arity m-1 and the incoming one
-    # at arity m-2, so arities 0 .. max_degree-1 suffice
+    # at arity m-2, so arities 0 .. max_degree-1 suffice.  Each matrix is
+    # eliminated once (Matrix caches it): its kernel gives the cocycles at
+    # degree m, its pivots the coboundaries at degree m+1.
     matrices = {}
     for arity in range(0, min(max_degree - 1, n) + 1):
         matrices[arity] = coboundary_matrix(P, arity, flavor=flavor, check=False)
 
+    # certificate, independent of witnesses: rank mod p plus the nullity of
+    # the exactly verified kernel is dim C, so both ranks are exact
+    ranks_p = {}
     degrees = {}
     for degree in range(1, max_degree + 1):
         arity = degree - 1
@@ -517,24 +517,27 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
         out = matrices[arity].matrix
-        kernel = out.kernel_basis()
-        dim_z = len(kernel)
-        rank_out = out.rank()
-        certify(rank_out + dim_z == dim_c, "rank + nullity != cochain dimension")
+        kernel = out.null_space()
+        dim_z = kernel.nrows
+        certify(out.rank() + dim_z == dim_c, "rank + nullity != cochain dimension")
+        # integral copies vanish together with out @ kernel^T, in int arithmetic
+        certify((out.clear_denominators() @ kernel.clear_denominators().transpose())
+                .is_zero(), "kernel vector is not a cocycle")
+        ranks_p[arity] = rank_mod_p(out)
+        certify(ranks_p[arity] + dim_z == dim_c,
+                "rank mod p + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
-            for vec in kernel:
-                w = Cochain.from_coeff_vector(a, arity, vec)
-                certify(all(not x for x in out.apply(vec)), "kernel vector is not a cocycle")
-                z_witnesses.append(w)
+            z_witnesses = [Cochain.from_coeff_vector(a, arity, kernel.row(i))
+                           for i in range(dim_z)]
         b_witnesses = []
         if degree == 1:
             dim_b = 0
         else:
             inc = matrices[arity - 1].matrix
-            _, pivots = inc.rref()
+            pivots = inc.pivot_columns()
             dim_b = len(pivots)
-            certify(dim_b == inc.rank(), "echelon pivots and Bareiss rank disagree")
+            certify(dim_b == ranks_p[arity - 1], "echelon pivots and rank mod p disagree")
             if witnesses:
                 for col in pivots:
                     pre_vec = [0] * inc.ncols

@@ -29,14 +29,16 @@ def weight0_defect_cochain(B: Endo) -> Cochain:
     return Cochain(B.algebra, 2, dict(operator_identity(B)))
 
 
-def defect_polynomial(R: Endo, Rhat: Endo):
+def defect_polynomial(R: Endo, Rhat: Endo, s0: Cochain | None = None):
     """Coefficient cochains (S0, S1, S2) of S(R + t Rhat) in t.
 
     S1 is the coboundary of Rhat in the R-complex and S2 the weight-0
     defect of Rhat; both are cross-checked against an independent exact
-    interpolation of the defect at t = 0, 1, -1.
+    interpolation of the defect at t = 0, 1, -1.  s0, the defect of R at
+    t = 0, is computed unless the caller already has it.
     """
-    s0 = mcybe_defect(R).defect_cochain
+    if s0 is None:
+        s0 = mcybe_defect(R).defect_cochain
     s1 = d_apply(R, Cochain.from_endo(Rhat), check=False)
     s2 = weight0_defect_cochain(Rhat)
     plus = mcybe_defect(R + Rhat).defect_cochain
@@ -61,8 +63,8 @@ class DeformationVerdict:
 
 def check_linear_deformation(R: Endo, Rhat: Endo) -> DeformationVerdict:
     """Rhat generates a linear deformation iff both t-coefficients vanish."""
-    require_modified(R, "check_linear_deformation")
-    _, s1, s2 = defect_polynomial(R, Rhat)
+    s0 = require_modified(R, "check_linear_deformation").defect_cochain
+    _, s1, s2 = defect_polynomial(R, Rhat, s0)
     cocycle_ok = s1.is_zero()
     weight0_ok = s2.is_zero()
     failing = None

@@ -276,6 +276,18 @@ def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
     assert not captured.out
 
 
+def test_rank_mod_p_disagreement_exit_3(sl2_files, monkeypatch, capsys):
+    algebra, borel = sl2_files
+    # the independent rank route undercounts: the certificate must refuse
+    true_rank_p = mcybe.cochain.rank_mod_p
+    monkeypatch.setattr(mcybe.cochain, "rank_mod_p", lambda m: true_rank_p(m) - 1)
+    assert run(["cohomology", "--algebra", str(algebra), "--map", str(borel),
+                "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: rank mod p + nullity != cochain dimension\n"
+    assert not captured.out
+
+
 _OPTIMIZED_SCRIPT = """
 import sys
 from mcybe import Matrix

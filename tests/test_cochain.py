@@ -7,9 +7,9 @@ from math import comb
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, InputError, PreconditionError,
+from mcybe import (Cochain, Endo, InputError, PreconditionError, cochain,
                    coboundary_matrix, coboundary_preimage, cohomology, d_apply,
-                   is_cocycle, pi_cochain)
+                   is_cocycle, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vscale
 
@@ -70,6 +70,20 @@ def test_abelian_coboundary_is_zero(abelian3):
     a, r = abelian3
     for k in range(0, 3):
         assert coboundary_matrix(r, k).matrix.is_zero()
+
+
+def test_arity_zero_builds_no_pair_table(sl3, monkeypatch):
+    # (d x)(y) has a single argument, so no induced bracket is needed
+    calls = []
+    real = cochain.induced_bracket_table
+    monkeypatch.setattr(cochain, "induced_bracket_table",
+                        lambda P: calls.append(P) or real(P))
+    a, r = sl3
+    for flavor, op in (("R", r), ("B", rb_from_r(r))):
+        coboundary_matrix(op, 0, flavor=flavor)
+        assert calls == []
+    coboundary_matrix(r, 1)
+    assert len(calls) == 1
 
 
 def test_sl2_degree1_kernel_is_cartan(sl2):

@@ -11,6 +11,7 @@ from mcybe import (Cochain, Endo, Matrix, PreconditionError, check_equivalence,
                    compatible_bracket_check, d_apply, induced_bracket,
                    induced_bracket_deformation, nijenhuis_check,
                    nijenhuis_operator_check, nijenhuis_scan, trivial_deformation)
+from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
 from mcybe.rmatrix import induced_bracket_table
 
@@ -97,6 +98,22 @@ def test_validity_iff_defect_polynomial_vanishes(sl2, rng=random.Random(42)):
         dv = check_linear_deformation(r, rhat)
         _, s1, s2 = defect_polynomial(r, rhat)
         assert dv.valid == (s1.is_zero() and s2.is_zero())
+
+
+def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
+    # S(R) once for the precondition and the t^0 coefficient, then R +- Rhat
+    a, r = sl2
+    rhat = d_endo(r, a.basis_vector(0))
+    seen = []
+    real = rmatrix.mcybe_defect
+
+    def counting(R):
+        seen.append(R)
+        return real(R)
+    monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
+    monkeypatch.setattr(deform, "mcybe_defect", counting)
+    assert check_linear_deformation(r, rhat).valid
+    assert seen == [r, r + rhat, r - rhat]
 
 
 def test_equivalence_reflexive(sl2, rng=random.Random(43)):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from mcybe import InputError, Matrix
-from mcybe.linalg import ratio, rational_from_json, rational_to_json
+from mcybe.linalg import MODULUS, rank_mod_p, ratio, rational_from_json, rational_to_json
 
 
 def rand_matrix(rng, r, c, span=6, frac=False):
@@ -149,3 +149,58 @@ def test_entry_normalization():
     m = Matrix([[Fraction(4, 2), Fraction(1, 3)]])
     assert m.entry(0, 0) == 2 and isinstance(m.entry(0, 0), int)
     assert m.entry(0, 1) == Fraction(1, 3)
+
+
+def rand_sparse(rng, r, c, fill=0.3):
+    """Mostly zero entries, some rows and columns empty."""
+    return Matrix([[rng.choice((1, -1, 2, Fraction(1, 3), Fraction(-5, 2)))
+                    if rng.random() < fill else 0 for _ in range(c)] for _ in range(r)])
+
+
+def test_rank_mod_p_matches_rank(rng=random.Random(107)):
+    for _ in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
+        assert rank_mod_p(m) == m.rank() == sympy.Matrix(m.rows_list()).rank()
+
+
+def test_rank_mod_p_is_only_a_lower_bound():
+    # a multiple of the prime vanishes modulo it
+    m = Matrix([[MODULUS, 1], [0, 1]])
+    assert m.rank() == 2 and rank_mod_p(m) == 1
+
+
+def test_rref_and_kernel_match_sympy_on_sparse(rng=random.Random(108)):
+    for _ in range(30):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = rand_sparse(rng, r, c)
+        rows, pivots = m.rref()
+        ref, ref_pivots = sympy.Matrix(m.rows_list()).rref()
+        assert pivots == list(ref_pivots) == list(m.pivot_columns())
+        assert rows == ref.tolist()
+        kernel = m.kernel_basis()
+        assert len(kernel) == c - m.rank()
+        null = m.null_space()
+        assert [null.row(i) for i in range(null.nrows)] == kernel
+        assert (m @ null.transpose()).is_zero()
+
+
+def test_det_matches_sympy_on_permuted_sparse(rng=random.Random(109)):
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        m = rand_sparse(rng, n, n, fill=0.4)
+        rows = m.rows_list()
+        rng.shuffle(rows)
+        assert Matrix(rows).det() == sympy.Matrix(rows).det()
+
+
+def test_sparse_arithmetic_matches_dense(rng=random.Random(110)):
+    for _ in range(20):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        a, b = rand_sparse(rng, r, k), rand_sparse(rng, k, c)
+        sa, sb = sympy.Matrix(a.rows_list()), sympy.Matrix(b.rows_list())
+        assert (a @ b).rows_list() == (sa * sb).tolist()
+        assert (a - a.scale(2) + a).is_zero()
+        assert a.transpose().rows_list() == sa.T.tolist()
+        v = tuple(rng.randint(-3, 3) for _ in range(k))
+        assert list(a.apply(v)) == list(sa * sympy.Matrix(v))

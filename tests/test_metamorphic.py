@@ -1,0 +1,96 @@
+"""Invariants of the coboundary complexes, checked metamorphically.
+
+The Euler characteristic of a finite complex equals that of its
+cohomology; cohomology dimensions do not change when the operator is
+moved by a Lie algebra automorphism (an inner one, exp(ad x), or a Weyl
+group element permuting the root vectors).  Each check runs in both
+flavors, on full complexes or on sl(3) up to degree 3, and the sl(4)
+frontier up to degree 3 is pinned on the Borel operator and a conjugate.
+"""
+
+import pytest
+
+from mcybe import Endo, Matrix, catalog, cohomology, rb_from_r
+
+from conftest import conjugate, nilpotent_exp
+
+# dim H^1.. of the Borel r-matrix on the full complex of sl(3)
+SL3_FULL = (2, 9, 16, 14, 6, 1, 0, 0, 0)
+
+
+def flavored(R, flavor):
+    return R if flavor == "R" else rb_from_r(R)
+
+
+def dims(P, max_degree, flavor):
+    rep = cohomology(P, max_degree, flavor=flavor, witnesses=False)
+    return tuple(rep.dim_h(d) for d in range(1, max_degree + 1)), rep
+
+
+def weyl_automorphism(algebra, n, perm):
+    """X -> Q X Q^-1 on the sl(n) basis, Q the permutation matrix of perm.
+
+    The basis is the catalog's: upper E_ij row-major, lower E_ij row-major,
+    then H_i = E_ii - E_(i+1)(i+1).
+    """
+    offdiag = ([(i, j) for i in range(n) for j in range(n) if i < j]
+               + [(i, j) for i in range(n) for j in range(n) if i > j])
+    index = {p: k for k, p in enumerate(offdiag)}
+    cols = []
+    for i, j in offdiag:
+        col = [0] * algebra.dim
+        col[index[(perm[i], perm[j])]] = 1
+        cols.append(col)
+    for i in range(n - 1):
+        diag = [0] * n
+        diag[perm[i]] += 1
+        diag[perm[i + 1]] -= 1
+        # the H coordinates of diag(d) are its running sums
+        col = [0] * algebra.dim
+        for k in range(n - 1):
+            col[len(offdiag) + k] = sum(diag[:k + 1])
+        cols.append(col)
+    A = Endo(Matrix.from_columns(cols), algebra)
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            assert A.apply(algebra.bracket_basis(i, j)) == algebra.bracket(
+                A.apply(algebra.basis_vector(i)), A.apply(algebra.basis_vector(j)))
+    return A
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_characteristic_of_full_complex(n, flavor):
+    algebra, R = catalog("sl-borel", n)
+    top = algebra.dim + 1
+    h, rep = dims(flavored(R, flavor), top, flavor)
+    chi_h = sum((-1) ** d * h[d - 1] for d in range(1, top + 1))
+    chi_c = sum((-1) ** d * rep.degrees[d].dim_cochains for d in range(1, top + 1))
+    assert chi_h == chi_c
+    assert rep.degrees[top].dim_cochains == algebra.dim     # wedge^dim g (x) g
+    if n == 3:
+        assert h == SL3_FULL
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_sl3_dims_invariant_under_automorphisms(flavor):
+    algebra, R = catalog("sl-borel", 3)
+    x = [0] * algebra.dim
+    x[0], x[1], x[2] = 1, 2, -1                 # E12 + 2 E13 - E23
+    movers = [nilpotent_exp(algebra, tuple(x)),
+              weyl_automorphism(algebra, 3, (2, 0, 1)),
+              weyl_automorphism(algebra, 3, (1, 0, 2))]
+    expected, _ = dims(flavored(R, flavor), 3, flavor)
+    assert expected == SL3_FULL[:3]
+    for A in movers:
+        moved = conjugate(A, R)
+        assert moved != R
+        assert dims(flavored(moved, flavor), 3, flavor)[0] == expected
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_sl4_frontier_to_degree_3(flavor):
+    algebra, R = catalog("sl-borel", 4)
+    x = algebra.basis_vector(0)                 # E12
+    for P in (R, conjugate(nilpotent_exp(algebra, x), R)):
+        assert dims(flavored(P, flavor), 3, flavor)[0] == (3, 20, 60)
