@@ -7,7 +7,9 @@ polynomial).  Nijenhuis elements x produce trivial deformations
 Rhat = d x, equivalent to the zero deformation through Id + t ad_x, and
 ad_x becomes a Nijenhuis operator on the induced algebra.
 
-All "for all t" statements are checked coefficientwise; no t is sampled.
+All "for all t" statements are polynomial identities of degree at most 2
+in t, decided exactly by their coefficients or by their values at
+t = 0, 1 and -1.
 """
 
 from fractions import Fraction

@@ -24,7 +24,7 @@ from math import comb
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
                      rho, vadd, vector_from_json, vector_to_json, vzero)
-from .linalg import Matrix, json_array, rank_mod_p, ratio
+from .linalg import Matrix, _exact, json_array, rank_mod_p, ratio
 
 FLAVOR_R = "R-complex"
 FLAVOR_B = "B-complex"
@@ -187,7 +187,7 @@ class Cochain:
                 for m, v in enumerate(vec):
                     if v:
                         acc[m] += minor * v
-        return tuple(ratio(x) if isinstance(x, Fraction) else x for x in acc)
+        return tuple(_exact(x) for x in acc)
 
     def eval_insert(self, vec, rest) -> Vector:
         """f(v, e_{rest_1}, ..., e_{rest_(k-1)}) with v expanded over the basis."""
@@ -227,7 +227,9 @@ class Cochain:
                              f"{len(tuples) * n}")
         coeffs = {}
         for idx, tup in enumerate(tuples):
-            coeffs[tup] = tuple(values[idx * n:(idx + 1) * n])
+            block = tuple(values[idx * n:(idx + 1) * n])
+            if any(block):      # zero blocks need no validation or normalization
+                coeffs[tup] = block
         return cls(algebra, arity, coeffs)
 
     # -- JSON ----------------------------------------------------------------
@@ -287,7 +289,7 @@ def _pair_brackets(P: Endo, flavor):
 
 
 def _check_flavor_axiom(P: Endo, flavor):
-    from . import rmatrix
+    from . import rmatrix   # here, not at the top: rmatrix imports this module
     if flavor == FLAVOR_R:
         rmatrix.require_modified(P, "the R-complex coboundary")
     else:
@@ -311,14 +313,6 @@ class CoboundaryMatrix:
     to_degree: int
     matrix: Matrix
     flavor: str
-
-    @property
-    def from_arity(self) -> int:
-        return self.from_degree - 1
-
-    @property
-    def to_arity(self) -> int:
-        return self.to_degree - 1
 
 
 def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatrix:
@@ -383,7 +377,7 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
         _check_flavor_axiom(P, flavor)
 
     lambdas = [rho(P, e) for e in a.basis()]
-    mus = _pair_brackets(P, flavor)
+    mus = _pair_brackets(P, flavor) if k else {}    # no pair terms at k = 0
 
     coeffs = {}
     for T in basis_tuples(n, k + 1):

@@ -1,8 +1,9 @@
 """Linear deformations R + t Rhat of a modified r-matrix.
 
-All conditions "for all t" are handled as polynomial identities in an
-indeterminate t with every coefficient extracted exactly; no t values are
-ever sampled.  The defect of R + t Rhat is quadratic in t:
+All conditions "for all t" are polynomial identities in an indeterminate
+t of degree at most 2, so each holds for every t exactly when it holds at
+the three points t = 0, 1 and -1, where it is evaluated exactly.  The
+defect of R + t Rhat is quadratic in t:
 
     S(R + t Rhat) = S(R) + t d_R(Rhat) + t^2 S2(Rhat)
 
@@ -19,9 +20,9 @@ from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
-                     operator_identity, vadd, vzero)
+                     operator_identity, vadd)
 from .cochain import Cochain, d_apply
-from .rmatrix import mcybe_defect, require_modified
+from .rmatrix import induced_bracket, mcybe_defect, require_modified
 
 
 def weight0_defect_cochain(B: Endo) -> Cochain:
@@ -239,56 +240,22 @@ class InducedDeformationReport:
 def induced_bracket_deformation(R: Endo, Rhat: Endo) -> InducedDeformationReport:
     """omega for a valid deformation, with the polynomial Jacobi family check.
 
-    The Jacobiator of [.,.]_R + t omega is quadratic in t; all coefficient
-    cochains are computed exactly on basis triples.
+    [.,.]_R + t omega is the induced bracket of R + t Rhat, and its
+    Jacobiator is quadratic in t, so it vanishes for every t exactly when it
+    vanishes at t = 0, 1 and -1.  failing_triple is the least basis triple
+    failing at any of them: the first one, in lexicographic order, on which
+    some t-coefficient of the Jacobiator is nonzero.
     """
     dv = check_linear_deformation(R, Rhat)
     if not dv.valid:
         raise PreconditionError(
             f"induced_bracket_deformation needs a valid deformation; failing "
             f"pair {dv.failing_pair}")
-    a = R.algebra
-    omega = Cochain(a, 2, induced_bracket_table(Rhat))
-
-    base = Cochain(a, 2, induced_bracket_table(R))
-    jacobi_ok, failing = _bracket_family_jacobi(a, base, omega)
-    return InducedDeformationReport(omega, jacobi_ok, failing)
-
-
-def _pair_value(cochain: Cochain, i, j) -> Vector:
-    if i == j:
-        return vzero(cochain.algebra.dim)
-    if i < j:
-        return cochain.get((i, j))
-    return tuple(-x for x in cochain.get((j, i)))
-
-
-def _bracket_family_jacobi(a: LieAlgebra, base: Cochain, omega: Cochain):
-    """Jacobiator coefficients of base + t omega in t; True when all vanish."""
-    def jac_coeff(b1, b2, i, j, k):
-        # sum over cyclic (i,j,k) of b1(i, b2(j, k)) expanded bilinearly
-        acc = vzero(a.dim)
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = _pair_value(b2, y, z)
-            for s, c in enumerate(inner):
-                if c:
-                    acc = vadd(acc, tuple(c * v for v in _pair_value(b1, x, s)))
-        return acc
-
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            for k in range(j + 1, a.dim):
-                t0 = jac_coeff(base, base, i, j, k)
-                if not is_zero_vector(t0):
-                    return False, (i, j, k)
-                t1 = vadd(jac_coeff(base, omega, i, j, k),
-                          jac_coeff(omega, base, i, j, k))
-                if not is_zero_vector(t1):
-                    return False, (i, j, k)
-                t2 = jac_coeff(omega, omega, i, j, k)
-                if not is_zero_vector(t2):
-                    return False, (i, j, k)
-    return True, None
+    omega = Cochain(R.algebra, 2, induced_bracket_table(Rhat))
+    jacobi = [induced_bracket(R + Rhat.scale(t), force=True).verify_jacobi()
+              for t in (0, 1, -1)]
+    failing = [jac.triple for jac in jacobi if not jac.ok]
+    return InducedDeformationReport(omega, not failing, min(failing, default=None))
 
 
 @dataclass
@@ -312,23 +279,16 @@ def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketRe
             f"compatible_bracket_check needs a valid deformation; failing "
             f"pair {dv.failing_pair}")
     a = R.algebra
-    r1 = R + Rhat.scale(t1)
-    r2 = R + Rhat.scale(t2)
-    table1 = induced_bracket_table(r1)
-    table2 = induced_bracket_table(r2)
-    summed = {}
-    for key in set(table1) | set(table2):
-        value = vadd(table1.get(key, vzero(a.dim)), table2.get(key, vzero(a.dim)))
-        if not is_zero_vector(value):
-            summed[key] = value
 
-    candidate = LieAlgebra(a.dim, summed, basis_names=a.basis_names, check=False)
+    def bracket_cochain(P):
+        return Cochain(a, 2, induced_bracket_table(P))
+
+    summed = bracket_cochain(R + Rhat.scale(t1)) + bracket_cochain(R + Rhat.scale(t2))
+    candidate = LieAlgebra(a.dim, summed.coeffs, basis_names=a.basis_names, check=False)
     jac = candidate.verify_jacobi()
 
     mid = R + Rhat.scale(Fraction(t1 + t2, 2))
-    mid_table = induced_bracket_table(mid)
-    doubled = {k: tuple(2 * x for x in v) for k, v in mid_table.items()}
-    midpoint_ok = doubled == summed
+    midpoint_ok = bracket_cochain(mid).scale(2) == summed
 
     ok = jac.ok and midpoint_ok
     return CompatibleBracketReport(jac.ok, midpoint_ok, ok,

@@ -13,6 +13,7 @@ from .errors import PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, subspace_closure, vadd, vneg,
                      vsub)
 from .linalg import Matrix
+from .deform import check_linear_deformation
 from .rmatrix import mcybe_defect, require_modified
 
 
@@ -128,7 +129,6 @@ def complement_certificate(R: Endo) -> ComplementReport:
 
 def deformed_complements(R: Endo, Rhat: Endo, t_values):
     """Complement certificates along the family R + t Rhat; all must pass."""
-    from .deform import check_linear_deformation
     dv = check_linear_deformation(R, Rhat)
     if not dv.valid:
         raise PreconditionError(

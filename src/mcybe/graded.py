@@ -20,12 +20,13 @@ graded antisymmetry [[f,g]] = -(-1)^{pq} [[g,f]] and graded Jacobi
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import Endo, is_zero_vector, vadd
+from .liealg import Endo, is_zero_vector, vadd, vneg
 from .cochain import (Cochain, basis_tuples, coboundary_preimage, is_cocycle,
                       pi_cochain)
+from .rmatrix import mcybe_defect, require_modified
 
 GRADED_SIGN_CONVENTION = (
     "[[f,g]] = -(-1)^(pq) [[g,f]];  "
@@ -84,31 +85,22 @@ def graded_bracket(f, g) -> Cochain:
     total = p + q
     sign_pq = -1 if (p * q) % 2 else 1
 
+    def insertions(T, outer, inner, sign):
+        """The nonzero terms sign (-1)^s outer([inner(x..), x_mid], x..) of
+        the insertion sum over the (arity inner, 1, arity outer - 1)-shuffles s."""
+        for first, mid, last, sgn in shuffles_three(total, inner.arity, outer.arity - 1):
+            iv = inner.coeffs.get(tuple(T[i] for i in first))
+            if iv is None:
+                continue
+            w = a.bracket(iv, a.basis_vector(T[mid]))
+            term = outer.eval_insert(w, tuple(T[i] for i in last))
+            if not is_zero_vector(term):
+                yield term if sign * sgn > 0 else vneg(term)
+
     coeffs = {}
     for T in basis_tuples(n, total):
         acc = None
-        for first, mid, last, sgn in shuffles_three(total, q, p - 1):
-            gv = g.coeffs.get(tuple(T[i] for i in first))
-            if gv is None:
-                continue
-            w = a.bracket(gv, a.basis_vector(T[mid]))
-            term = f.eval_insert(w, tuple(T[i] for i in last))
-            if is_zero_vector(term):
-                continue
-            if sgn < 0:
-                term = tuple(-x for x in term)
-            acc = term if acc is None else vadd(acc, term)
-        for first, mid, last, sgn in shuffles_three(total, p, q - 1):
-            fv = f.coeffs.get(tuple(T[i] for i in first))
-            if fv is None:
-                continue
-            w = a.bracket(fv, a.basis_vector(T[mid]))
-            term = g.eval_insert(w, tuple(T[i] for i in last))
-            if is_zero_vector(term):
-                continue
-            s = -sign_pq * sgn
-            if s < 0:
-                term = tuple(-x for x in term)
+        for term in chain(insertions(T, f, g, 1), insertions(T, g, f, -sign_pq)):
             acc = term if acc is None else vadd(acc, term)
         for first, second, sgn in shuffles_two(total, p):
             fv = f.coeffs.get(tuple(T[i] for i in first))
@@ -152,7 +144,6 @@ def mc_deformation_check(R: Endo, Rp: Endo) -> bool:
     Tests d_R Rp + (1/2)[[Rp, Rp]] = 0 and cross-validates against the
     direct defect of R + Rp; the two routes must agree.
     """
-    from .rmatrix import mcybe_defect, require_modified
     require_modified(R, "mc_deformation_check")
     rp = as_graded(Rp)
     mc = graded_bracket(as_graded(R), rp) + graded_bracket(rp, rp).scale(Fraction(1, 2))
@@ -181,7 +172,6 @@ class KuranishiReport:
 
 def kuranishi(R: Endo, f) -> KuranishiReport:
     """Obstruction class of a 2-cocycle f: the class of [[f, f]] in H^3."""
-    from .rmatrix import require_modified
     require_modified(R, "kuranishi")
     fc = as_graded(f)
     if fc.arity != 1:

@@ -7,10 +7,10 @@ construction unless explicitly deferred.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
-from .linalg import Matrix, Rational, json_array, ratio, rational_to_json, rationals_from_json
+from .linalg import (Matrix, Rational, _exact, json_array, ratio, rational_str,
+                     rational_to_json, rationals_from_json)
 
 Vector = tuple  # tuple of Rational, length = algebra dimension
 
@@ -53,7 +53,6 @@ def vector_to_json(u):
 
 
 def vector_str(u) -> str:
-    from .linalg import rational_str
     return "(" + ", ".join(rational_str(a) for a in u) + ")"
 
 
@@ -148,7 +147,7 @@ class LieAlgebra:
                 for k, v in enumerate(vec):
                     if v:
                         acc[k] += c * v
-        return tuple(ratio(a) if isinstance(a, Fraction) else a for a in acc)
+        return tuple(_exact(a) for a in acc)
 
     def verify_jacobi(self) -> JacobiResult:
         """Check [[e_i,e_j],e_k] + cyclic = 0 on all i<j<k; first violation wins."""

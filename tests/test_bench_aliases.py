@@ -1,0 +1,47 @@
+"""The names the benchmark's tracer must patch still alias what it traces.
+
+perfbench/spans.py wraps each traced function in its defining module and,
+by object identity, wherever ``from .x import y`` re-binds it; its REBOUND
+lists the re-bound names the benchmark needs patched.  Reading both
+tuples here, unchanged, makes a renamed or wrapped alias fail the suite
+instead of silently dropping its spans from a traced run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from mcybe import Cochain, catalog, d_apply, rb_from_r
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _module(name):
+    return importlib.import_module(f"mcybe.{name}")
+
+
+def test_rebound_names_are_the_traced_originals():
+    spans = _spans()
+    traced = {(mod_name, path) for mod_name, path, _, _ in spans.TARGETS}
+    for name in spans.REBOUND:
+        mod_name, attr = name.split(".")
+        value = getattr(_module(mod_name), attr)
+        home = value.__module__.rpartition(".")[2]
+        assert home != mod_name and (home, value.__name__) in traced, name
+        assert getattr(_module(home), value.__name__) is value, name
+
+
+def test_d_apply_takes_the_keywords_of_the_benchmark_gate():
+    a, r = catalog("sl-borel", 2)
+    x = Cochain.from_vector(a, a.basis_vector(0))
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        dx = d_apply(P, x, flavor=flavor, check=False)
+        assert dx.arity == 1
+        assert d_apply(P, dx, flavor=flavor, check=False).is_zero()

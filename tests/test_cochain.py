@@ -79,8 +79,10 @@ def test_arity_zero_builds_no_pair_table(sl3, monkeypatch):
     monkeypatch.setattr(cochain, "induced_bracket_table",
                         lambda P: calls.append(P) or real(P))
     a, r = sl3
+    x = Cochain.from_vector(a, a.basis_vector(0))
     for flavor, op in (("R", r), ("B", rb_from_r(r))):
         coboundary_matrix(op, 0, flavor=flavor)
+        d_apply(op, x, flavor=flavor)
         assert calls == []
     coboundary_matrix(r, 1)
     assert len(calls) == 1
@@ -304,8 +306,8 @@ def test_cochain_json_roundtrip(sl3, rng=random.Random(27)):
 def test_coeff_vector_roundtrip(sl2, rng=random.Random(28)):
     a, _ = sl2
     for k in (0, 1, 2, 3):
-        f = rand_cochain(rng, a, k, support=3)
-        assert Cochain.from_coeff_vector(a, k, f.to_coeff_vector()) == f
+        for f in (rand_cochain(rng, a, k, support=3), Cochain.zero(a, k)):
+            assert Cochain.from_coeff_vector(a, k, f.to_coeff_vector()) == f
 
 
 def test_endo_vector_conversions(sl2, rng=random.Random(29)):

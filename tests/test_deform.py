@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -276,6 +277,76 @@ def test_induced_bracket_deformation_precondition(sl2):
     a, r = sl2
     with pytest.raises(PreconditionError):
         induced_bracket_deformation(r, Endo.identity(a))
+
+
+def _jacobi_family_oracle(a, r, rhat):
+    """First triple i < j < k, lex order, on which the Jacobiator of the
+    induced bracket of R + t Rhat, expanded in t by sympy, is nonzero."""
+    t = sympy.Symbol("t")
+    n = a.dim
+    p = [[sympy.Poly(r.matrix.entry(i, j) + t * rhat.matrix.entry(i, j), t, domain="QQ")
+          for j in range(n)] for i in range(n)]
+    zero = sympy.Poly(0, t, domain="QQ")
+
+    def bracket_basis_images(u, y):
+        # [P e_u, e_y] with P e_u = sum_s p[s][u] e_s
+        out = [zero] * n
+        for s in range(n):
+            for m, v in enumerate(a.bracket_basis(s, y)):
+                if v:
+                    out[m] = out[m] + p[s][u] * v
+        return out
+
+    # [e_u, e_y]_P = [P e_u, e_y] - [P e_y, e_u] on every ordered pair
+    table = {(u, y): [c - d for c, d in zip(bracket_basis_images(u, y),
+                                            bracket_basis_images(y, u))]
+             for u in range(n) for y in range(n)}
+    for i, j, k in combinations(range(n), 3):
+        jac = [zero] * n
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for s, c in enumerate(table[(x, y)]):
+                if not c.is_zero:
+                    jac = [u + c * v for u, v in zip(jac, table[(s, z)])]
+        if any(not c.is_zero for c in jac):
+            return (i, j, k)
+    return None
+
+
+def _sparse_endo(a, entries):
+    m = [[0] * a.dim for _ in range(a.dim)]
+    for i, j, v in entries:
+        m[i][j] = v
+    return Endo(Matrix(m), a)
+
+
+# (row, column, value) entries of Rhat for the Borel R whose Jacobiator
+# vanishes at t = 1 but not at t = -1, or the reverse, or whose first
+# failing triples at t = 1 and t = -1 differ
+TWO_POINT_CASES = {3: [[(1, 1, 2)]],
+                   8: [[(3, 3, 2)], [(5, 5, -2)], [(2, 2, -2), (3, 1, -1), (6, 3, -1)]]}
+
+
+def test_induced_bracket_family_failing_path_against_sympy(sl2, sl3, monkeypatch,
+                                                          rng=random.Random(48)):
+    # a valid deformation always passes, so accept every Rhat to reach the
+    # failing path; sparse Rhat give failing triples other than the first
+    monkeypatch.setattr(deform, "check_linear_deformation",
+                        lambda R, Rhat: deform.DeformationVerdict(True, True, True))
+    verdicts = set()
+    for (a, r), cases in ((sl2, 8), (sl3, 4)):
+        n = a.dim
+        rhats = [d_endo(r, a.basis_vector(0))]
+        rhats += [_sparse_endo(a, entries) for entries in TWO_POINT_CASES[n]]
+        rhats += [_sparse_endo(a, [(rng.randrange(n), rng.randrange(n),
+                                    rng.choice((-2, -1, 1, 2)))
+                                   for _ in range(rng.randint(1, 2))])
+                  for _ in range(cases)]
+        for rhat in rhats:
+            rep = induced_bracket_deformation(r, rhat)
+            expected = _jacobi_family_oracle(a, r, rhat)
+            assert (rep.jacobi_ok, rep.failing_triple) == (expected is None, expected)
+            verdicts.add(expected if expected in (None, (0, 1, 2)) else "later")
+    assert verdicts == {None, (0, 1, 2), "later"}
 
 
 def test_compatible_brackets_trivial_cases(sl2):
