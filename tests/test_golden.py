@@ -3,9 +3,11 @@
 golden_digests.json pins the bytes of every subcommand's ``--json`` report
 on sl(2) and sl(3) with the Borel operator R, and of failing runs whose
 witnesses come from the MCYBE, Rota-Baxter, Nijenhuis and induced-bracket
-checks.  Inputs are written to one temporary directory and named by
-relative paths, so the input paths inside the reports do not depend on
-where the suite runs.
+checks.  Each case runs once more without ``--json`` (its name ends in
+``-text``), so the order and wording of the text report lines are pinned
+too.  All runs share one process.  Inputs are written to one temporary
+directory and named by relative paths, so the input paths inside the
+reports do not depend on where the suite runs.
 """
 
 import hashlib
@@ -115,7 +117,9 @@ def _cases():
     cases["sl2-involutive-analyze-diag11m1"] = [
         "involutive", "analyze", "--algebra", "sl2.json", "--map", "sl2-diag11m1.json"]
     # drop the empty second word of one-word subcommands
-    return {name: [s for s in argv if s] + ["--json"] for name, argv in cases.items()}
+    cases = {name: [s for s in argv if s] for name, argv in cases.items()}
+    return {**{name: argv + ["--json"] for name, argv in cases.items()},
+            **{f"{name}-text": argv for name, argv in cases.items()}}
 
 
 CASES = _cases()
