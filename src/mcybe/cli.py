@@ -8,6 +8,7 @@ as p/q (or a bare integer); no floating point appears on any output path.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -71,6 +72,11 @@ class Report:
         if line is not None:
             self.lines.append(line)
 
+    def check(self, key, ok, label, detail=""):
+        """Record a pass/FAIL verdict with its report line; return its exit code."""
+        self.verdict(key, ok, f"{label}: {'pass' if ok else 'FAIL'}{detail}")
+        return 0 if ok else 1
+
     def witness(self, key, value):
         self.data["witnesses"][key] = _jsonable(value)
 
@@ -100,9 +106,24 @@ def _read_json(path, report, label):
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _write_json(path, payload, label):
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{label} file {path}: {exc}") from exc
+
+
 def _load_algebra(args, report, check=True):
     data = _read_json(args.algebra, report, "algebra")
     return LieAlgebra.from_json_dict(data, check=check)
+
+
+def _load_operator(args, report):
+    """The --algebra and the --map operator on it."""
+    algebra = _load_algebra(args, report)
+    return algebra, _load_endo(args.map, algebra, report, "map")
 
 
 def _load_endo(path, algebra, report, label):
@@ -141,7 +162,7 @@ def _pair_names(algebra, pair):
 def cmd_check_lie(args, report):
     algebra = _load_algebra(args, report, check=False)
     jac = algebra.verify_jacobi()
-    report.verdict("jacobi_ok", jac.ok, f"jacobi: {'pass' if jac.ok else 'FAIL'}")
+    code = report.check("jacobi_ok", jac.ok, "jacobi")
     if not jac.ok:
         i, j, k = jac.triple
         names = algebra.basis_names
@@ -149,44 +170,36 @@ def cmd_check_lie(args, report):
         report.witness("jacobiator", list(jac.value))
         report.note(f"counterexample triple: ({names[i]}, {names[j]}, {names[k]}) "
                     f"-> {vector_str(jac.value)}")
-        return 1
-    return 0
+    return code
 
 
 def cmd_check_mcybe(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     defect = rmatrix.mcybe_defect(R)
-    report.verdict("mcybe_ok", defect.is_zero,
-                   f"modified Yang-Baxter equation: {'pass' if defect.is_zero else 'FAIL'}")
+    code = report.check("mcybe_ok", defect.is_zero, "modified Yang-Baxter equation")
     if not defect.is_zero:
         report.witness("failing_pair", _pair_names(algebra, defect.worst_pair))
         report.witness("defect", defect.defect_cochain)
         i, j = defect.worst_pair
         report.note(f"defect at ({algebra.basis_names[i]}, {algebra.basis_names[j]}): "
                     f"{vector_str(defect.defect_cochain.get(defect.worst_pair))}")
-        return 1
-    return 0
+    return code
 
 
 def cmd_check_rota_baxter(args, report):
-    algebra = _load_algebra(args, report)
-    B = _load_endo(args.map, algebra, report, "map")
+    algebra, B = _load_operator(args, report)
     weight = rational_from_json(args.weight)
     res = rmatrix.is_rota_baxter(B, weight)
-    report.verdict("rota_baxter_ok", res.ok,
-                   f"Rota-Baxter (weight {rational_str(weight)}): "
-                   f"{'pass' if res.ok else 'FAIL'}")
+    code = report.check("rota_baxter_ok", res.ok,
+                        f"Rota-Baxter (weight {rational_str(weight)})")
     if not res.ok:
         report.witness("failing_pair", _pair_names(algebra, res.failing_pair))
         report.witness("defect_value", list(res.value))
-        return 1
-    return 0
+    return code
 
 
 def cmd_cohomology(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    _, R = _load_operator(args, report)
     rep = cohomology(R, max_degree=args.max_degree, flavor=args.flavor,
                      witnesses=args.witnesses)
     degrees = {}
@@ -208,17 +221,15 @@ def cmd_cohomology(args, report):
 
 
 def cmd_induced(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    _, R = _load_operator(args, report)
     induced = rmatrix.induced_bracket(R, force=args.force)
     jac = induced.verify_jacobi()
-    report.verdict("jacobi_ok", jac.ok,
-                   f"induced bracket jacobi: {'pass' if jac.ok else 'FAIL'}")
+    code = report.check("jacobi_ok", jac.ok, "induced bracket jacobi")
     report.verdict("algebra", induced)
     for (i, j), vec in sorted(induced.structure.items()):
         report.note(f"[{induced.basis_names[i]}, {induced.basis_names[j]}]_R = "
                     f"{vector_str(vec)}")
-    return 0 if jac.ok else 1
+    return code
 
 
 def cmd_graded_bracket(args, report):
@@ -234,63 +245,52 @@ def cmd_graded_bracket(args, report):
 
 
 def cmd_mc_check(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     Rp = _load_endo(args.prime, algebra, report, "prime")
-    ok = mc_deformation_check(R, Rp)
-    report.verdict("maurer_cartan_ok", ok,
-                   f"R' Maurer-Cartan for d_R (R + R' modified): "
-                   f"{'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return report.check("maurer_cartan_ok", mc_deformation_check(R, Rp),
+                        "R' Maurer-Cartan for d_R (R + R' modified)")
 
 
 def cmd_kuranishi(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     f = _load_cochain_or_endo(args.cocycle, algebra, report, "cocycle")
     rep = kuranishi(R, f)
     report.verdict("ff_is_cocycle", rep.is_cocycle)
-    report.verdict("vanishes_in_H3", rep.vanishes_in_H3,
-                   f"Kuranishi obstruction vanishes in H^3: "
-                   f"{'pass' if rep.vanishes_in_H3 else 'FAIL'}")
+    code = report.check("vanishes_in_H3", rep.vanishes_in_H3,
+                        "Kuranishi obstruction vanishes in H^3")
     report.witness("ff", rep.ff)
     if rep.witness is not None:
         report.witness("primitive", rep.witness)
         report.note("primitive g with d g = [[f, f]] attached")
-    return 0 if rep.vanishes_in_H3 else 1
+    return code
 
 
 def cmd_deform_check(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     rhat = _load_endo(args.rhat, algebra, report, "rhat")
     dv = deform.check_linear_deformation(R, rhat)
     report.verdict("cocycle_ok", dv.cocycle_ok)
     report.verdict("weight0_ok", dv.weight0_ok)
-    report.verdict("valid", dv.valid,
-                   f"linear deformation valid: {'pass' if dv.valid else 'FAIL'} "
-                   f"(cocycle {dv.cocycle_ok}, weight-0 {dv.weight0_ok})")
+    code = report.check("valid", dv.valid, "linear deformation valid",
+                        f" (cocycle {dv.cocycle_ok}, weight-0 {dv.weight0_ok})")
     if not dv.valid:
         report.witness("failing_pair", _pair_names(algebra, dv.failing_pair))
-        return 1
-    return 0
+    return code
 
 
 def cmd_deform_trivial(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     x = _parse_element(args.element, algebra)
     rhat, dv = deform.trivial_deformation(R, x)
-    report.verdict("valid", dv.valid, "trivial deformation: pass")
+    code = report.check("valid", dv.valid, "trivial deformation")
     report.witness("rhat", rhat)
     report.note(f"Rhat = d x with {len([1 for c in rhat.matrix.rows_list() for v in c if v])} "
                 f"nonzero entries")
-    return 0
+    return code
 
 
 def cmd_deform_equivalence(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     rhat1 = _load_endo(args.rhat1, algebra, report, "rhat1")
     rhat2 = _load_endo(args.rhat2, algebra, report, "rhat2")
     x = _parse_element(args.element, algebra)
@@ -298,33 +298,29 @@ def cmd_deform_equivalence(args, report):
     report.verdict("homomorphism_ok", eq.homomorphism_ok)
     report.verdict("intertwine_linear_ok", eq.intertwine_linear_ok)
     report.verdict("intertwine_quadratic_ok", eq.intertwine_quadratic_ok)
-    report.verdict("equivalent", eq.ok,
-                   f"equivalence via Id + t ad_x: {'pass' if eq.ok else 'FAIL'}")
+    code = report.check("equivalent", eq.ok, "equivalence via Id + t ad_x")
     if not eq.ok and eq.failing_pair is not None:
         report.witness("failing_pair", _pair_names(algebra, eq.failing_pair))
-    return 0 if eq.ok else 1
+    return code
 
 
 def cmd_nijenhuis_check(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     x = _parse_element(args.element, algebra)
     v = deform.nijenhuis_check(R, x)
     report.verdict("eq1_ok", v.eq1_ok)
     report.verdict("eq2_ok", v.eq2_ok)
-    report.verdict("is_nijenhuis_element", v.is_nijenhuis_element,
-                   f"Nijenhuis element: {'pass' if v.is_nijenhuis_element else 'FAIL'} "
-                   f"(eq1 {v.eq1_ok}, eq2 {v.eq2_ok})")
+    code = report.check("is_nijenhuis_element", v.is_nijenhuis_element,
+                        "Nijenhuis element", f" (eq1 {v.eq1_ok}, eq2 {v.eq2_ok})")
     if v.eq1_witness is not None:
         report.witness("eq1_pair", _pair_names(algebra, v.eq1_witness))
     if v.eq2_witness is not None:
         report.witness("eq2_basis_vector", algebra.basis_names[v.eq2_witness])
-    return 0 if v.is_nijenhuis_element else 1
+    return code
 
 
 def cmd_nijenhuis_scan(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    _, R = _load_operator(args, report)
     results = deform.nijenhuis_scan(R)
     found = []
     for x, v in results:
@@ -338,48 +334,38 @@ def cmd_nijenhuis_scan(args, report):
 
 
 def cmd_double_graph(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    _, R = _load_operator(args, report)
     cert = doubling.graph_complement(R)
-    report.verdict("is_subalgebra", cert.is_subalgebra,
-                   f"graph of R is a subalgebra of g(+)g: "
-                   f"{'pass' if cert.is_subalgebra else 'FAIL'}")
+    code = report.check("is_subalgebra", cert.is_subalgebra,
+                        "graph of R is a subalgebra of g(+)g")
     report.witness("graph_basis", [list(v) for v in cert.basis])
     if not cert.is_subalgebra:
         report.witness("failing_pair", list(cert.failing_pair))
-        return 1
-    return 0
+    return code
 
 
 def cmd_double_complement(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     rep = doubling.complement_certificate(R)
     report.verdict("direct_sum_ok", rep.direct_sum_ok)
     report.verdict("diagonal_subalgebra_ok", rep.diagonal_subalgebra_ok)
     report.verdict("graph_subalgebra_ok", rep.graph_subalgebra_ok)
-    report.verdict("ok", rep.ok,
-                   f"g(+)g = diagonal (+) graph, both subalgebras: "
-                   f"{'pass' if rep.ok else 'FAIL'} "
-                   f"(rank {rep.rank_total} of {2 * algebra.dim}, "
-                   f"intersection dim {rep.intersection_dim})")
-    return 0 if rep.ok else 1
+    return report.check("ok", rep.ok, "g(+)g = diagonal (+) graph, both subalgebras",
+                        f" (rank {rep.rank_total} of {2 * algebra.dim}, "
+                        f"intersection dim {rep.intersection_dim})")
 
 
 def cmd_involutive_analyze(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    _, R = _load_operator(args, report)
     rep = rmatrix.involutive_analyze(R)
     report.verdict("mcybe_ok", rep.mcybe_ok)
     report.verdict("nijenhuis_operator_ok", rep.nijenhuis_operator_ok)
     report.verdict("eigensplit_ok", rep.eigensplit_ok)
     report.verdict("product_structure_ok", rep.product_structure_ok)
-    report.verdict("verdict", rep.verdict,
-                   f"involutive equivalences (all four agree): "
-                   f"{'pass' if rep.verdict else 'FAIL'}")
+    code = report.check("verdict", rep.verdict, "involutive equivalences (all four agree)")
     report.witness("plus_eigenbasis", [list(v) for v in rep.plus_basis])
     report.witness("minus_eigenbasis", [list(v) for v in rep.minus_basis])
-    return 0 if rep.verdict else 1
+    return code
 
 
 def cmd_catalog_sl(args, report):
@@ -388,14 +374,10 @@ def cmd_catalog_sl(args, report):
                    f"sl({args.n}) with Borel r-matrix: dim {algebra.dim}")
     payload = {"algebra": algebra.to_json_dict(), "r_matrix": R.to_json_dict()}
     if args.algebra_out:
-        with open(args.algebra_out, "w") as fh:
-            json.dump(payload["algebra"], fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.algebra_out, payload["algebra"], "algebra")
         report.note(f"algebra written to {args.algebra_out}")
     if args.map_out:
-        with open(args.map_out, "w") as fh:
-            json.dump(payload["r_matrix"], fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.map_out, payload["r_matrix"], "r-matrix")
         report.note(f"r-matrix written to {args.map_out}")
     if not args.algebra_out and not args.map_out:
         report.verdict("catalog", payload)
@@ -403,126 +385,110 @@ def cmd_catalog_sl(args, report):
 
 
 def cmd_compatible(args, report):
-    algebra = _load_algebra(args, report)
-    R = _load_endo(args.map, algebra, report, "map")
+    algebra, R = _load_operator(args, report)
     rhat = _load_endo(args.rhat, algebra, report, "rhat")
     t1 = rational_from_json(args.t1)
     t2 = rational_from_json(args.t2)
     rep = deform.compatible_bracket_check(R, rhat, t1, t2)
     report.verdict("jacobi_ok", rep.jacobi_ok)
     report.verdict("midpoint_ok", rep.midpoint_ok)
-    report.verdict("compatible", rep.ok,
-                   f"bracket sum at t1={rational_str(t1)}, t2={rational_str(t2)}: "
-                   f"{'pass' if rep.ok else 'FAIL'}")
-    return 0 if rep.ok else 1
+    return report.check("compatible", rep.ok,
+                        f"bracket sum at t1={rational_str(t1)}, t2={rational_str(t2)}")
 
 
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on first use and shared by every run()."""
     parser = argparse.ArgumentParser(
         prog="mcybe",
         description="Verification workbench for modified r-matrices on Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(p, *opts):
-        if "algebra" in opts:
+    def add(p, func, *files):
+        """Dispatch p to func; add the required input files and then --json."""
+        p.set_defaults(func=func)
+        if "algebra" in files:
             p.add_argument("--algebra", required=True, help="algebra JSON file")
-        if "map" in opts:
+        if "map" in files:
             p.add_argument("--map", required=True, help="operator JSON file")
-        p.add_argument("--json", action="store_true", help="emit the structured report")
+        if files:
+            p.add_argument("--json", action="store_true", help="emit the structured report")
         return p
 
     check = sub.add_parser("check", help="verify a single axiom").add_subparsers(
         dest="what", required=True)
-    p = add(check.add_parser("lie"), "algebra")
-    p.set_defaults(func=cmd_check_lie)
-    p = add(check.add_parser("mcybe"), "algebra", "map")
-    p.set_defaults(func=cmd_check_mcybe)
-    p = add(check.add_parser("rota-baxter"), "algebra", "map")
+    add(check.add_parser("lie"), cmd_check_lie, "algebra")
+    add(check.add_parser("mcybe"), cmd_check_mcybe, "algebra", "map")
+    p = add(check.add_parser("rota-baxter"), cmd_check_rota_baxter, "algebra", "map")
     p.add_argument("--weight", required=True, help="rational weight, e.g. 1 or 1/2")
-    p.set_defaults(func=cmd_check_rota_baxter)
 
-    p = add(sub.add_parser("cohomology"), "algebra", "map")
+    p = add(sub.add_parser("cohomology"), cmd_cohomology, "algebra", "map")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--flavor", choices=("R", "B"), default="R")
     p.add_argument("--witnesses", action="store_true",
                    help="include witness bases in the report")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = add(sub.add_parser("induced"), "algebra", "map")
+    p = add(sub.add_parser("induced"), cmd_induced, "algebra", "map")
     p.add_argument("--force", action="store_true",
                    help="emit the raw table even for non-r-matrices")
-    p.set_defaults(func=cmd_induced)
 
-    p = add(sub.add_parser("graded-bracket"), "algebra")
+    p = add(sub.add_parser("graded-bracket"), cmd_graded_bracket, "algebra")
     p.add_argument("--left", required=True, help="cochain or operator JSON file")
     p.add_argument("--right", required=True, help="cochain or operator JSON file")
-    p.set_defaults(func=cmd_graded_bracket)
 
-    p = add(sub.add_parser("mc-check"), "algebra", "map")
+    p = add(sub.add_parser("mc-check"), cmd_mc_check, "algebra", "map")
     p.add_argument("--prime", required=True, help="candidate R' JSON file")
-    p.set_defaults(func=cmd_mc_check)
 
-    p = add(sub.add_parser("kuranishi"), "algebra", "map")
+    p = add(sub.add_parser("kuranishi"), cmd_kuranishi, "algebra", "map")
     p.add_argument("--cocycle", required=True, help="2-cocycle JSON file")
-    p.set_defaults(func=cmd_kuranishi)
 
     dsub = sub.add_parser("deform", help="linear deformations").add_subparsers(
         dest="what", required=True)
-    p = add(dsub.add_parser("check"), "algebra", "map")
+    p = add(dsub.add_parser("check"), cmd_deform_check, "algebra", "map")
     p.add_argument("--rhat", required=True)
-    p.set_defaults(func=cmd_deform_check)
-    p = add(dsub.add_parser("trivial"), "algebra", "map")
+    p = add(dsub.add_parser("trivial"), cmd_deform_trivial, "algebra", "map")
     p.add_argument("--element", required=True, help="JSON array, e.g. '[0, 1, \"1/2\"]'")
-    p.set_defaults(func=cmd_deform_trivial)
-    p = add(dsub.add_parser("equivalence"), "algebra", "map")
+    p = add(dsub.add_parser("equivalence"), cmd_deform_equivalence, "algebra", "map")
     p.add_argument("--rhat1", required=True)
     p.add_argument("--rhat2", required=True)
     p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_deform_equivalence)
 
     nsub = sub.add_parser("nijenhuis", help="Nijenhuis elements").add_subparsers(
         dest="what", required=True)
-    p = add(nsub.add_parser("check"), "algebra", "map")
+    p = add(nsub.add_parser("check"), cmd_nijenhuis_check, "algebra", "map")
     p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_nijenhuis_check)
-    p = add(nsub.add_parser("scan"), "algebra", "map")
-    p.set_defaults(func=cmd_nijenhuis_scan)
+    add(nsub.add_parser("scan"), cmd_nijenhuis_scan, "algebra", "map")
 
     dbl = sub.add_parser("double", help="doubling constructions").add_subparsers(
         dest="what", required=True)
-    p = add(dbl.add_parser("graph"), "algebra", "map")
-    p.set_defaults(func=cmd_double_graph)
-    p = add(dbl.add_parser("complement"), "algebra", "map")
-    p.set_defaults(func=cmd_double_complement)
+    add(dbl.add_parser("graph"), cmd_double_graph, "algebra", "map")
+    add(dbl.add_parser("complement"), cmd_double_complement, "algebra", "map")
 
     inv = sub.add_parser("involutive").add_subparsers(dest="what", required=True)
-    p = add(inv.add_parser("analyze"), "algebra", "map")
-    p.set_defaults(func=cmd_involutive_analyze)
+    add(inv.add_parser("analyze"), cmd_involutive_analyze, "algebra", "map")
 
+    # catalog reads no file; its --json follows its own options
     cat = sub.add_parser("catalog").add_subparsers(dest="what", required=True)
-    p = cat.add_parser("sl")
+    p = add(cat.add_parser("sl"), cmd_catalog_sl)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--algebra-out", help="write the algebra JSON here")
     p.add_argument("--map-out", help="write the r-matrix JSON here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog_sl)
 
-    p = add(sub.add_parser("compatible"), "algebra", "map")
+    p = add(sub.add_parser("compatible"), cmd_compatible, "algebra", "map")
     p.add_argument("--rhat", required=True)
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
-    p.set_defaults(func=cmd_compatible)
 
     return parser
 
 
 def run(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     command = " ".join(

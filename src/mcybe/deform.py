@@ -77,6 +77,14 @@ def check_linear_deformation(R: Endo, Rhat: Endo) -> DeformationVerdict:
                               failing)
 
 
+def require_deformation(R: Endo, Rhat: Endo, what):
+    """Raise PreconditionError unless Rhat generates a linear deformation of R."""
+    dv = check_linear_deformation(R, Rhat)
+    if not dv.valid:
+        raise PreconditionError(
+            f"{what} needs a valid deformation; failing pair {dv.failing_pair}")
+
+
 @dataclass
 class EquivalenceVerdict:
     """phi_t = Id + t ad_x as an equivalence of two linear deformations.
@@ -246,11 +254,7 @@ def induced_bracket_deformation(R: Endo, Rhat: Endo) -> InducedDeformationReport
     failing at any of them: the first one, in lexicographic order, on which
     some t-coefficient of the Jacobiator is nonzero.
     """
-    dv = check_linear_deformation(R, Rhat)
-    if not dv.valid:
-        raise PreconditionError(
-            f"induced_bracket_deformation needs a valid deformation; failing "
-            f"pair {dv.failing_pair}")
+    require_deformation(R, Rhat, "induced_bracket_deformation")
     omega = Cochain(R.algebra, 2, induced_bracket_table(Rhat))
     jacobi = [induced_bracket(R + Rhat.scale(t), force=True).verify_jacobi()
               for t in (0, 1, -1)]
@@ -273,11 +277,7 @@ class CompatibleBracketReport:
 def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketReport:
     """[.,.]_{R_{t1}} + [.,.]_{R_{t2}} is a Lie bracket equal to twice the
     bracket of the midpoint operator R + ((t1+t2)/2) Rhat."""
-    dv = check_linear_deformation(R, Rhat)
-    if not dv.valid:
-        raise PreconditionError(
-            f"compatible_bracket_check needs a valid deformation; failing "
-            f"pair {dv.failing_pair}")
+    require_deformation(R, Rhat, "compatible_bracket_check")
     a = R.algebra
 
     def bracket_cochain(P):

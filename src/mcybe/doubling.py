@@ -9,11 +9,11 @@ subalgebras forming a direct-sum complement.
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, certify
+from .errors import certify
 from .liealg import (Endo, LieAlgebra, Vector, subspace_closure, vadd, vneg,
                      vsub)
 from .linalg import Matrix
-from .deform import check_linear_deformation
+from .deform import require_deformation
 from .rmatrix import mcybe_defect, require_modified
 
 
@@ -129,9 +129,5 @@ def complement_certificate(R: Endo) -> ComplementReport:
 
 def deformed_complements(R: Endo, Rhat: Endo, t_values):
     """Complement certificates along the family R + t Rhat; all must pass."""
-    dv = check_linear_deformation(R, Rhat)
-    if not dv.valid:
-        raise PreconditionError(
-            f"deformed_complements needs a valid linear deformation; failing "
-            f"pair {dv.failing_pair}")
+    require_deformation(R, Rhat, "deformed_complements")
     return [(t, complement_certificate(R + Rhat.scale(t))) for t in t_values]

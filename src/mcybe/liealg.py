@@ -193,8 +193,9 @@ class LieAlgebra:
             raise InputError(f"bad algebra JSON: {exc}") from exc
         if type(dim) is not int or dim < 0:
             raise InputError(f"bad algebra dim {dim!r}")
-        if names is not None:
-            json_array(names, "algebra basis")
+        if names is not None and not all(type(s) is str
+                                         for s in json_array(names, "algebra basis")):
+            raise InputError(f"algebra basis names must be strings, got {names!r}")
         structure = {}
         for entry in json_array(entries, "algebra brackets"):
             try:

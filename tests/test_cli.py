@@ -26,6 +26,13 @@ def write_json(path, payload):
     return str(path)
 
 
+def _env_with_src():
+    """os.environ with the directory holding the imported mcybe first on PYTHONPATH."""
+    src = str(Path(mcybe.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_check_mcybe_pass(sl2_files, capsys):
     algebra, borel = sl2_files
     assert run(["check", "mcybe", "--algebra", str(algebra), "--map", str(borel)]) == 0
@@ -215,6 +222,24 @@ def test_catalog_stdout(capsys):
     assert payload["verdicts"]["dim"] == 8
 
 
+@pytest.mark.parametrize("flag", ["--algebra-out", "--map-out"])
+def test_catalog_unwritable_output_exit_2(tmp_path, capsys, flag):
+    target = str(tmp_path / "missing-dir" / "out.json")
+    assert run(["catalog", "sl", "--n", "2", flag, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and target in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_parser_is_built_once_and_not_at_import():
+    script = ("import mcybe.cli as cli\n"
+              "assert cli._build_parser.cache_info().currsize == 0\n"
+              "assert cli._build_parser() is cli._build_parser()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_element_parse_errors(sl2_files, capsys):
     algebra, borel = sl2_files
     assert run(["nijenhuis", "check", "--algebra", str(algebra),
@@ -228,8 +253,8 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
                  {"i": 1, "j": 2, "value": [0, 2, 0]}]
 
 
-# each payload was once read character by character, coerced from a
-# boolean, or crashed with a TypeError; all are input errors now
+# each payload was once read character by character, coerced from a boolean
+# or a non-string name, or crashed with a TypeError; all are input errors now
 @pytest.mark.parametrize("command, label, payload", [
     ("check-mcybe", "map", {"matrix": ["100", "010", "001"]}),
     ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": "001"}]}),
@@ -241,9 +266,12 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
                                                         "value": [0, 0, 1]}]}),
     ("kuranishi", "cocycle", {"degree": "1", "entries": []}),
     ("kuranishi", "cocycle", {"matrix": 5}),
+    ("check-lie", "algebra", {"dim": 3, "basis": [1, 2, 3], "brackets": _SL2_BRACKETS}),
+    ("check-lie", "algebra", {"dim": 3, "basis": ["e", None, "h"],
+                              "brackets": _SL2_BRACKETS}),
 ], ids=["matrix-row-strings", "bracket-value-string", "basis-string", "dim-true",
         "bracket-index-bools", "cochain-tuple-string", "cochain-degree-string",
-        "cochain-matrix-int"])
+        "cochain-matrix-int", "basis-ints", "basis-null"])
 def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, payload):
     algebra, borel = sl2_files
     path = write_json(tmp_path / "malformed.json", payload)
@@ -303,11 +331,9 @@ sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2],
 def test_certificate_survives_python_O(sl2_files):
     # the rank + nullity certificate in cohomology() was an assert once
     algebra, borel = sl2_files
-    src = str(Path(mcybe.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
                            str(algebra), str(borel)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env_with_src(),
+                          timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "internal error: rank + nullity != cochain dimension\n"

@@ -9,8 +9,8 @@ import sympy
 
 from mcybe import (Cochain, Endo, Matrix, PreconditionError, check_equivalence,
                    check_linear_deformation, coboundary_preimage,
-                   compatible_bracket_check, d_apply, induced_bracket,
-                   induced_bracket_deformation, nijenhuis_check,
+                   compatible_bracket_check, d_apply, deformed_complements,
+                   induced_bracket, induced_bracket_deformation, nijenhuis_check,
                    nijenhuis_operator_check, nijenhuis_scan, trivial_deformation)
 from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
@@ -374,6 +374,21 @@ def test_compatible_brackets_precondition(sl2):
     a, r = sl2
     with pytest.raises(PreconditionError):
         compatible_bracket_check(r, Endo.identity(a), 1, 2)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("induced_bracket_deformation", induced_bracket_deformation),
+    ("compatible_bracket_check", lambda r, rhat: compatible_bracket_check(r, rhat, 1, 2)),
+    ("deformed_complements", lambda r, rhat: deformed_complements(r, rhat, [0, 1])),
+])
+def test_deformation_precondition_names_caller_and_pair(sl2, what, call):
+    a, r = sl2
+    rhat = Endo.identity(a)
+    pair = check_linear_deformation(r, rhat).failing_pair
+    assert pair is not None
+    with pytest.raises(PreconditionError) as info:
+        call(r, rhat)
+    assert str(info.value) == f"{what} needs a valid deformation; failing pair {pair}"
 
 
 def test_weight0_defect_matches_rb_check(sl2, rng=random.Random(47)):
