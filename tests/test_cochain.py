@@ -1,5 +1,8 @@
 """Cochains, coboundary matrices, and cohomology with independent oracles."""
 
+import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -7,13 +10,13 @@ from math import comb
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, InputError, PreconditionError, cochain,
+from mcybe import (Cochain, Endo, InputError, PreconditionError, catalog, cochain,
                    coboundary_matrix, coboundary_preimage, cohomology, d_apply,
                    is_cocycle, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vscale
 
-from conftest import rand_cochain, rand_endo, rand_vector
+from conftest import conjugate, nilpotent_exp, rand_cochain, rand_endo, rand_vector
 
 
 def test_eval_repeated_argument_vanishes(sl2, rng=random.Random(21)):
@@ -171,7 +174,52 @@ def test_cohomology_sl3_h2(sl3):
     assert cohomology(r, 2).dim_h(2) == 9
 
 
-def test_cohomology_witness_invariants(sl2):
+# sha256 of the sorted-key JSON of the library report cohomology(P, d,
+# flavor) with witnesses, for P the sl(n) Borel operator or its conjugate by
+# exp(ad x), x = E12 + E13/2, and B = rb_from_r(P) in the B flavor.  The CLI
+# prints no coboundary witness, so these digests pin what it never shows.
+REPORT_DIGESTS = {
+    (3, 4, "borel", "R"): "277904449f70bc041b0b31409ca743abf9f7d818f1b1cb06de06fcbb25a3e541",
+    (3, 4, "borel", "B"): "d1432c9ae6216f1abf738e661d3e38de5ab7476900da5ee6a74e25dd15dcc1ff",
+    (3, 4, "conjugate", "R"): "69e68434ba4b064aa9fb502cbedfcff484fe7e7578560c7030615e6bdd1f9a36",
+    (3, 4, "conjugate", "B"): "f1b95f29bd37cbb4b3a6e962c80b6166f09c1eab6fd94fdcb0e5828e2b0ee1d7",
+    (4, 3, "borel", "R"): "657d23d0b8d37bfa1ad24dda9a1632caa2cd1db1a2cd37a75d6cde022cda03db",
+    (4, 3, "borel", "B"): "8cf1b04411594701566594b02604a13c9b59079175299aab6746a6e240b5446b",
+    (4, 3, "conjugate", "R"): "d21a83e5756810c180ba122dcb98110b9f918f3b9fa5ca9e9d77a0b0299eab08",
+    (4, 3, "conjugate", "B"): "1384e5ff8e564332ebb11374409311380d65cd020dbb8f6c8c492c579b0aa3a2",
+}
+
+
+@functools.cache
+def pinned_report(key):
+    """The operator and the library report of a REPORT_DIGESTS key."""
+    n, max_degree, name, flavor = key
+    a, r = catalog("sl-borel", n)
+    if name == "conjugate":
+        x = [0] * a.dim
+        x[a.basis_names.index("E12")] = 1
+        x[a.basis_names.index("E13")] = Fraction(1, 2)
+        r = conjugate(nilpotent_exp(a, tuple(x)), r)
+    P = r if flavor == "R" else rb_from_r(r)
+    return P, cohomology(P, max_degree, flavor=flavor)
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_library_report_digests(key):
+    text = json.dumps(pinned_report(key)[1].to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key]
+
+
+def combination(coefficients, cochains, algebra, arity):
+    """sum c_i f_i over zip(coefficients, cochains)."""
+    acc = {}
+    for c, f in zip(coefficients, cochains):
+        for tup, vec in f.coeffs.items():
+            acc[tup] = vadd(acc.get(tup, algebra.zero()), vscale(c, vec))
+    return Cochain(algebra, arity, acc)
+
+
+def test_cohomology_witness_invariants(sl2, rng=random.Random(30)):
     a, r = sl2
     rep = cohomology(r, 3)
     for degree, dr in rep.degrees.items():
@@ -181,6 +229,27 @@ def test_cohomology_witness_invariants(sl2):
             assert d_apply(r, w, check=False).is_zero()
         for pre, img in dr.coboundary_witnesses:
             assert d_apply(r, pre, check=False) == img
+    # The pinned reports hold about 500 witnesses each.  d_apply is linear,
+    # so one call on a combination with random coefficients in 1..2^40
+    # tests all witnesses of a degree at once: a witness with the wrong
+    # coboundary passes with chance below 2^-40.
+    for key in sorted(REPORT_DIGESTS):
+        P, rep = pinned_report(key)
+        flavor = key[3]
+        for degree, dr in rep.degrees.items():
+            assert dr.dim_cohomology == dr.dim_cocycles - dr.dim_coboundaries >= 0
+            assert len(dr.cocycle_witnesses) == dr.dim_cocycles
+            assert len(dr.coboundary_witnesses) == dr.dim_coboundaries
+            zs = combination([rng.randint(1, 1 << 40) for _ in dr.cocycle_witnesses],
+                             dr.cocycle_witnesses, P.algebra, dr.arity)
+            assert d_apply(P, zs, flavor=flavor, check=False).is_zero()
+            if not dr.coboundary_witnesses:
+                continue
+            pres, imgs = zip(*dr.coboundary_witnesses)
+            cs = [rng.randint(1, 1 << 40) for _ in pres]
+            pre = combination(cs, pres, P.algebra, dr.arity - 1)
+            assert d_apply(P, pre, flavor=flavor, check=False) == \
+                combination(cs, imgs, P.algebra, dr.arity)
 
 
 def test_cohomology_degrees_above_dim_vanish(sl2):
