@@ -284,8 +284,8 @@ def cmd_deform_trivial(args, report):
     rhat, dv = deform.trivial_deformation(R, x)
     code = report.check("valid", dv.valid, "trivial deformation")
     report.witness("rhat", rhat)
-    report.note(f"Rhat = d x with {len([1 for c in rhat.matrix.rows_list() for v in c if v])} "
-                f"nonzero entries")
+    nonzero = sum(len(rhat.matrix.nonzeros(i)) for i in range(algebra.dim))
+    report.note(f"Rhat = d x with {nonzero} nonzero entries")
     return code
 
 

@@ -18,6 +18,7 @@ R-complex matrix is exactly twice the B-complex matrix when R = Id + 2B.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -38,9 +39,10 @@ def _canon_flavor(flavor) -> str:
     raise InputError(f"unknown flavor {flavor!r}; use 'R' or 'B'")
 
 
-def basis_tuples(n, k):
+@cache
+def basis_tuples(n, k) -> tuple:
     """Sorted k-tuples of basis indices, in lexicographic order."""
-    return list(combinations(range(n), k))
+    return tuple(combinations(range(n), k))
 
 
 def cochain_space_dim(n, arity) -> int:
@@ -107,9 +109,8 @@ class Cochain:
 
     @classmethod
     def from_endo(cls, endo: Endo):
-        n = endo.algebra.dim
-        coeffs = {(j,): endo.matrix.column(j) for j in range(n)}
-        return cls(endo.algebra, 1, coeffs)
+        columns = endo.matrix.transpose()
+        return cls(endo.algebra, 1, {(j,): columns.row(j) for j in range(columns.nrows)})
 
     def to_endo(self) -> Endo:
         if self.arity != 1:
@@ -211,26 +212,29 @@ class Cochain:
     # -- coefficient vectors (basis: tuples lex, then target index) --------
 
     def to_coeff_vector(self):
-        n = self.algebra.dim
-        out = []
-        for tup in basis_tuples(n, self.arity):
-            out.extend(self.coeffs.get(tup, vzero(n)))
-        return out
+        tuples = basis_tuples(self.algebra.dim, self.arity)
+        return [x for tup in tuples for x in self.get(tup)]
+
+    @classmethod
+    def from_sparse(cls, algebra, arity, entries):
+        """The cochain with coefficient x at each index i of {i: x}: entry
+        i % n of its value on basis_tuples(n, arity)[i // n]; others are 0."""
+        n = algebra.dim
+        tuples = basis_tuples(n, arity)
+        blocks = {}
+        for i, x in entries.items():
+            if not 0 <= i < len(tuples) * n:
+                raise InputError(f"coefficient index {i} out of range")
+            blocks.setdefault(tuples[i // n], [0] * n)[i % n] = x
+        return cls(algebra, arity, blocks)
 
     @classmethod
     def from_coeff_vector(cls, algebra, arity, values):
-        n = algebra.dim
         values = list(values)
-        tuples = basis_tuples(n, arity)
-        if len(values) != len(tuples) * n:
-            raise InputError(f"coefficient vector length {len(values)} != "
-                             f"{len(tuples) * n}")
-        coeffs = {}
-        for idx, tup in enumerate(tuples):
-            block = tuple(values[idx * n:(idx + 1) * n])
-            if any(block):      # zero blocks need no validation or normalization
-                coeffs[tup] = block
-        return cls(algebra, arity, coeffs)
+        size = cochain_space_dim(algebra.dim, arity)
+        if len(values) != size:
+            raise InputError(f"coefficient vector length {len(values)} != {size}")
+        return cls.from_sparse(algebra, arity, {i: x for i, x in enumerate(values) if x})
 
     # -- JSON ----------------------------------------------------------------
 
@@ -331,8 +335,8 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
         _check_flavor_axiom(P, flavor)
 
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    lambdas = [[[(c, v) for c, v in enumerate(row) if v]
-                for row in rho(P, e).matrix.rows_list()] for e in a.basis()]
+    lambdas = [[m.nonzeros(i).items() for i in range(n)]
+               for m in (rho(P, e).matrix for e in a.basis())]
     mus = _pair_brackets(P, flavor) if k else {}    # no pair terms at k = 0
 
     rows = []
@@ -409,9 +413,10 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
 
 
 def is_cocycle(P: Endo, f: Cochain, flavor="R") -> bool:
-    """Matrix-times-coefficient-vector test for d f = 0."""
-    cb = coboundary_matrix(P, f.arity, flavor=flavor)
-    return all(not x for x in cb.matrix.apply(f.to_coeff_vector()))
+    """d f = 0, by d_apply on f alone: no coboundary matrix is assembled."""
+    if f.arity > P.algebra.dim:     # as coboundary_matrix would refuse it
+        raise InputError(f"arity k={f.arity} out of range 0..{P.algebra.dim}")
+    return d_apply(P, f, flavor=flavor).is_zero()
 
 
 def coboundary_preimage(P: Endo, f: Cochain, flavor="R"):
@@ -522,7 +527,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
                 "rank mod p + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
-            z_witnesses = [Cochain.from_coeff_vector(a, arity, kernel.row(i))
+            z_witnesses = [Cochain.from_sparse(a, arity, kernel.nonzeros(i))
                            for i in range(dim_z)]
         b_witnesses = []
         if degree == 1:
@@ -533,12 +538,10 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             dim_b = len(pivots)
             certify(dim_b == ranks_p[arity - 1], "echelon pivots and rank mod p disagree")
             if witnesses:
-                for col in pivots:
-                    pre_vec = [0] * inc.ncols
-                    pre_vec[col] = 1
-                    pre = Cochain.from_coeff_vector(a, arity - 1, pre_vec)
-                    img = Cochain.from_coeff_vector(a, arity, inc.column(col))
-                    b_witnesses.append((pre, img))
+                images = inc.transpose()    # its row col is d of basis cochain col
+                b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}),
+                                Cochain.from_sparse(a, arity, images.nonzeros(col)))
+                               for col in pivots]
         dim_h = dim_z - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")
         degrees[degree] = DegreeReport(degree, arity, dim_c, dim_z, dim_b, dim_h,

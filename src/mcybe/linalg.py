@@ -275,8 +275,9 @@ class Matrix:
             out[j] = x
         return tuple(out)
 
-    def column(self, j):
-        return tuple(row.get(j, 0) for row in self._rows)
+    def nonzeros(self, i) -> dict:
+        """Row i as a dict {column: nonzero entry}."""
+        return dict(self._rows[i])
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.nrows)]

@@ -280,6 +280,13 @@ def test_is_cocycle_on_exact_cochains(sl2, rng=random.Random(25)):
         assert d_apply(r, pre, check=False) == dx
 
 
+def test_is_cocycle_rejects_arity_above_dim(sl2):
+    a, r = sl2
+    assert is_cocycle(r, Cochain.zero(a, a.dim))       # d lands in C^(dim+2) = 0
+    with pytest.raises(InputError, match="out of range"):
+        is_cocycle(r, Cochain.zero(a, a.dim + 1))
+
+
 def test_r_as_two_cochain_is_not_closed(sl2):
     # d(R) = -2 pi on a non-abelian algebra, so R is not a 2-cocycle
     a, r = sl2

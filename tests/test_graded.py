@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError,
-                   coboundary_matrix, d_apply, graded_bracket,
+from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, cochain,
+                   coboundary_matrix, cohomology, d_apply, graded_bracket,
                    is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
                    mc_deformation_check, mcybe_defect, pi_cochain,
                    satisfies_mc_modified)
@@ -177,6 +177,22 @@ def test_kuranishi_on_z2_basis(sl2):
     # frozen regression fixture, deterministic across runs
     assert ff_zero == [True, True, False, True]
     assert vanishes == [True, True, True, True]
+
+
+def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
+    # the two cocycle tests go through d_apply; only the preimage of
+    # [[f, f]] needs the arity-1 matrix
+    a, r = sl3
+    f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
+    arities = []
+    assemble = cochain.coboundary_matrix
+
+    def counted(P, k, *args, **kwargs):
+        arities.append(k)
+        return assemble(P, k, *args, **kwargs)
+    monkeypatch.setattr(cochain, "coboundary_matrix", counted)
+    assert kuranishi(r, f).is_cocycle
+    assert arities == [1]
 
 
 def test_kuranishi_zero_cochain(sl2):
