@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -106,12 +107,24 @@ def _read_json(path, report, label):
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _write_json(path, payload, label):
+def _write_json_files(outputs):
+    """Write each (path, payload, label) as JSON, all of them or none: every
+    path is opened, without truncating, before any is written, and on an
+    error the files this call created are removed again."""
+    opened = []
     try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        for path, _, label in outputs:
+            opened.append((path, not os.path.exists(path), open(path, "a")))
+        for (path, _, fh), (_, payload, label) in zip(opened, outputs):
+            with fh:
+                fh.truncate(0)
+                json.dump(payload, fh, sort_keys=True, indent=2)
+                fh.write("\n")
     except OSError as exc:
+        for done, created, fh in opened:
+            fh.close()
+            if created:
+                os.remove(done)
         raise InputError(f"{label} file {path}: {exc}") from exc
 
 
@@ -373,13 +386,12 @@ def cmd_catalog_sl(args, report):
     report.verdict("dim", algebra.dim,
                    f"sl({args.n}) with Borel r-matrix: dim {algebra.dim}")
     payload = {"algebra": algebra.to_json_dict(), "r_matrix": R.to_json_dict()}
-    if args.algebra_out:
-        _write_json(args.algebra_out, payload["algebra"], "algebra")
-        report.note(f"algebra written to {args.algebra_out}")
-    if args.map_out:
-        _write_json(args.map_out, payload["r_matrix"], "r-matrix")
-        report.note(f"r-matrix written to {args.map_out}")
-    if not args.algebra_out and not args.map_out:
+    outputs = [out for out in ((args.algebra_out, payload["algebra"], "algebra"),
+                               (args.map_out, payload["r_matrix"], "r-matrix")) if out[0]]
+    _write_json_files(outputs)
+    for path, _, label in outputs:
+        report.note(f"{label} written to {path}")
+    if not outputs:
         report.verdict("catalog", payload)
     return 0
 
@@ -476,7 +488,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--algebra-out", help="write the algebra JSON here")
     p.add_argument("--map-out", help="write the r-matrix JSON here")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="emit the structured report")
 
     p = add(sub.add_parser("compatible"), cmd_compatible, "algebra", "map")
     p.add_argument("--rhat", required=True)

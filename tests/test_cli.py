@@ -229,6 +229,35 @@ def test_catalog_unwritable_output_exit_2(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and target in captured.err
     assert captured.err.count("\n") == 1 and not captured.out
+    # the other output is writable, but no file is written unless both are
+    other = "--map-out" if flag == "--algebra-out" else "--algebra-out"
+    ok = tmp_path / "ok.json"
+    for args in ([flag, target, other, str(ok)], [other, str(ok), flag, target]):
+        assert run(["catalog", "sl", "--n", "2", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and target in captured.err
+        assert captured.err.count("\n") == 1 and not captured.out
+        assert not ok.exists()
+    ok.write_text("kept\n")
+    assert run(["catalog", "sl", "--n", "2", other, str(ok), flag, target]) == 2
+    assert ok.read_text() == "kept\n"
+
+
+def test_catalog_writes_both_outputs(tmp_path, capsys):
+    paths = [tmp_path / "algebra.json", tmp_path / "map.json"]
+    paths[1].write_text("an older and longer file to be overwritten\n" * 100)
+    assert run(["catalog", "sl", "--n", "2", "--algebra-out", str(paths[0]),
+                "--map-out", str(paths[1])]) == 0
+    algebra, r = mcybe.catalog("sl-borel", 2)
+    assert json.loads(paths[0].read_text()) == algebra.to_json_dict()
+    assert json.loads(paths[1].read_text()) == r.to_json_dict()
+    assert capsys.readouterr().out.count("written to") == 2
+
+
+def test_catalog_help_describes_json(capsys):
+    assert run(["catalog", "sl", "--help"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--json", "emit", "the", "structured", "report"] in lines
 
 
 def test_parser_is_built_once_and_not_at_import():
