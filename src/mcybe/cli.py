@@ -42,11 +42,7 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Cochain):
-        return _jsonable(obj.to_json_dict())
-    if isinstance(obj, Endo):
-        return _jsonable(obj.to_json_dict())
-    if isinstance(obj, LieAlgebra):
+    if isinstance(obj, (Cochain, Endo, LieAlgebra)):
         return _jsonable(obj.to_json_dict())
     return obj
 

@@ -159,14 +159,10 @@ def nijenhuis_check(R: Endo, x) -> NijenhuisVerdict:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
     eq1_witness = _commutator_witness(a, x)
     eq1_ok = eq1_witness is None
-    eq2_ok, eq2_witness = True, None
-    for j in range(a.dim):
-        ej = a.basis_vector(j)
-        lhs = a.bracket(x, a.bracket(x, R.apply(ej)))
-        rhs = a.bracket(x, R.apply(a.bracket(x, ej)))
-        if lhs != rhs:
-            eq2_ok, eq2_witness = False, j
-            break
+    eq2_witness = next((j for j, ej in enumerate(a.basis())
+                        if a.bracket(x, a.bracket(x, R.apply(ej)))
+                        != a.bracket(x, R.apply(a.bracket(x, ej)))), None)
+    eq2_ok = eq2_witness is None
     return NijenhuisVerdict(eq1_ok, eq2_ok, eq1_ok and eq2_ok,
                             eq1_witness, eq2_witness)
 

@@ -275,13 +275,8 @@ class Endo:
 
     def involution_defect(self):
         """None when E^2 = Id, else the first basis index j with E^2 e_j != e_j."""
-        sq = self.matrix @ self.matrix
-        n = self.algebra.dim
-        for j in range(n):
-            for i in range(n):
-                if sq.entry(i, j) != (1 if i == j else 0):
-                    return j
-        return None
+        diff = self.matrix @ self.matrix - Matrix.identity(self.algebra.dim)
+        return min((j for i in range(diff.nrows) for j in diff.nonzeros(i)), default=None)
 
     def to_json_dict(self):
         return {"matrix": [[rational_to_json(x) for x in self.matrix.row(i)]

@@ -14,6 +14,7 @@ equivalence analyzer.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
@@ -147,22 +148,14 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     minus_closed, _ = subspace_closure(a, minus_basis)
     eigensplit_ok = plus_closed and minus_closed
 
-    half = Fraction(1, 2)
-    p_plus = (ident + R).scale(half)
-    p_minus = (ident - R).scale(half)
-    product_ok = True
-    for proj in (p_plus, p_minus):
-        for i in range(a.dim):
-            pi = proj.apply(a.basis_vector(i))
-            for j in range(i + 1, a.dim):
-                w = a.bracket(pi, proj.apply(a.basis_vector(j)))
-                if proj.apply(w) != w:
-                    product_ok = False
-                    break
-            if not product_ok:
-                break
-        if not product_ok:
-            break
+    def projector_ok(sign):
+        """P[Px, Py] = [Px, Py] on basis pairs, for P = (Id + sign R)/2."""
+        proj = (ident + R.scale(sign)).scale(Fraction(1, 2))
+        images = [proj.apply(e) for e in a.basis()]
+        return all(proj.apply(w) == w for w in (a.bracket(images[i], images[j])
+                                                for i, j in combinations(range(a.dim), 2)))
+
+    product_ok = projector_ok(1) and projector_ok(-1)
 
     report = InvolutiveReport(mcybe_ok, nij_ok, eigensplit_ok, product_ok,
                               plus_basis, minus_basis,
