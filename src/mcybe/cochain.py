@@ -234,7 +234,9 @@ class Cochain:
         size = cochain_space_dim(algebra.dim, arity)
         if len(values) != size:
             raise InputError(f"coefficient vector length {len(values)} != {size}")
-        return cls.from_sparse(algebra, arity, {i: x for i, x in enumerate(values) if x})
+        # int zeros are skipped; every other entry meets ratio(), which refuses 0.0
+        return cls.from_sparse(algebra, arity, {i: x for i, x in enumerate(values)
+                                                if x or type(x) is not int})
 
     # -- JSON ----------------------------------------------------------------
 

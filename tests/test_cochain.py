@@ -386,6 +386,19 @@ def test_coeff_vector_roundtrip(sl2, rng=random.Random(28)):
             assert Cochain.from_coeff_vector(a, k, f.to_coeff_vector()) == f
 
 
+def test_from_sparse_matches_coeff_vector(sl2, rng=random.Random(31)):
+    a, _ = sl2
+    for k in (0, 1, 2, 3):
+        f = rand_cochain(rng, a, k, support=3)
+        vec = f.to_coeff_vector()
+        assert Cochain.from_sparse(a, k, {i: x for i, x in enumerate(vec) if x}) == f
+        for index in (-1, len(vec)):
+            with pytest.raises(InputError):
+                Cochain.from_sparse(a, k, {index: 1})
+        with pytest.raises(InputError):
+            Cochain.from_coeff_vector(a, k, [0.0] * len(vec))
+
+
 def test_endo_vector_conversions(sl2, rng=random.Random(29)):
     a, _ = sl2
     m = rand_endo(rng, a)
