@@ -8,6 +8,7 @@ as p/q (or a bare integer); no floating point appears on any output path.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -104,22 +105,21 @@ def _read_json(path, report, label):
 
 
 def _write_json_files(outputs):
-    """Write each (path, payload, label) as JSON, all of them or none: every
-    path is opened, without truncating, before any is written, and on an
-    error the files this call created are removed again."""
-    opened = []
+    """Write each (path, payload, label) as JSON once every path is open, none
+    truncated; on an error, remove the files this call created."""
+    created = [path for path, _, _ in outputs if not os.path.exists(path)]
     try:
-        for path, _, label in outputs:
-            opened.append((path, not os.path.exists(path), open(path, "a")))
-        for (path, _, fh), (_, payload, label) in zip(opened, outputs):
-            with fh:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, _, label in outputs:
+                files.append(stack.enter_context(open(path, "a")))
+            for fh, (path, payload, label) in zip(files, outputs):
                 fh.truncate(0)
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
     except OSError as exc:
-        for done, created, fh in opened:
-            fh.close()
-            if created:
+        for done in created:
+            if os.path.exists(done):
                 os.remove(done)
         raise InputError(f"{label} file {path}: {exc}") from exc
 
