@@ -106,21 +106,27 @@ def _read_json(path, report, label):
 
 def _write_json_files(outputs):
     """Write each (path, payload, label) as JSON once every path is open, none
-    truncated; on an error, remove the files this call created."""
+    truncated and no two the same file; on an error, remove the files this
+    call created."""
     created = [path for path, _, _ in outputs if not os.path.exists(path)]
     try:
         with contextlib.ExitStack() as stack:
             files = []
             for path, _, label in outputs:
                 files.append(stack.enter_context(open(path, "a")))
+            stats = [os.fstat(fh.fileno()) for fh in files]
+            if len(stats) == 2 and os.path.samestat(*stats):
+                raise InputError(f"{outputs[0][2]} and {label} outputs are one file: {path}")
             for fh, (path, payload, label) in zip(files, outputs):
                 fh.truncate(0)
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
-    except OSError as exc:
+    except (OSError, InputError) as exc:
         for done in created:
             if os.path.exists(done):
                 os.remove(done)
+        if isinstance(exc, InputError):
+            raise
         raise InputError(f"{label} file {path}: {exc}") from exc
 
 
@@ -159,8 +165,6 @@ def _parse_element(text, algebra):
 
 
 def _pair_names(algebra, pair):
-    if pair is None:
-        return None
     i, j = pair
     return [algebra.basis_names[i], algebra.basis_names[j]]
 

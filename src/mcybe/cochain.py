@@ -121,11 +121,6 @@ class Cochain:
 
     # -- basic structure -------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Cohomological degree: arity + 1."""
-        return self.arity + 1
-
     def get(self, tup) -> Vector:
         return self.coeffs.get(tuple(tup), vzero(self.algebra.dim))
 
@@ -151,9 +146,6 @@ class Cochain:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         c = ratio(c)
@@ -499,34 +491,29 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     a = P.algebra
     n = a.dim
 
-    # degree m needs the outgoing matrix at arity m-1 and the incoming one
-    # at arity m-2, so arities 0 .. max_degree-1 suffice.  Each matrix is
-    # eliminated once (Matrix caches it): its kernel gives the cocycles at
-    # degree m, its pivots the coboundaries at degree m+1.
-    matrices = {}
-    for arity in range(0, min(max_degree - 1, n) + 1):
-        matrices[arity] = coboundary_matrix(P, arity, flavor=flavor, check=False)
-
-    # certificate, independent of witnesses: rank mod p plus the nullity of
-    # the exactly verified kernel is dim C, so both ranks are exact
-    ranks_p = {}
+    # one walk over the degrees: the outgoing matrix of degree m (arity m-1)
+    # is eliminated once (Matrix caches it); its kernel gives the cocycles
+    # at degree m, and as the incoming matrix of degree m+1 its pivots give
+    # the coboundaries there.  The certificate, independent of witnesses:
+    # rank mod p plus the nullity of the exactly verified kernel is dim C,
+    # so both ranks are exact
     degrees = {}
+    inc = inc_rank_p = None
     for degree in range(1, max_degree + 1):
         arity = degree - 1
         dim_c = cochain_space_dim(n, arity) if arity <= n else 0
         if dim_c == 0:
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
-        out = matrices[arity].matrix
+        out = coboundary_matrix(P, arity, flavor=flavor, check=False).matrix
         kernel = out.null_space()
         dim_z = kernel.nrows
         certify(out.rank() + dim_z == dim_c, "rank + nullity != cochain dimension")
         # integral copies vanish together with out @ kernel^T, in int arithmetic
         certify((out.clear_denominators() @ kernel.clear_denominators().transpose())
                 .is_zero(), "kernel vector is not a cocycle")
-        ranks_p[arity] = rank_mod_p(out)
-        certify(ranks_p[arity] + dim_z == dim_c,
-                "rank mod p + nullity != cochain dimension")
+        rank_p = rank_mod_p(out)
+        certify(rank_p + dim_z == dim_c, "rank mod p + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
             z_witnesses = [Cochain.from_sparse(a, arity, kernel.nonzeros(i))
@@ -535,10 +522,9 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         if degree == 1:
             dim_b = 0
         else:
-            inc = matrices[arity - 1].matrix
             pivots = inc.pivot_columns()
             dim_b = len(pivots)
-            certify(dim_b == ranks_p[arity - 1], "echelon pivots and rank mod p disagree")
+            certify(dim_b == inc_rank_p, "echelon pivots and rank mod p disagree")
             if witnesses:
                 images = inc.transpose()    # its row col is d of basis cochain col
                 b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}),
@@ -548,4 +534,5 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         certify(dim_h >= 0, "more coboundaries than cocycles")
         degrees[degree] = DegreeReport(degree, arity, dim_c, dim_z, dim_b, dim_h,
                                        z_witnesses, b_witnesses)
+        inc, inc_rank_p = out, rank_p
     return CohomologyReport(flavor, max_degree, degrees)

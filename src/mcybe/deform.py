@@ -30,16 +30,14 @@ def weight0_defect_cochain(B: Endo) -> Cochain:
     return Cochain(B.algebra, 2, dict(operator_identity(B)))
 
 
-def defect_polynomial(R: Endo, Rhat: Endo, s0: Cochain | None = None):
+def defect_polynomial(R: Endo, Rhat: Endo, s0: Cochain):
     """Coefficient cochains (S0, S1, S2) of S(R + t Rhat) in t.
 
-    S1 is the coboundary of Rhat in the R-complex and S2 the weight-0
-    defect of Rhat; both are cross-checked against an independent exact
-    interpolation of the defect at t = 0, 1, -1.  s0, the defect of R at
-    t = 0, is computed unless the caller already has it.
+    s0 is the defect of R, the value at t = 0.  S1 is the coboundary of
+    Rhat in the R-complex and S2 the weight-0 defect of Rhat; both are
+    cross-checked against an independent exact interpolation of the
+    defect at t = 0, 1, -1.
     """
-    if s0 is None:
-        s0 = mcybe_defect(R).defect_cochain
     s1 = d_apply(R, Cochain.from_endo(Rhat), check=False)
     s2 = weight0_defect_cochain(Rhat)
     plus = mcybe_defect(R + Rhat).defect_cochain
@@ -200,7 +198,8 @@ def trivial_deformation(R: Endo, x):
             f"x is not a Nijenhuis element: [x, [x, R "
             f"{a.basis_names[verdict.eq2_witness]}]] != [x, R([x, "
             f"{a.basis_names[verdict.eq2_witness]}])]")
-    rhat = d_apply(R, Cochain.from_vector(R.algebra, tuple(x))).to_endo()
+    # check_linear_deformation checks R, so d_apply need not
+    rhat = d_apply(R, Cochain.from_vector(R.algebra, tuple(x)), check=False).to_endo()
     dv = check_linear_deformation(R, rhat)
     certify(dv.valid, "trivial deformation failed the validity check")
     certify(check_equivalence(R, rhat, Endo.zero(R.algebra), x).ok,

@@ -33,32 +33,21 @@ GRADED_SIGN_CONVENTION = (
     "(-1)^(pr) [[f,[[g,h]]]] + (-1)^(pq) [[g,[[h,f]]]] + (-1)^(qr) [[h,[[f,g]]]] = 0")
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        si = seq[i]
-        for j in range(i + 1, len(seq)):
-            if si > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def shuffles_two(total, p):
     """(p, total-p)-shuffles as (first_block, second_block, sign) over positions."""
     positions = range(total)
     for first in combinations(positions, p):
         second = tuple(i for i in positions if i not in first)
-        yield first, second, _perm_sign(first + second)
+        # moving the increasing block first to the front: sum(first) - p(p-1)/2 swaps
+        yield first, second, -1 if (sum(first) - p * (p - 1) // 2) % 2 else 1
 
 
 def shuffles_three(total, a, c):
     """(a, 1, c)-shuffles as (first_block, middle, last_block, sign)."""
-    positions = range(total)
-    for first in combinations(positions, a):
-        rest = [i for i in positions if i not in first]
+    for first, rest, sign in shuffles_two(total, a):
         for idx, mid in enumerate(rest):
-            last = tuple(rest[:idx] + rest[idx + 1:])
-            yield first, mid, last, _perm_sign(first + (mid,) + last)
+            # mid moves from index idx of the second block to its front in idx swaps
+            yield first, mid, rest[:idx] + rest[idx + 1:], -sign if idx % 2 else sign
 
 
 def as_graded(x) -> Cochain:
@@ -172,10 +161,10 @@ class KuranishiReport:
 
 def kuranishi(R: Endo, f) -> KuranishiReport:
     """Obstruction class of a 2-cocycle f: the class of [[f, f]] in H^3."""
-    require_modified(R, "kuranishi")
     fc = as_graded(f)
     if fc.arity != 1:
         raise InputError("kuranishi expects a degree-2 cochain (arity 1)")
+    # is_cocycle also requires R to be a modified r-matrix
     if not is_cocycle(R, fc):
         raise PreconditionError("kuranishi needs f in Z^2: d f != 0")
     ff = graded_bracket(fc, fc)

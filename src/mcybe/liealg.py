@@ -254,9 +254,6 @@ class Endo:
     def __sub__(self, other):
         return Endo(self.matrix - other.matrix, self.algebra)
 
-    def __neg__(self):
-        return Endo(-self.matrix, self.algebra)
-
     def scale(self, c: Rational) -> "Endo":
         return Endo(self.matrix.scale(c), self.algebra)
 

@@ -15,6 +15,7 @@ gives rank_mod_p, a lower bound on the rank over Q by other arithmetic,
 with which cochain.cohomology certifies every rank it reports.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +27,10 @@ Rational = int | Fraction
 
 # The Mersenne prime 2^61 - 1: the modulus of the independent rank route.
 MODULUS = (1 << 61) - 1
+
+# A rational string: an optional minus sign, ASCII digits, then optionally
+# a slash and ASCII digits.
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def ratio(x) -> Rational:
@@ -46,9 +51,11 @@ def rational_from_json(v) -> Rational:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
+        if not _RATIONAL_STRING.fullmatch(v):
+            raise InputError(f"bad rational string {v!r}: use an integer or 'p/q'")
         try:
             return ratio(Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise InputError(f"bad rational string {v!r}: {exc}") from exc
     raise InputError(f"not a rational: {v!r} (use an int or a 'p/q' string)")
 
@@ -206,14 +213,9 @@ class Matrix:
 
     __slots__ = ("nrows", "ncols", "_rows", "_echelon")
 
-    def __init__(self, rows, ncols=None):
+    def __init__(self, rows):
         rows = [[ratio(x) for x in row] for row in rows]
-        if rows:
-            width = len(rows[0])
-            if ncols is not None and ncols != width:
-                raise InputError("ncols does not match row length")
-        else:
-            width = 0 if ncols is None else ncols
+        width = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != width:
                 raise InputError("ragged rows in matrix")
@@ -323,10 +325,6 @@ class Matrix:
 
     def __sub__(self, other):
         return self._plus(other, -1, "-")
-
-    def __neg__(self):
-        return Matrix.from_sparse([{j: -x for j, x in row.items()} for row in self._rows],
-                                  self.ncols)
 
     def scale(self, c: Rational):
         c = ratio(c)

@@ -110,6 +110,14 @@ def test_rota_baxter_subcommand(sl2_files, tmp_path):
                 "--map", b, "--weight", "0"]) == 1
 
 
+def test_cohomology_max_degree_zero_exit_2(sl2_files, capsys):
+    algebra, borel = sl2_files
+    assert run(["cohomology", "--algebra", str(algebra), "--map", str(borel),
+                "--max-degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: max_degree must be >= 1\n" and not captured.out
+
+
 def test_induced_subcommand(sl2_files, capsys):
     algebra, borel = sl2_files
     assert run(["induced", "--algebra", str(algebra), "--map", str(borel)]) == 0
@@ -184,6 +192,20 @@ def test_nijenhuis_subcommands(sl2_files, capsys):
     assert "0 of 6" in capsys.readouterr().out
 
 
+def test_nijenhuis_scan_lists_elements(affine2, tmp_path, capsys):
+    algebra, raff = affine2
+    argv = ["nijenhuis", "scan", "--algebra", write_json(tmp_path / "aff.json",
+                                                         algebra.to_json_dict()),
+            "--map", write_json(tmp_path / "r.json", raff.to_json_dict())]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["nijenhuis element: (1, 0)", "nijenhuis element: (0, 1)",
+                         "2 of 3 candidates are Nijenhuis elements"]
+    assert run(argv + ["--json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"candidates_checked": 3, "nijenhuis_elements": [[1, 0], [0, 1]]}
+
+
 def test_double_subcommands(sl2_files, tmp_path):
     algebra, borel = sl2_files
     assert run(["double", "graph", "--algebra", str(algebra), "--map", str(borel)]) == 0
@@ -243,6 +265,22 @@ def test_catalog_unwritable_output_exit_2(tmp_path, capsys, flag):
     assert ok.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("prefix", ["", "./"])
+def test_catalog_one_file_for_both_outputs_exit_2(tmp_path, monkeypatch, capsys, prefix):
+    # both outputs in one file once left two concatenated JSON documents
+    monkeypatch.chdir(tmp_path)
+    argv = ["catalog", "sl", "--n", "2", "--algebra-out", "x.json",
+            "--map-out", prefix + "x.json"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and "x.json" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not (tmp_path / "x.json").exists()
+    (tmp_path / "x.json").write_bytes(b"kept\n")
+    assert run(argv) == 2
+    assert (tmp_path / "x.json").read_bytes() == b"kept\n"
+
+
 def test_catalog_writes_both_outputs(tmp_path, capsys):
     paths = [tmp_path / "algebra.json", tmp_path / "map.json"]
     paths[1].write_text("an older and longer file to be overwritten\n" * 100)
@@ -282,8 +320,9 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
                  {"i": 1, "j": 2, "value": [0, 2, 0]}]
 
 
-# each payload was once read character by character, coerced from a boolean
-# or a non-string name, or crashed with a TypeError; all are input errors now
+# each payload was once read character by character, coerced from a boolean,
+# a non-string name or a decimal string, or crashed with a TypeError; all are
+# input errors now, as are missing keys and duplicate entries
 @pytest.mark.parametrize("command, label, payload", [
     ("check-mcybe", "map", {"matrix": ["100", "010", "001"]}),
     ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": "001"}]}),
@@ -298,9 +337,22 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
     ("check-lie", "algebra", {"dim": 3, "basis": [1, 2, 3], "brackets": _SL2_BRACKETS}),
     ("check-lie", "algebra", {"dim": 3, "basis": ["e", None, "h"],
                               "brackets": _SL2_BRACKETS}),
+    ("check-mcybe", "map", {"matrix": [["0.0", 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("kuranishi", "cocycle", {"entries": [{"tuple": [2], "value": [0, 0, 1]}]}),
+    ("kuranishi", "cocycle", {"degree": 1, "entries": [{"tuple": [2]}]}),
+    ("kuranishi", "cocycle", {"degree": 1, "entries": [{"tuple": [True],
+                                                        "value": [0, 0, 1]}]}),
+    ("kuranishi", "cocycle", {"degree": 1, "entries": [{"tuple": [2], "value": [0, 0, 1]},
+                                                       {"tuple": [2], "value": [0, 0, 1]}]}),
+    ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1}]}),
+    ("check-lie", "algebra", {"dim": 3, "brackets": _SL2_BRACKETS + _SL2_BRACKETS[:1]}),
+    ("check-mcybe", "map", {"rows": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
 ], ids=["matrix-row-strings", "bracket-value-string", "basis-string", "dim-true",
         "bracket-index-bools", "cochain-tuple-string", "cochain-degree-string",
-        "cochain-matrix-int", "basis-ints", "basis-null"])
+        "cochain-matrix-int", "basis-ints", "basis-null", "matrix-entry-decimal-string",
+        "cochain-no-degree", "cochain-entry-no-value", "cochain-tuple-bool",
+        "cochain-duplicate-entry", "bracket-no-value", "bracket-duplicate-entry",
+        "map-no-matrix"])
 def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, payload):
     algebra, borel = sl2_files
     path = write_json(tmp_path / "malformed.json", payload)
@@ -315,7 +367,8 @@ def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, pa
     assert captured.err.startswith("input error: ") and not captured.out
 
 
-@pytest.mark.parametrize("flag", ["--weight=abc", "--weight=1/0"])
+@pytest.mark.parametrize("flag", ["--weight=abc", "--weight=1/0", "--weight=0.5",
+                                  "--weight=1e3", "--weight=1_000", "--weight= 1/2"])
 def test_bad_rational_flag_exit_2(sl2_files, flag):
     algebra, borel = sl2_files
     assert run(["check", "rota-baxter", "--algebra", str(algebra),

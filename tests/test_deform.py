@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from mcybe import (Cochain, Endo, Matrix, PreconditionError, check_equivalence,
-                   check_linear_deformation, coboundary_preimage,
+                   check_linear_deformation, coboundary_matrix, coboundary_preimage,
                    compatible_bracket_check, d_apply, deformed_complements,
                    induced_bracket, induced_bracket_deformation, nijenhuis_check,
                    nijenhuis_operator_check, nijenhuis_scan, trivial_deformation)
@@ -60,7 +60,7 @@ def test_defect_polynomial_against_sympy(sl2, rng=random.Random(41)):
     t = sympy.Symbol("t")
     for _ in range(4):
         rhat = rand_endo(rng, a)
-        s0, s1, s2 = defect_polynomial(r, rhat)
+        s0, s1, s2 = defect_polynomial(r, rhat, rmatrix.mcybe_defect(r).defect_cochain)
         rt = [[sympy.Rational(r.matrix.entry(i, j)) + t * rhat.matrix.entry(i, j)
                for j in range(3)] for i in range(3)]
 
@@ -97,7 +97,7 @@ def test_validity_iff_defect_polynomial_vanishes(sl2, rng=random.Random(42)):
     for _ in range(12):
         rhat = rand_endo(rng, a)
         dv = check_linear_deformation(r, rhat)
-        _, s1, s2 = defect_polynomial(r, rhat)
+        _, s1, s2 = defect_polynomial(r, rhat, rmatrix.mcybe_defect(r).defect_cochain)
         assert dv.valid == (s1.is_zero() and s2.is_zero())
 
 
@@ -115,6 +115,17 @@ def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
     monkeypatch.setattr(deform, "mcybe_defect", counting)
     assert check_linear_deformation(r, rhat).valid
     assert seen == [r, r + rhat, r - rhat]
+
+
+def test_invalid_deformation_fails_in_the_weight0_term(sl2):
+    # the third Z^2 kernel vector f is a cocycle with [[f, f]] != 0, so S1
+    # vanishes and the failing pair comes from S2
+    a, r = sl2
+    vec = coboundary_matrix(r, 1).matrix.kernel_basis()[2]
+    rhat = Cochain.from_coeff_vector(a, 1, vec).to_endo()
+    dv = check_linear_deformation(r, rhat)
+    assert dv.cocycle_ok and not dv.weight0_ok and not dv.valid
+    assert dv.failing_pair == (0, 2) == min(weight0_defect_cochain(rhat).coeffs)
 
 
 def test_equivalence_reflexive(sl2, rng=random.Random(43)):
@@ -208,10 +219,37 @@ def test_trivial_deformation_affine(affine2):
     assert dv.valid
 
 
-def test_trivial_deformation_rejects_non_nijenhuis(sl2):
+def test_trivial_deformation_rejects_non_nijenhuis(sl2, affine2):
     a, r = sl2
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"\[\[x, f\], \[x, h\]\] != 0"):
         trivial_deformation(r, a.basis_vector(0))
+    # a + n passes eq1 and fails eq2
+    _, raff = affine2
+    with pytest.raises(PreconditionError,
+                       match=r"\[x, \[x, R a\]\] != \[x, R\(\[x, a\]\)\]"):
+        trivial_deformation(raff, (1, 1))
+
+
+def test_trivial_deformation_needs_modified_r_matrix(sl2):
+    a, r = sl2
+    with pytest.raises(PreconditionError, match="needs a modified r-matrix"):
+        trivial_deformation(r.scale(3), a.zero())
+
+
+def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
+    # all three in check_linear_deformation: d x is taken without a check
+    aff, raff = affine2
+    seen = []
+    real = rmatrix.mcybe_defect
+
+    def counting(R):
+        seen.append(R)
+        return real(R)
+    monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
+    monkeypatch.setattr(deform, "mcybe_defect", counting)
+    rhat, dv = trivial_deformation(raff, aff.basis_vector(1))
+    assert dv.valid and not rhat.is_zero()
+    assert seen == [raff, raff + rhat, raff - rhat]
 
 
 def test_nijenhuis_operator_identity_and_zero(sl2):

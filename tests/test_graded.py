@@ -1,15 +1,18 @@
 """Graded bracket axioms, Maurer-Cartan characterizations, Kuranishi map."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from mcybe import rmatrix
 from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, cochain,
                    coboundary_matrix, cohomology, d_apply, graded_bracket,
                    is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
                    mc_deformation_check, mcybe_defect, pi_cochain,
                    satisfies_mc_modified)
-from mcybe.graded import as_graded, d_graded
+from mcybe.graded import as_graded, d_graded, shuffles_three, shuffles_two
 from mcybe.liealg import vadd, vsub
 
 from conftest import rand_cochain, rand_endo
@@ -32,6 +35,30 @@ def explicit_bracket_endos(a, f, g):
             if any(val):
                 coeffs[(i, j)] = val
     return Cochain(a, 2, coeffs)
+
+
+def inversion_sign(seq):
+    """Oracle: the sign of seq as a permutation, by counting its inversions."""
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_shuffle_signs_match_inversion_count():
+    for total in range(7):
+        for p in range(total + 1):
+            shuffles = list(shuffles_two(total, p))
+            assert len(shuffles) == comb(total, p)
+            for first, second, sign in shuffles:
+                assert sorted(first + second) == list(range(total))
+                assert list(second) == sorted(second)
+                assert sign == inversion_sign(first + second)
+        for a in range(total):
+            shuffles = list(shuffles_three(total, a, total - a - 1))
+            assert len(shuffles) == comb(total, a) * (total - a)
+            for first, mid, last, sign in shuffles:
+                assert sorted(first + (mid,) + last) == list(range(total))
+                assert list(first) == sorted(first) and list(last) == sorted(last)
+                assert sign == inversion_sign(first + (mid,) + last)
 
 
 def test_arity_one_bracket_against_expansion(sl2, sl3, rng=random.Random(31)):
@@ -193,6 +220,32 @@ def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
     monkeypatch.setattr(cochain, "coboundary_matrix", counted)
     assert kuranishi(r, f).is_cocycle
     assert arities == [1]
+
+
+def test_kuranishi_evaluates_three_defects(sl3, monkeypatch):
+    # S(R) once in each is_cocycle and once in coboundary_preimage;
+    # kuranishi checks nothing of its own
+    a, r = sl3
+    f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
+    seen = []
+    real = rmatrix.mcybe_defect
+
+    def counting(R):
+        seen.append(R)
+        return real(R)
+    monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
+    assert kuranishi(r, f).is_cocycle
+    assert seen == [r, r, r]
+
+
+def test_kuranishi_needs_modified_r_matrix(sl2):
+    a, r = sl2
+    with pytest.raises(PreconditionError, match=r"needs a modified r-matrix, "
+                                                r"but S\(R\)\(e, f\) = \(0, 0, -8\)"):
+        kuranishi(r.scale(3), Cochain.zero(a, 1))
+    # a malformed f is an input error before R is checked
+    with pytest.raises(InputError):
+        kuranishi(r.scale(3), Cochain.zero(a, 2))
 
 
 def test_kuranishi_zero_cochain(sl2):

@@ -139,10 +139,15 @@ def test_rational_json_roundtrip():
     for v in (3, -7, Fraction(2, 3), Fraction(-9, 4), 0):
         assert rational_from_json(rational_to_json(v)) == v
     assert rational_to_json(Fraction(4, 2)) == 2
-    with pytest.raises(InputError):
-        rational_from_json("not-a-number")
-    with pytest.raises(InputError):
-        rational_from_json(0.5)
+    # a string is an optional minus, ASCII digits, then optionally a slash
+    # and ASCII digits
+    for text, value in {"1": 1, "-3": -3, "1/2": Fraction(1, 2), "-1/2": Fraction(-1, 2),
+                        "2/4": Fraction(1, 2), "4/2": 2}.items():
+        assert rational_from_json(text) == value
+    for bad in ("not-a-number", 0.5, "0.5", "0.0", "1e3", "1_000", " 1/2", "1/2 ",
+                "1/2\n", "+1", "1/-2", "1/", "/2", "", "\u0661", "1/0"):
+        with pytest.raises(InputError):
+            rational_from_json(bad)
 
 
 def test_entry_normalization():
