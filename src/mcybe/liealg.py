@@ -7,9 +7,10 @@ construction unless explicitly deferred.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InputError
-from .linalg import (Matrix, Rational, _exact, json_array, ratio, rational_str,
+from .linalg import (Matrix, Rational, _exact, _nonzero, json_array, ratio, rational_str,
                      rational_to_json, rationals_from_json)
 
 Vector = tuple  # tuple of Rational, length = algebra dimension
@@ -78,6 +79,9 @@ class LieAlgebra:
         basis_names = [str(s) for s in basis_names]
         if len(basis_names) != dim:
             raise InputError(f"{len(basis_names)} basis names for dimension {dim}")
+        repeated = next((s for i, s in enumerate(basis_names) if s in basis_names[:i]), None)
+        if repeated is not None:
+            raise InputError(f"repeated basis name {repeated!r}")
         self.basis_names = tuple(basis_names)
         table = {}
         for key, value in structure.items():
@@ -89,7 +93,14 @@ class LieAlgebra:
                 raise InputError(f"structure value for {key} has length {len(vec)}")
             if not is_zero_vector(vec):
                 table[(i, j)] = vec
-        self.structure = table
+        # read-only, so the support table below can never drift from it
+        self.structure = MappingProxyType(table)
+        # _table[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k, both orders
+        self._table = [[()] * dim for _ in range(dim)]
+        for (i, j), vec in table.items():
+            terms = tuple((k, c) for k, c in enumerate(vec) if c)
+            self._table[i][j] = terms
+            self._table[j][i] = tuple((k, -c) for k, c in terms)
         if check:
             jac = self.verify_jacobi()
             if not jac.ok:
@@ -137,15 +148,17 @@ class LieAlgebra:
         return vneg(vec) if vec is not None else self.zero()
 
     def bracket(self, x, y) -> Vector:
-        """Bilinear antisymmetric extension of the structure table."""
+        """Bilinear extension of the structure table over supp(x) x supp(y)."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"bracket arguments must have length {self.dim}")
         acc = [0] * self.dim
-        for (i, j), vec in self.structure.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, v in enumerate(vec):
-                    if v:
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                row = self._table[i]
+                for j, b in ys:
+                    c = a * b
+                    for k, v in row[j]:
                         acc[k] += c * v
         return tuple(_exact(a) for a in acc)
 
@@ -167,9 +180,16 @@ class LieAlgebra:
         return JacobiResult(True)
 
     def ad(self, x) -> "Endo":
-        """Matrix of y -> [x, y] in the chosen basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Endo(Matrix.from_columns(cols, nrows=self.dim), self)
+        """Matrix of y -> [x, y] in the chosen basis: entry (k, j) is sum_i x_i c_ij^k."""
+        if len(x) != self.dim:
+            raise InputError(f"vector length {len(x)} != dim {self.dim}")
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        rows = [{} for _ in range(self.dim)]
+        for j in range(self.dim):
+            for i, a in xs:
+                for k, v in self._table[i][j]:
+                    rows[k][j] = rows[k].get(j, 0) + a * v
+        return Endo(Matrix.from_sparse([_nonzero(r) for r in rows], self.dim), self)
 
     # -- JSON ---------------------------------------------------------
 
@@ -311,13 +331,15 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
 # -- the operator-identity kernel ---------------------------------------
 
 def _mixed_terms(a: LieAlgebra, P: Endo):
-    """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) for basis pairs i < j, lex order."""
-    basis = a.basis()
-    images = [P.apply(e) for e in basis]
-    for i, (ei, pi) in enumerate(zip(basis, images)):
+    """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) for basis pairs i < j, lex order.
+
+    [Pe_i, e_j] is column j of ad(Pe_i), and [e_i, Pe_j] = -[Pe_j, e_i].
+    """
+    images = [P.apply(e) for e in a.basis()]
+    ad_cols = [a.ad(p).matrix.transpose() for p in images]    # row j = column j
+    for i, pi in enumerate(images):
         for j in range(i + 1, a.dim):
-            pj = images[j]
-            yield i, j, pi, pj, vadd(a.bracket(pi, basis[j]), a.bracket(ei, pj))
+            yield i, j, pi, images[j], vsub(ad_cols[i].row(j), ad_cols[j].row(i))
 
 
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):

@@ -347,12 +347,13 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
     ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1}]}),
     ("check-lie", "algebra", {"dim": 3, "brackets": _SL2_BRACKETS + _SL2_BRACKETS[:1]}),
     ("check-mcybe", "map", {"rows": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
+    ("check-lie", "algebra", {"dim": 3, "basis": ["e", "e", "h"], "brackets": _SL2_BRACKETS}),
 ], ids=["matrix-row-strings", "bracket-value-string", "basis-string", "dim-true",
         "bracket-index-bools", "cochain-tuple-string", "cochain-degree-string",
         "cochain-matrix-int", "basis-ints", "basis-null", "matrix-entry-decimal-string",
         "cochain-no-degree", "cochain-entry-no-value", "cochain-tuple-bool",
         "cochain-duplicate-entry", "bracket-no-value", "bracket-duplicate-entry",
-        "map-no-matrix"])
+        "map-no-matrix", "basis-dup"])
 def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, payload):
     algebra, borel = sl2_files
     path = write_json(tmp_path / "malformed.json", payload)
@@ -365,6 +366,18 @@ def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, pa
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and not captured.out
+
+
+def test_doubled_basis_name_collision_exit_2(tmp_path, capsys):
+    # the double names its basis s|0 and 0|s, so 0|a and a|0 both give 0|a|0
+    algebra = write_json(tmp_path / "ab.json", {"dim": 2, "basis": ["0|a", "a|0"],
+                                                "brackets": []})
+    ident = write_json(tmp_path / "id.json", {"matrix": [[1, 0], [0, 1]]})
+    for what in ("graph", "complement"):
+        assert run(["double", what, "--algebra", algebra, "--map", ident]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: repeated basis name '0|a|0'\n"
+        assert not captured.out
 
 
 @pytest.mark.parametrize("flag", ["--weight=abc", "--weight=1/0", "--weight=0.5",

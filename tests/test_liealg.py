@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog
-from mcybe.liealg import subspace_closure
+from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog, rho
+from mcybe.doubling import build_double
+from mcybe.liealg import induced_bracket_table, subspace_closure
+from mcybe.linalg import _exact
 
-from conftest import rand_vector
+from conftest import rand_rational, rand_vector
 
 
 def test_sl2_classic_brackets(sl2):
@@ -153,4 +155,99 @@ def test_vector_length_guard(sl2):
     with pytest.raises(InputError):
         a.bracket((1, 0), (0, 1, 0))
     with pytest.raises(InputError):
+        a.ad((1, 0))
+    with pytest.raises(InputError):
+        a.ad((1, 0, 0, 0))
+    with pytest.raises(InputError):
         Endo(Matrix.identity(2), a)
+
+
+def test_structure_is_read_only(sl2):
+    a, _ = sl2
+    with pytest.raises(TypeError):
+        a.structure[(0, 1)] = (0, 0, 2)
+    with pytest.raises(TypeError):
+        del a.structure[(0, 1)]
+    assert a.bracket(a.basis_vector(0), a.basis_vector(1)) == (0, 0, 1)
+
+
+def test_repeated_basis_names_rejected():
+    with pytest.raises(InputError, match="repeated basis name 'a'"):
+        LieAlgebra(3, {}, basis_names=["a", "b", "a"])
+    with pytest.raises(InputError, match="repeated basis name 'e'"):
+        LieAlgebra.from_json_dict({"dim": 2, "basis": ["e", "e"], "brackets": []})
+
+
+# -- the support-indexed structure table against the all-pairs loop ----
+
+def _oracle_bracket(a, x, y):
+    """[x, y] summed over every stored pair i < j, as a dense loop."""
+    acc = [0] * a.dim
+    for (i, j), vec in a.structure.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in enumerate(vec):
+                if v:
+                    acc[k] += c * v
+    return tuple(_exact(c) for c in acc)
+
+
+def _oracle_ad(a, x):
+    return Matrix.from_columns([_oracle_bracket(a, x, e) for e in a.basis()], nrows=a.dim)
+
+
+def _kernel_vectors(rng, n):
+    """Zero, sparse and dense vectors, with int and Fraction entries."""
+    out = [(0,) * n]
+    for entry in (lambda: rng.randint(-3, 3), lambda: rand_rational(rng)):
+        for size in (1, 2, n):
+            support = set(rng.sample(range(n), min(size, n)))
+            out.append(tuple(entry() if k in support else 0 for k in range(n)))
+    return out
+
+
+def _same_exact(u, v):
+    """Equal values and equal types (int versus Fraction) entry by entry."""
+    return tuple(u) == tuple(v) and [type(c) for c in u] == [type(c) for c in v]
+
+
+@pytest.fixture(params=["sl2", "sl3", "sl4", "affine2", "abelian3", "double-sl2"])
+def kernel_algebra(request):
+    if request.param == "double-sl2":
+        return build_double(request.getfixturevalue("sl2")[0]).algebra
+    return request.getfixturevalue(request.param)[0]
+
+
+def test_bracket_matches_all_pairs_oracle(kernel_algebra):
+    a = kernel_algebra
+    vecs = _kernel_vectors(random.Random(a.dim), a.dim) + a.basis()
+    for x in vecs:
+        for y in vecs:
+            assert _same_exact(a.bracket(x, y), _oracle_bracket(a, x, y)), (x, y)
+
+
+def test_ad_matches_all_pairs_oracle(kernel_algebra):
+    a = kernel_algebra
+    for x in _kernel_vectors(random.Random(a.dim + 1), a.dim) + a.basis():
+        got, want = a.ad(x).matrix, _oracle_ad(a, x)
+        assert got == want, x
+        for i in range(a.dim):
+            assert _same_exact(got.row(i), want.row(i)), (x, i)
+
+
+def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
+    a, r = sl3
+    brackets, ads = [], []
+    real_bracket, real_ad = LieAlgebra.bracket, LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "bracket",
+                        lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
+    monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: ads.append(x) or real_ad(self, x))
+    x = tuple(range(a.dim))
+    a.ad(x)
+    for e in a.basis() + [x]:
+        rho(r, e)
+    assert brackets == []
+    # the mixed terms [Pe_i, e_j] + [e_i, Pe_j] read n columns of ad, no bracket
+    ads.clear()
+    induced_bracket_table(r)
+    assert brackets == [] and len(ads) == a.dim
