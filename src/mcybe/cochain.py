@@ -4,15 +4,16 @@ Indexing convention, printed in every report: a cochain of arity k is an
 alternating map wedge^k g -> g and sits in cohomological degree k + 1.
 The complex has C^0 = 0 and C^1 = g, so B^1 = 0 by convention.
 
-Two flavors of coboundary are assembled from one shared sign routine:
-the R-complex of a modified r-matrix, built from
+Both flavors of coboundary come from one operator side.  The R-complex
+of a modified r-matrix R is built from
 
     lambda_u(v) = [Ru, v] - R([u, v])        (single-argument terms, rho(R, u))
     mu(u, w)    = [Ru, w] + [u, Rw]          (pair terms, the bracket [.,.]_R)
 
-and the B-complex of a weight-1 Rota-Baxter operator, built from the same
-shapes with B in place of R and [u, w] added to the pair term.  The
-R-complex matrix is exactly twice the B-complex matrix when R = Id + 2B.
+and the B-complex of a weight-1 Rota-Baxter operator B is half the
+R-complex of Id + 2B (its terms put B for R and add [u, w] to mu).  It is
+built as that and halved at the end, which keeps lambda and mu integral for
+B = (R - Id)/2 with R integral; B + Id/2 would put fractions into every mu.
 """
 
 from bisect import bisect_left
@@ -273,19 +274,6 @@ def pi_cochain(algebra: LieAlgebra) -> Cochain:
 # -- coboundary operators ----------------------------------------------------
 
 
-def _pair_brackets(P: Endo, flavor):
-    """mu(a, b) = [Pa, b] + [a, Pb], plus [a, b] in the B-complex.
-
-    By linearity the B-complex term is half the induced table of
-    Id + 2P, which keeps the brackets integral for B = (R - Id)/2 with R
-    integral; P + Id/2 would put fractions into every one of them.
-    """
-    if flavor == FLAVOR_R:
-        return induced_bracket_table(P)
-    doubled = induced_bracket_table(Endo.identity(P.algebra) + P.scale(2))
-    return {key: tuple(ratio(Fraction(x, 2)) for x in w) for key, w in doubled.items()}
-
-
 def _check_flavor_axiom(P: Endo, flavor):
     from . import rmatrix   # here, not at the top: rmatrix imports this module
     if flavor == FLAVOR_R:
@@ -298,6 +286,43 @@ def _check_flavor_axiom(P: Endo, flavor):
             raise PreconditionError(
                 f"the B-complex coboundary needs a weight-1 Rota-Baxter operator; "
                 f"axiom fails on ({names[i]}, {names[j]})")
+
+
+def _half(x):
+    """x / 2 exactly, making no Fraction for an even int."""
+    if type(x) is int:
+        return Fraction(x, 2) if x & 1 else x >> 1
+    return _exact(x / 2)
+
+
+def _operator_side(P: Endo, flavor, k, check):
+    """(flavor, lambdas, mus, halve) of the coboundary on arity-k cochains.
+
+    R is P, or Id + 2P with halve set in the B-complex; lambdas[u] is
+    rho(R, e_u) and mus the induced_bracket_table(R), empty at k = 0."""
+    flavor = _canon_flavor(flavor)
+    n = P.algebra.dim
+    if not 0 <= k <= n:
+        raise InputError(f"arity k={k} out of range 0..{n}")
+    if check:
+        _check_flavor_axiom(P, flavor)
+    halve = flavor == FLAVOR_B
+    R = Endo.identity(P.algebra) + P.scale(2) if halve else P
+    lambdas = [rho(R, e) for e in P.algebra.basis()]
+    return flavor, lambdas, induced_bracket_table(R) if k else {}, halve
+
+
+def _terms(n, k, mus):
+    """(T, singles, pairs) for each sorted (k+1)-tuple T, in order: the terms
+    sign * lambda_u(f(e_S)) of (d f)(e_T) as (sign, u, S), and its terms
+    sign * f(mu(e_u, e_w), e_S) with mu(e_u, e_w) nonzero as (sign, mu, S)."""
+    for T in basis_tuples(n, k + 1):
+        singles = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
+                   for pos in range(k + 1)]
+        pairs = [(-1 if (p1 + p2) % 2 else 1, w, T[:p1] + T[p1 + 1:p2] + T[p2 + 1:])
+                 for p1, p2 in combinations(range(k + 1), 2)
+                 if (w := mus.get((T[p1], T[p2]))) is not None]
+        yield T, singles, pairs
 
 
 @dataclass
@@ -320,96 +345,59 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     Rows are assembled as sparse dicts, block by block of n rows per
     (k+1)-tuple; no dense rows x cols table is built.
     """
-    flavor = _canon_flavor(flavor)
-    a = P.algebra
-    n = a.dim
-    if not 0 <= k <= n:
-        raise InputError(f"arity k={k} out of range 0..{n}")
-    if check:
-        _check_flavor_axiom(P, flavor)
-
+    flavor, lambdas, mus, halve = _operator_side(P, flavor, k, check)
+    n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    lambdas = [[m.nonzeros(i).items() for i in range(n)]
-               for m in (rho(P, e).matrix for e in a.basis())]
-    mus = _pair_brackets(P, flavor) if k else {}    # no pair terms at k = 0
+    lrows = [[lam.matrix.nonzeros(i).items() for i in range(n)] for lam in lambdas]
+    exact = _half if halve else ratio
 
     rows = []
-    for T in basis_tuples(n, k + 1):
+    for _, singles, pairs in _terms(n, k, mus):
         block = [{} for _ in range(n)]
-        for pos in range(k + 1):
-            sgn = -1 if pos % 2 else 1
-            base = col_base[T[:pos] + T[pos + 1:]]
-            for out, lrow in zip(block, lambdas[T[pos]]):
+        for sgn, u, sub in singles:
+            base = col_base[sub]
+            for out, lrow in zip(block, lrows[u]):
                 for c, v in lrow:
                     out[base + c] = out.get(base + c, 0) + sgn * v
-        for p1 in range(k + 1):
-            for p2 in range(p1 + 1, k + 1):
-                w = mus.get((T[p1], T[p2]))
-                if w is None:
+        for sgn, w, rest in pairs:
+            for s, ws in enumerate(w):
+                if not ws:
                     continue
-                sgn2 = -1 if (p1 + p2) % 2 else 1
-                rest = tuple(t for idx, t in enumerate(T) if idx not in (p1, p2))
-                for s, ws in enumerate(w):
-                    if not ws:
-                        continue
-                    ins = insert_sorted(rest, s)
-                    if ins is None:
-                        continue
-                    isgn, key = ins
-                    base = col_base[key]
-                    coeff = sgn2 * isgn * ws
-                    for m, out in enumerate(block):
-                        out[base + m] = out.get(base + m, 0) + coeff
-        rows.extend({j: ratio(x) for j, x in out.items() if x} for out in block)
+                ins = insert_sorted(rest, s)
+                if ins is None:
+                    continue
+                isgn, key = ins
+                base = col_base[key]
+                coeff = sgn * isgn * ws
+                for m, out in enumerate(block):
+                    out[base + m] = out.get(base + m, 0) + coeff
+        rows.extend({j: exact(x) for j, x in out.items() if x} for out in block)
     return CoboundaryMatrix(k + 1, k + 2, Matrix.from_sparse(rows, len(col_base) * n),
                             flavor)
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     """Apply the coboundary to a single cochain without assembling the matrix."""
-    flavor = _canon_flavor(flavor)
-    a = P.algebra
-    n = a.dim
-    k = f.arity
-    if check:
-        _check_flavor_axiom(P, flavor)
-
-    lambdas = [rho(P, e) for e in a.basis()]
-    mus = _pair_brackets(P, flavor) if k else {}    # no pair terms at k = 0
-
+    _, lambdas, mus, halve = _operator_side(P, flavor, f.arity, check)
+    n = P.algebra.dim
     coeffs = {}
-    for T in basis_tuples(n, k + 1):
-        acc = None
-        for pos in range(k + 1):
-            sub = T[:pos] + T[pos + 1:]
+    for T, singles, pairs in _terms(n, f.arity, mus):
+        acc = [0] * n
+        for sgn, u, sub in singles:
             fv = f.coeffs.get(sub)
-            if fv is None:
-                continue
-            term = lambdas[T[pos]].apply(fv)
-            if pos % 2:
-                term = tuple(-x for x in term)
-            acc = term if acc is None else vadd(acc, term)
-        for p1 in range(k + 1):
-            for p2 in range(p1 + 1, k + 1):
-                w = mus.get((T[p1], T[p2]))
-                if w is None:
-                    continue
-                rest = tuple(t for idx, t in enumerate(T) if idx not in (p1, p2))
-                term = f.eval_insert(w, rest)
-                if is_zero_vector(term):
-                    continue
-                if (p1 + p2) % 2:
-                    term = tuple(-x for x in term)
-                acc = term if acc is None else vadd(acc, term)
-        if acc is not None and not is_zero_vector(acc):
-            coeffs[T] = acc
-    return Cochain(a, k + 1, coeffs)
+            if fv is not None:
+                for m, x in enumerate(lambdas[u].apply(fv)):
+                    acc[m] += sgn * x
+        for sgn, w, rest in pairs:
+            for m, x in enumerate(f.eval_insert(w, rest)):
+                acc[m] += sgn * x
+        if any(acc):
+            coeffs[T] = [_half(x) for x in acc] if halve else acc
+    return Cochain(P.algebra, f.arity + 1, coeffs)
 
 
 def is_cocycle(P: Endo, f: Cochain, flavor="R") -> bool:
     """d f = 0, by d_apply on f alone: no coboundary matrix is assembled."""
-    if f.arity > P.algebra.dim:     # as coboundary_matrix would refuse it
-        raise InputError(f"arity k={f.arity} out of range 0..{P.algebra.dim}")
     return d_apply(P, f, flavor=flavor).is_zero()
 
 

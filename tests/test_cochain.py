@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,7 +15,7 @@ from mcybe import (Cochain, Endo, InputError, PreconditionError, catalog, cochai
                    coboundary_matrix, coboundary_preimage, cohomology, d_apply,
                    is_cocycle, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
-from mcybe.liealg import vadd, vscale
+from mcybe.liealg import vadd, vscale, vsub
 
 from conftest import conjugate, nilpotent_exp, rand_cochain, rand_endo, rand_vector
 
@@ -143,6 +144,49 @@ def test_scaling_relation_r_equals_2b(sl2, sl3, abelian3):
             mr = coboundary_matrix(r, k, check=False).matrix
             mb = coboundary_matrix(b, k, flavor="B", check=False).matrix
             assert mr == mb.scale(2)
+
+
+# -- the B-complex against its own lambda^B and mu^B ------------------------
+
+def _oracle_d_b(B, f):
+    """d_B f from lambda^B_u = [Bu, .] - B[u, .] and mu^B(x, y) = [Bx, y] +
+    [x, By] + [x, y], evaluated on basis tuples with f extended by minors."""
+    a = B.algebra
+    k = f.arity
+    coeffs = {}
+    for T in basis_tuples(a.dim, k + 1):
+        e = [a.basis_vector(t) for t in T]
+        acc = a.zero()
+        for i in range(k + 1):
+            v = f.eval(e[:i] + e[i + 1:])
+            term = vsub(a.bracket(B.apply(e[i]), v), B.apply(a.bracket(e[i], v)))
+            acc = vadd(acc, vscale((-1) ** i, term))
+        for i, j in combinations(range(k + 1), 2):
+            x, y = e[i], e[j]
+            mu = vadd(vadd(a.bracket(B.apply(x), y), a.bracket(x, B.apply(y))),
+                      a.bracket(x, y))
+            rest = [v for m, v in enumerate(e) if m not in (i, j)]
+            acc = vadd(acc, vscale((-1) ** (i + j), f.eval([mu] + rest)))
+        coeffs[T] = acc
+    return Cochain(a, k + 1, coeffs)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "affine2"])
+def test_b_complex_matches_direct_oracle(name, request, rng=random.Random(32)):
+    # both routes build the B-complex as half the R-complex of Id + 2B; the
+    # oracle never forms Id + 2B
+    a, r = request.getfixturevalue(name)
+    b = rb_from_r(r)
+    nonzero = 0
+    for k in (0, 1, 2):
+        cb = coboundary_matrix(b, k, flavor="B")
+        for c in (1, Fraction(2, 3), 1, Fraction(-1, 5)):
+            f = rand_cochain(rng, a, k).scale(c)
+            want = _oracle_d_b(b, f)
+            assert d_apply(b, f, flavor="B") == want
+            assert list(cb.matrix.apply(f.to_coeff_vector())) == want.to_coeff_vector()
+            nonzero += not want.is_zero()
+    assert nonzero >= 6
 
 
 def test_coboundary_requires_valid_operator(sl2):
@@ -285,6 +329,15 @@ def test_is_cocycle_rejects_arity_above_dim(sl2):
     assert is_cocycle(r, Cochain.zero(a, a.dim))       # d lands in C^(dim+2) = 0
     with pytest.raises(InputError, match="out of range"):
         is_cocycle(r, Cochain.zero(a, a.dim + 1))
+
+
+def test_d_apply_rejects_arity_above_dim(sl2):
+    # the same arity rule as coboundary_matrix and is_cocycle
+    a, r = sl2
+    assert d_apply(r, Cochain.zero(a, a.dim)).is_zero()
+    for flavor, op in (("R", r), ("B", rb_from_r(r))):
+        with pytest.raises(InputError, match=r"arity k=4 out of range 0\.\.3"):
+            d_apply(op, Cochain.zero(a, a.dim + 1), flavor=flavor)
 
 
 def test_r_as_two_cochain_is_not_closed(sl2):

@@ -3,14 +3,19 @@
 The Euler characteristic of a finite complex equals that of its
 cohomology; cohomology dimensions do not change when the operator is
 moved by a Lie algebra automorphism (an inner one, exp(ad x), or a Weyl
-group element permuting the root vectors).  Each check runs in both
-flavors, on full complexes or on sl(3) up to degree 3, and the sl(4)
-frontier up to degree 3 is pinned on the Borel operator and a conjugate.
+group element permuting the root vectors).  Nor do they change under a
+change of basis that is no automorphism: rescaling the basis by a
+diagonal D moves the structure constants to s_i s_j c_ij^k / s_k and the
+operator to D^-1 P D together.  Each check runs in both flavors, on full
+complexes or on sl(3) up to degree 3, and the sl(4) frontier up to
+degree 3 is pinned on the Borel operator and a conjugate.
 """
+
+from fractions import Fraction
 
 import pytest
 
-from mcybe import Endo, Matrix, catalog, cohomology, rb_from_r
+from mcybe import Endo, LieAlgebra, Matrix, catalog, cohomology, rb_from_r
 
 from conftest import conjugate, nilpotent_exp
 
@@ -86,6 +91,34 @@ def test_sl3_dims_invariant_under_automorphisms(flavor):
         moved = conjugate(A, R)
         assert moved != R
         assert dims(flavored(moved, flavor), 3, flavor)[0] == expected
+
+
+def rescaled(algebra, P, s):
+    """The algebra and P written in the basis e'_i = s_i e_i.
+
+    [e'_i, e'_j] = sum_k s_i s_j c_ij^k / s_k e'_k and P' = D^-1 P D with
+    D = diag(s); Jacobi is verified again on the new constants.
+    """
+    structure = {(i, j): tuple(s[i] * s[j] * c / s[k] for k, c in enumerate(vec))
+                 for (i, j), vec in algebra.structure.items()}
+    moved = LieAlgebra(algebra.dim, structure, basis_names=algebra.basis_names)
+    D, D_inv = Matrix.diagonal(s), Matrix.diagonal([1 / x for x in s])
+    return moved, Endo(D_inv @ P.matrix @ D, moved)
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_sl3_dims_invariant_under_basis_rescaling(flavor):
+    algebra, R = catalog("sl-borel", 3)
+    s = [Fraction(i + 2, 2 if i % 2 else 1) for i in range(algebra.dim)]  # 2, 3/2, 4, 5/2, ...
+    x = [0] * algebra.dim
+    x[0], x[1], x[2] = 1, 2, -1                 # E12 + 2 E13 - E23
+    conjugated = conjugate(nilpotent_exp(algebra, tuple(x)), R)
+    for P, max_degree in ((R, 3), (conjugated, 2)):
+        moved_algebra, moved = rescaled(algebra, P, s)
+        assert moved_algebra.structure != algebra.structure
+        expected, _ = dims(flavored(P, flavor), max_degree, flavor)
+        assert expected == SL3_FULL[:max_degree]
+        assert dims(flavored(moved, flavor), max_degree, flavor)[0] == expected
 
 
 @pytest.mark.parametrize("flavor", ["R", "B"])
