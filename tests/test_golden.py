@@ -3,7 +3,7 @@
 golden_digests.json pins the bytes of every subcommand's ``--json`` report
 on sl(2) and sl(3) with the Borel operator R, and of failing runs whose
 witnesses come from the MCYBE, Rota-Baxter, Nijenhuis and induced-bracket
-checks.  Each case runs once more without ``--json`` (its name ends in
+checks, and of an algebra that fails the Jacobi identity.  Each case runs once more without ``--json`` (its name ends in
 ``-text``), so the order and wording of the text report lines are pinned
 too.  All runs share one process.  Inputs are written to one temporary
 directory and named by relative paths, so the input paths inside the
@@ -33,6 +33,15 @@ def _vector(dim, entries):
     return [entries.get(k, 0) for k in range(dim)]
 
 
+def _broken_algebra(algebra, n):
+    """sl(n) with [e_0, H_1] = -3 e_0 in place of -2 e_0: [h, e] = 3e on sl(2)."""
+    data = algebra.to_json_dict()
+    entry = next(e for e in data["brackets"] if (e["i"], e["j"]) == (0, n * (n - 1)))
+    assert entry["value"] == _vector(algebra.dim, {0: -2})
+    entry["value"] = _vector(algebra.dim, {0: -3})
+    return data
+
+
 def _input_files(n):
     """{file name: payload} for the sl(n) cases."""
     algebra, R = catalog("sl-borel", n)
@@ -42,6 +51,7 @@ def _input_files(n):
     p = f"sl{n}"
     files = {
         f"{p}.json": algebra.to_json_dict(),
+        f"{p}-broken.json": _broken_algebra(algebra, n),
         f"{p}-R.json": R.to_json_dict(),
         f"{p}-3R.json": R.scale(3).to_json_dict(),
         f"{p}-neg2R.json": R.scale(-2).to_json_dict(),
@@ -70,6 +80,9 @@ def _cases():
 
         cases[f"{p}-catalog"] = ["catalog", "sl", "--n", str(n)]
         cases[f"{p}-check-lie"] = ["check", "lie", *alg]
+        cases[f"{p}-check-lie-broken"] = ["check", "lie", "--algebra", f"{p}-broken.json"]
+        cases[f"{p}-check-mcybe-broken"] = ["check", "mcybe", "--algebra", f"{p}-broken.json",
+                                            "--map", f"{p}-R.json"]
         cases[f"{p}-graded-bracket-RR"] = ["graded-bracket", *alg, "--left",
                                            f"{p}-R.json", "--right", f"{p}-R.json"]
         cases[f"{p}-graded-bracket-ff"] = ["graded-bracket", *alg, "--left",
