@@ -118,7 +118,7 @@ class Cochain:
             raise InputError(f"arity-{self.arity} cochain is not an endomorphism")
         n = self.algebra.dim
         cols = [self.coeffs.get((j,), vzero(n)) for j in range(n)]
-        return Endo(Matrix.from_columns(cols, nrows=n), self.algebra)
+        return Endo(Matrix.from_columns(cols), self.algebra)
 
     # -- basic structure -------------------------------------------------
 

@@ -115,6 +115,7 @@ def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdic
     Both defining conditions are polynomial identities in t and are checked
     coefficient by coefficient.
     """
+    require_modified(R, "check_equivalence")
     a = R.algebra
     x = tuple(x)
     if len(x) != a.dim:
@@ -165,18 +166,14 @@ def nijenhuis_check(R: Endo, x) -> NijenhuisVerdict:
                             eq1_witness, eq2_witness)
 
 
-def nijenhuis_scan(R: Endo, candidates=None):
-    """Check a family of candidate elements; a heuristic search, not a
-    classification (the defining equations are quadratic in x).
-
-    Default candidates: all basis vectors, then all pairwise sums e_i + e_j.
+def nijenhuis_scan(R: Endo):
+    """Check all basis vectors, then all pairwise sums e_i + e_j; a heuristic
+    search, not a classification (the defining equations are quadratic in x).
     """
     a = R.algebra
-    if candidates is None:
-        candidates = a.basis()
-        candidates += [vadd(a.basis_vector(i), a.basis_vector(j))
-                       for i in range(a.dim) for j in range(i + 1, a.dim)]
-    return [(tuple(x), nijenhuis_check(R, x)) for x in candidates]
+    basis = a.basis()
+    candidates = basis + [vadd(basis[i], basis[j]) for i, j in combinations(range(a.dim), 2)]
+    return [(x, nijenhuis_check(R, x)) for x in candidates]
 
 
 def trivial_deformation(R: Endo, x):

@@ -117,8 +117,7 @@ def complement_certificate(R: Endo) -> ComplementReport:
     double = build_double(R.algebra)
     n = R.algebra.dim
     gbasis = graph_basis(R)
-    stacked = Matrix.from_columns(list(double.diagonal_basis) + list(gbasis),
-                                  nrows=2 * n)
+    stacked = Matrix.from_columns(list(double.diagonal_basis) + list(gbasis))
     rank = stacked.rank()
     graph_ok, _ = subspace_closure(double.algebra, gbasis)
     intersection = 2 * n - rank

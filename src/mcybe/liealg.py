@@ -1,12 +1,18 @@
 """Lie algebras over Q by structure constants, plus endomorphisms of them.
 
-A LieAlgebra stores only the brackets [e_i, e_j] for i < j; antisymmetry
+A LieAlgebra is given only the brackets [e_i, e_j] for i < j; antisymmetry
 and vanishing diagonal brackets are structural, so inconsistent tables
 cannot be represented.  The Jacobi identity is verified eagerly on
 construction unless explicitly deferred.
+
+Every bracket, the Jacobi check included, is read off the structure table
+_table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders.  The read-only
+mapping structure keeps the validated input for equality, is_abelian, JSON,
+pi_cochain and build_double.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import InputError
@@ -139,13 +145,13 @@ class LieAlgebra:
     # -- bracket ------------------------------------------------------
 
     def bracket_basis(self, i, j) -> Vector:
-        """[e_i, e_j]; antisymmetry comes from the i<j storage."""
-        if i == j:
-            return self.zero()
-        if i < j:
-            return self.structure.get((i, j), self.zero())
-        vec = self.structure.get((j, i))
-        return vneg(vec) if vec is not None else self.zero()
+        """[e_i, e_j] as a dense vector."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise InputError(f"basis index pair ({i}, {j}) out of range")
+        vec = [0] * self.dim
+        for k, c in self._table[i][j]:
+            vec[k] = c
+        return tuple(vec)
 
     def bracket(self, x, y) -> Vector:
         """Bilinear extension of the structure table over supp(x) x supp(y)."""
@@ -164,19 +170,16 @@ class LieAlgebra:
 
     def verify_jacobi(self) -> JacobiResult:
         """Check [[e_i,e_j],e_k] + cyclic = 0 on all i<j<k; first violation wins."""
-        n = self.dim
-        for i in range(n):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, n):
-                ej = self.basis_vector(j)
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, n):
-                    ek = self.basis_vector(k)
-                    jac = vadd(vadd(self.bracket(bij, ek),
-                                    self.bracket(self.bracket_basis(j, k), ei)),
-                               self.bracket(self.bracket_basis(k, i), ej))
-                    if not is_zero_vector(jac):
-                        return JacobiResult(False, (i, j, k), jac)
+        table = self._table
+        for i, j, k in combinations(range(self.dim), 3):
+            acc = [0] * self.dim
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                # [[e_p, e_q], e_r]: c v e_m for (l, c) in [e_p, e_q] and (m, v) in [e_l, e_r]
+                for l, c in table[p][q]:
+                    for m, v in table[l][r]:
+                        acc[m] += c * v
+            if any(acc):
+                return JacobiResult(False, (i, j, k), tuple(_exact(a) for a in acc))
         return JacobiResult(True)
 
     def ad(self, x) -> "Endo":
@@ -319,7 +322,7 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
     vecs = [tuple(v) for v in basis_vectors]
     if not vecs:
         return True, None
-    span = Matrix.from_columns(vecs, nrows=algebra.dim)
+    span = Matrix.from_columns(vecs)
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             w = algebra.bracket(vecs[i], vecs[j])

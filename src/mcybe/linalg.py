@@ -252,11 +252,9 @@ class Matrix:
                                len(entries))
 
     @classmethod
-    def from_columns(cls, columns, nrows=None):
+    def from_columns(cls, columns):
         columns = [list(c) for c in columns]
-        if not columns:
-            return cls.zero(nrows or 0, 0)
-        rows = [{} for _ in columns[0]]
+        rows = [{} for _ in (columns[0] if columns else ())]
         for j, col in enumerate(columns):
             if len(col) != len(rows):
                 raise InputError("ragged columns in matrix")

@@ -1,10 +1,13 @@
-"""The names the benchmark's tracer must patch still alias what it traces.
+"""The names the benchmark's tracer must patch still alias what it traces,
+and the benchmark's own jobs still run and pass their checks.
 
 perfbench/spans.py wraps each traced function in its defining module and,
 by object identity, wherever ``from .x import y`` re-binds it; its REBOUND
 lists the re-bound names the benchmark needs patched.  Reading both
 tuples here, unchanged, makes a renamed or wrapped alias fail the suite
-instead of silently dropping its spans from a traced run.
+instead of silently dropping its spans from a traced run.  Likewise
+perfbench/workloads.py is loaded unchanged and its sl(2) jobs run once, so
+a renamed or changed function that the benchmark calls fails the suite.
 """
 
 import importlib
@@ -13,11 +16,12 @@ from pathlib import Path
 
 from mcybe import Cochain, catalog, d_apply, rb_from_r
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +32,7 @@ def _module(name):
 
 
 def test_rebound_names_are_the_traced_originals():
-    spans = _spans()
+    spans = _load("spans")
     traced = {(mod_name, path) for mod_name, path, _, _ in spans.TARGETS}
     for name in spans.REBOUND:
         mod_name, attr = name.split(".")
@@ -45,3 +49,12 @@ def test_d_apply_takes_the_keywords_of_the_benchmark_gate():
         dx = d_apply(P, x, flavor=flavor, check=False)
         assert dx.arity == 1
         assert d_apply(P, dx, flavor=flavor, check=False).is_zero()
+
+
+def test_benchmark_smoke_jobs_pass_their_checks(tmp_path):
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        jobs = workloads.build(workload, 1, True, tmp_path / workload)
+        assert jobs, workload
+        for job in jobs:
+            job.check(job.call())

@@ -180,6 +180,19 @@ def test_deform_subcommands(sl2_files, tmp_path):
                 "--map", str(borel), "--element", "[1, 0, 0]"]) == 1
 
 
+def test_deform_equivalence_refuses_non_modified_r(sl2_files, tmp_path, capsys):
+    algebra, _ = sl2_files
+    three_r = write_json(tmp_path / "3r.json",
+                         {"matrix": [[3, 0, 0], [0, -3, 0], [0, 0, 3]]})
+    zero = write_json(tmp_path / "zero.json", {"matrix": [[0] * 3 for _ in range(3)]})
+    assert run(["deform", "equivalence", "--algebra", str(algebra), "--map", three_r,
+                "--rhat1", zero, "--rhat2", zero, "--element", "[0, 0, 0]"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("check failed: check_equivalence needs a modified r-matrix")
+    assert len(err.splitlines()) == 1
+
+
 def test_nijenhuis_subcommands(sl2_files, capsys):
     algebra, borel = sl2_files
     assert run(["nijenhuis", "check", "--algebra", str(algebra),

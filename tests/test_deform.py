@@ -154,6 +154,13 @@ def test_equivalence_fails_for_non_nijenhuis(sl2):
     assert eq.intertwine_linear_ok           # the linear condition alone holds
 
 
+def test_equivalence_requires_modified_r(sl2):
+    a, r = sl2
+    zero = Endo.zero(a)
+    with pytest.raises(PreconditionError, match="check_equivalence needs a modified r-matrix"):
+        check_equivalence(r.scale(3), zero, zero, a.zero())
+
+
 def test_class_invariance(affine2):
     # equivalent deformations differ by an exact cochain
     aff, raff = affine2
@@ -236,8 +243,9 @@ def test_trivial_deformation_needs_modified_r_matrix(sl2):
         trivial_deformation(r.scale(3), a.zero())
 
 
-def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
-    # all three in check_linear_deformation: d x is taken without a check
+def test_trivial_deformation_evaluates_four_defects(affine2, monkeypatch):
+    # three in check_linear_deformation, then R again in check_equivalence;
+    # d x is taken without a check
     aff, raff = affine2
     seen = []
     real = rmatrix.mcybe_defect
@@ -249,7 +257,7 @@ def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
     monkeypatch.setattr(deform, "mcybe_defect", counting)
     rhat, dv = trivial_deformation(raff, aff.basis_vector(1))
     assert dv.valid and not rhat.is_zero()
-    assert seen == [raff, raff + rhat, raff - rhat]
+    assert seen == [raff, raff + rhat, raff - rhat, raff]
 
 
 def test_nijenhuis_operator_identity_and_zero(sl2):

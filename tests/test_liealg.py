@@ -1,6 +1,7 @@
 """Lie algebra construction, bracket, Jacobi, adjoints, and the catalog."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -160,6 +161,10 @@ def test_vector_length_guard(sl2):
         a.ad((1, 0, 0, 0))
     with pytest.raises(InputError):
         Endo(Matrix.identity(2), a)
+    with pytest.raises(InputError):
+        a.bracket_basis(-1, 0)
+    with pytest.raises(InputError):
+        a.bracket_basis(0, 99)
 
 
 def test_structure_is_read_only(sl2):
@@ -193,7 +198,19 @@ def _oracle_bracket(a, x, y):
 
 
 def _oracle_ad(a, x):
-    return Matrix.from_columns([_oracle_bracket(a, x, e) for e in a.basis()], nrows=a.dim)
+    return Matrix.from_columns([_oracle_bracket(a, x, e) for e in a.basis()])
+
+
+def _oracle_jacobi(a):
+    """(triple, jacobiator) of the first failing i < j < k, or None, by dense brackets."""
+    basis = a.basis()
+    for i, j, k in combinations(range(a.dim), 3):
+        terms = [_oracle_bracket(a, _oracle_bracket(a, basis[p], basis[q]), basis[r])
+                 for p, q, r in ((i, j, k), (j, k, i), (k, i, j))]
+        jac = tuple(_exact(sum(c)) for c in zip(*terms))
+        if any(jac):
+            return (i, j, k), jac
+    return None
 
 
 def _kernel_vectors(rng, n):
@@ -235,18 +252,56 @@ def test_ad_matches_all_pairs_oracle(kernel_algebra):
             assert _same_exact(got.row(i), want.row(i)), (x, i)
 
 
+def _random_table(rng, dim):
+    """A seeded structure table with int or Fraction entries, mostly not Lie."""
+    integral = rng.random() < 0.5
+
+    def entry():
+        return rng.randint(-3, 3) if integral else rand_rational(rng)
+
+    pairs = list(combinations(range(dim), 2))
+    return {pair: tuple(entry() if rng.random() < 0.4 else 0 for _ in range(dim))
+            for pair in rng.sample(pairs, rng.randint(1, len(pairs)))}
+
+
+def _assert_jacobi_matches_oracle(a):
+    got, want = a.verify_jacobi(), _oracle_jacobi(a)
+    assert got.ok == (want is None)
+    if want is not None:
+        assert got.triple == want[0]
+        assert _same_exact(got.value, want[1])
+    return got.ok
+
+
+def test_jacobi_matches_dense_triple_oracle(kernel_algebra):
+    assert _assert_jacobi_matches_oracle(kernel_algebra)
+
+
+def test_jacobi_matches_oracle_on_random_tables():
+    rng = random.Random(11)
+    verdicts = [_assert_jacobi_matches_oracle(
+        LieAlgebra(dim, _random_table(rng, dim), check=False))
+        for dim in (3, 4, 5) for _ in range(60)]
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
 def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
     a, r = sl3
     brackets, ads = [], []
-    real_bracket, real_ad = LieAlgebra.bracket, LieAlgebra.ad
+    real_bracket, real_basis, real_ad = (LieAlgebra.bracket, LieAlgebra.bracket_basis,
+                                         LieAlgebra.ad)
     monkeypatch.setattr(LieAlgebra, "bracket",
                         lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
+    monkeypatch.setattr(LieAlgebra, "bracket_basis",
+                        lambda self, i, j: brackets.append(i) or real_basis(self, i, j))
     monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: ads.append(x) or real_ad(self, x))
     x = tuple(range(a.dim))
     a.ad(x)
     for e in a.basis() + [x]:
         rho(r, e)
     assert brackets == []
+    # the Jacobi check sums structure-table entries
+    assert a.verify_jacobi().ok and brackets == []
     # the mixed terms [Pe_i, e_j] + [e_i, Pe_j] read n columns of ad, no bracket
     ads.clear()
     induced_bracket_table(r)
