@@ -160,29 +160,6 @@ class Cochain:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, args) -> Vector:
-        """Alternating multilinear extension on arbitrary vectors.
-
-        The coefficient of f(e_T) is the minor det(args_i[T_j]).
-        """
-        args = [tuple(x) for x in args]
-        if len(args) != self.arity:
-            raise InputError(f"eval needs {self.arity} arguments, got {len(args)}")
-        n = self.algebra.dim
-        for x in args:
-            if len(x) != n:
-                raise InputError("eval argument has wrong length")
-        if self.arity == 0:
-            return self.get(())
-        acc = [0] * n
-        for tup, vec in self.coeffs.items():
-            minor = Matrix([[x[t] for t in tup] for x in args]).det()
-            if minor:
-                for m, v in enumerate(vec):
-                    if v:
-                        acc[m] += minor * v
-        return tuple(_exact(x) for x in acc)
-
     def eval_insert(self, vec, rest) -> Vector:
         """f(v, e_{rest_1}, ..., e_{rest_(k-1)}) with v expanded over the basis."""
         rest = tuple(rest)
@@ -332,8 +309,6 @@ class CoboundaryMatrix:
     Rows and columns run over pairs (sorted tuple, target index), tuples in
     lexicographic order, target index fastest.
     """
-    from_degree: int
-    to_degree: int
     matrix: Matrix
     flavor: str
 
@@ -372,8 +347,7 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
                 for m, out in enumerate(block):
                     out[base + m] = out.get(base + m, 0) + coeff
         rows.extend({j: exact(x) for j, x in out.items() if x} for out in block)
-    return CoboundaryMatrix(k + 1, k + 2, Matrix.from_sparse(rows, len(col_base) * n),
-                            flavor)
+    return CoboundaryMatrix(Matrix.from_sparse(rows, len(col_base) * n), flavor)
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:

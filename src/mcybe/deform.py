@@ -12,6 +12,10 @@ valid exactly when Rhat is a 2-cocycle (t coefficient) and a weight-0
 Rota-Baxter operator (t^2 coefficient).  S2, the Nijenhuis torsion and the
 deformation omega of the induced bracket all come from the kernel
 liealg.operator_identity and its induced_bracket_table.
+
+Each public entry point checks once that R is a modified r-matrix:
+nijenhuis_scan before all its candidates, not once per candidate, and
+trivial_deformation through check_linear_deformation alone.
 """
 
 from dataclasses import dataclass
@@ -116,6 +120,11 @@ def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdic
     coefficient by coefficient.
     """
     require_modified(R, "check_equivalence")
+    return _equivalence(R, Rhat1, Rhat2, x)
+
+
+def _equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
+    """check_equivalence for an R already known to be a modified r-matrix."""
     a = R.algebra
     x = tuple(x)
     if len(x) != a.dim:
@@ -152,6 +161,12 @@ class NijenhuisVerdict:
 
 
 def nijenhuis_check(R: Endo, x) -> NijenhuisVerdict:
+    require_modified(R, "nijenhuis_check")
+    return _nijenhuis_verdict(R, x)
+
+
+def _nijenhuis_verdict(R: Endo, x) -> NijenhuisVerdict:
+    """The Nijenhuis equations for x, R not checked."""
     a = R.algebra
     x = tuple(x)
     if len(x) != a.dim:
@@ -170,10 +185,11 @@ def nijenhuis_scan(R: Endo):
     """Check all basis vectors, then all pairwise sums e_i + e_j; a heuristic
     search, not a classification (the defining equations are quadratic in x).
     """
+    require_modified(R, "nijenhuis_scan")
     a = R.algebra
     basis = a.basis()
     candidates = basis + [vadd(basis[i], basis[j]) for i, j in combinations(range(a.dim), 2)]
-    return [(x, nijenhuis_check(R, x)) for x in candidates]
+    return [(x, _nijenhuis_verdict(R, x)) for x in candidates]
 
 
 def trivial_deformation(R: Endo, x):
@@ -183,7 +199,7 @@ def trivial_deformation(R: Endo, x):
     equivalence of R + t Rhat with the zero deformation via Id + t ad_x is
     re-verified, both guaranteed by the Nijenhuis equations.
     """
-    verdict = nijenhuis_check(R, x)
+    verdict = _nijenhuis_verdict(R, x)
     if not verdict:
         a = R.algebra
         if not verdict.eq1_ok:
@@ -199,7 +215,7 @@ def trivial_deformation(R: Endo, x):
     rhat = d_apply(R, Cochain.from_vector(R.algebra, tuple(x)), check=False).to_endo()
     dv = check_linear_deformation(R, rhat)
     certify(dv.valid, "trivial deformation failed the validity check")
-    certify(check_equivalence(R, rhat, Endo.zero(R.algebra), x).ok,
+    certify(_equivalence(R, rhat, Endo.zero(R.algebra), x).ok,
             "trivial deformation failed the equivalence certificate")
     return rhat, dv
 

@@ -8,11 +8,12 @@ only nonzeros.
 One routine, eliminate(), is a sparse Gauss-Jordan elimination on rows
 scaled to integers.  Over Q it yields the reduced row echelon form, which
 is canonical, so the pivots, kernel bases and solutions read off it are
-deterministic; rank, pivot_columns, rref, null_space, kernel_basis,
-solve, inverse and det are thin wrappers over it, and a matrix eliminates
-itself at most once.  Run modulo the prime 2^61 - 1, the same routine
-gives rank_mod_p, a lower bound on the rank over Q by other arithmetic,
-with which cochain.cohomology certifies every rank it reports.
+deterministic.  It returns (basis, leads): the kept rows and their leading
+entries.  rank, pivot_columns, null_space, kernel_basis, solve and inverse
+are thin wrappers over it, and a matrix eliminates itself at most once.
+Run modulo the prime 2^61 - 1, the same routine gives rank_mod_p, a lower
+bound on the rank over Q by other arithmetic, with which cochain.cohomology
+certifies every rank it reports.
 """
 
 import re
@@ -97,14 +98,13 @@ def _quotient(x: int, d: int) -> Rational:
 
 
 def _integral(rows):
-    """Each row dict times the lcm of its denominators, and those multipliers."""
-    scaled, mults = [], []
+    """Each row dict times the lcm of its denominators."""
+    scaled = []
     for row in rows:
         mult = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
         scaled.append(row if mult == 1 else
                       {j: x.numerator * (mult // x.denominator) for j, x in row.items()})
-        mults.append(mult)
-    return scaled, mults
+    return scaled
 
 
 def eliminate(rows, modulus=0):
@@ -121,22 +121,18 @@ def eliminate(rows, modulus=0):
     its entries, with a positive lead, and over GF(modulus) it is scaled to
     lead with 1.
 
-    Returns (basis, leads, found).  basis maps each pivot column to the
-    rest of its kept row and leads maps it to the row's entry there, so
+    Returns (basis, leads).  basis maps each pivot column to the rest of
+    its kept row and leads maps it to the row's entry there, so
     {c: 1} | {j: x / leads[c]} for increasing c are the nonzero rows of the
-    reduced row echelon form.  found maps each pivot to the index of the
-    input row that produced it and that row's leading entry at the time,
-    in the scale of the input: the factors of a determinant.
+    reduced row echelon form.
     """
-    basis, leads, found = {}, {}, {}
+    basis, leads = {}, {}
     holders = {}        # non-pivot column -> pivots whose kept row holds it
-    for index in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        row = dict(rows[index])
-        scale = 1       # row = scale * (input row + kept rows so far)
+    for row in sorted(rows, key=len):
+        row = dict(row)
         for c in [c for c in row if c in basis]:
             f = row.pop(c)
             if leads[c] != 1:
-                scale *= leads[c]
                 for j in row:
                     row[j] *= leads[c]
             for j, x in basis[c].items():
@@ -151,7 +147,6 @@ def eliminate(rows, modulus=0):
             continue
         pivot = min(row)
         lead = row.pop(pivot)
-        found[pivot] = (index, lead if scale == 1 else Fraction(lead, scale))
         if modulus:
             inv = pow(lead, -1, modulus)
             row = {j: x * inv % modulus for j, x in row.items()}
@@ -191,7 +186,7 @@ def eliminate(rows, modulus=0):
         leads[pivot] = lead
         for j in row:
             holders.setdefault(j, set()).add(pivot)
-    return basis, leads, found
+    return basis, leads
 
 
 def rank_mod_p(m: "Matrix") -> int:
@@ -202,7 +197,7 @@ def rank_mod_p(m: "Matrix") -> int:
     bound on m.rank() from an elimination sharing no arithmetic with it.
     """
     rows = []
-    for row in _integral(m._rows)[0]:
+    for row in _integral(m._rows):
         scaled = {j: x % MODULUS for j, x in row.items()}
         rows.append({j: x for j, x in scaled.items() if x})
     return len(eliminate(rows, MODULUS)[0])
@@ -363,7 +358,7 @@ class Matrix:
         The entries become ints; the row space, the kernel and which
         products vanish stay as they were.
         """
-        return Matrix.from_sparse(_integral(self._rows)[0], self.ncols)
+        return Matrix.from_sparse(_integral(self._rows), self.ncols)
 
     def transpose(self):
         cols = [{} for _ in range(self.ncols)]
@@ -375,16 +370,15 @@ class Matrix:
     # -- elimination: thin wrappers over eliminate() -------------------
 
     def _reduced(self):
-        """(pivots, rref, found) of eliminate() over Q, computed once.
+        """(pivots, rref) of eliminate() over Q, computed once.
 
-        rref maps each pivot to the rest of its reduced row echelon row;
-        found is eliminate()'s, on the rows of self scaled to integers.
+        rref maps each pivot to the rest of its reduced row echelon row.
         """
         if self._echelon is None:
-            basis, leads, found = eliminate(_integral(self._rows)[0])
+            basis, leads = eliminate(_integral(self._rows))
             rref = {c: {j: _quotient(x, leads[c]) for j, x in rest.items()}
                     for c, rest in basis.items()}
-            self._echelon = (sorted(basis), rref, found)
+            self._echelon = (sorted(basis), rref)
         return self._echelon
 
     def rank(self) -> int:
@@ -395,19 +389,6 @@ class Matrix:
         """The pivot columns of the reduced row echelon form, increasing."""
         return tuple(self._reduced()[0])
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot_columns)."""
-        pivots, rref, _ = self._reduced()
-        rows = []
-        for c in pivots:
-            row = [0] * self.ncols
-            row[c] = 1
-            for j, x in rref[c].items():
-                row[j] = x
-            rows.append(row)
-        rows += [[0] * self.ncols for _ in range(self.nrows - len(pivots))]
-        return rows, list(pivots)
-
     def null_space(self):
         """A basis of the right null space as the rows of a matrix.
 
@@ -416,7 +397,7 @@ class Matrix:
         The basis is echelon-normalized and deterministic, each row v
         satisfies self @ v = 0 exactly, and there are ncols - rank rows.
         """
-        pivots, rref, _ = self._reduced()
+        pivots, rref = self._reduced()
         vectors = {f: {f: 1} for f in range(self.ncols) if f not in rref}
         for c in pivots:
             for f, x in rref[c].items():
@@ -434,9 +415,8 @@ class Matrix:
         if len(b) != self.nrows:
             raise InputError(f"rhs length {len(b)} != rows {self.nrows}")
         n = self.ncols
-        rows, _ = _integral([{**row, n: bv} if bv else row
-                             for row, bv in zip(self._rows, b)])
-        basis, leads, _ = eliminate(rows)
+        basis, leads = eliminate(_integral([{**row, n: bv} if bv else row
+                                            for row, bv in zip(self._rows, b)]))
         if n in basis:
             return None
         x = [0] * n
@@ -450,34 +430,9 @@ class Matrix:
         if not self.is_square():
             raise InputError(f"inverse of non-square {self.shape} matrix")
         n = self.nrows
-        rows, _ = _integral([{**row, n + i: 1} for i, row in enumerate(self._rows)])
-        basis, leads, _ = eliminate(rows)
+        basis, leads = eliminate(_integral([{**row, n + i: 1}
+                                            for i, row in enumerate(self._rows)]))
         if len(basis) < n or any(c >= n for c in basis):
             return None
         return Matrix.from_sparse([{j - n: _quotient(x, leads[c]) for j, x in basis[c].items()}
                                    for c in range(n)], n)
-
-    def det(self) -> Rational:
-        """Determinant: the product of the leading entries eliminate() found,
-        taken back to the scale of self, times the sign of the permutation
-        taking each row to its pivot column."""
-        if not self.is_square():
-            raise InputError(f"determinant of non-square {self.shape} matrix")
-        _, _, found = self._reduced()
-        if len(found) < self.nrows:
-            return 0
-        acc = Fraction(1)
-        for mult in _integral(self._rows)[1]:
-            acc /= mult
-        order = [0] * self.nrows
-        for c, (i, lead) in found.items():
-            acc *= lead
-            order[i] = c
-        for start in range(len(order)):
-            j = order[start]
-            while j != start:
-                # one transposition per step of each cycle
-                acc = -acc
-                order[start], order[j] = order[j], j
-                j = order[start]
-        return ratio(acc)

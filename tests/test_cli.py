@@ -205,6 +205,22 @@ def test_nijenhuis_subcommands(sl2_files, capsys):
     assert "0 of 6" in capsys.readouterr().out
 
 
+def test_nijenhuis_subcommands_refuse_non_modified_r(sl2_files, tmp_path, capsys):
+    algebra, _ = sl2_files
+    three_r = write_json(tmp_path / "3r.json",
+                         {"matrix": [[3, 0, 0], [0, -3, 0], [0, 0, 3]]})
+    base = ["--algebra", str(algebra), "--map", three_r]
+    for argv, what in ((["check", *base, "--element", "[0, 0, 0]"], "nijenhuis_check"),
+                       (["scan", *base], "nijenhuis_scan")):
+        assert run(["nijenhuis", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"check failed: {what} needs a modified r-matrix, "
+                       f"but S(R)(e, f) = (0, 0, -8)\n")
+    # the element is parsed before R is checked
+    assert run(["nijenhuis", "check", *base, "--element", "[1, 0]"]) == 2
+
+
 def test_nijenhuis_scan_lists_elements(affine2, tmp_path, capsys):
     algebra, raff = affine2
     argv = ["nijenhuis", "scan", "--algebra", write_json(tmp_path / "aff.json",

@@ -101,10 +101,8 @@ def test_validity_iff_defect_polynomial_vanishes(sl2, rng=random.Random(42)):
         assert dv.valid == (s1.is_zero() and s2.is_zero())
 
 
-def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
-    # S(R) once for the precondition and the t^0 coefficient, then R +- Rhat
-    a, r = sl2
-    rhat = d_endo(r, a.basis_vector(0))
+def _count_defects(monkeypatch):
+    """The operators whose MCYBE defect is evaluated from now on, in order."""
     seen = []
     real = rmatrix.mcybe_defect
 
@@ -113,6 +111,14 @@ def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
         return real(R)
     monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
     monkeypatch.setattr(deform, "mcybe_defect", counting)
+    return seen
+
+
+def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
+    # S(R) once for the precondition and the t^0 coefficient, then R +- Rhat
+    a, r = sl2
+    rhat = d_endo(r, a.basis_vector(0))
+    seen = _count_defects(monkeypatch)
     assert check_linear_deformation(r, rhat).valid
     assert seen == [r, r + rhat, r - rhat]
 
@@ -243,21 +249,35 @@ def test_trivial_deformation_needs_modified_r_matrix(sl2):
         trivial_deformation(r.scale(3), a.zero())
 
 
-def test_trivial_deformation_evaluates_four_defects(affine2, monkeypatch):
-    # three in check_linear_deformation, then R again in check_equivalence;
-    # d x is taken without a check
+def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
+    # all three in check_linear_deformation; the Nijenhuis equations, d x
+    # and the equivalence certificate take R unchecked
     aff, raff = affine2
-    seen = []
-    real = rmatrix.mcybe_defect
-
-    def counting(R):
-        seen.append(R)
-        return real(R)
-    monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
-    monkeypatch.setattr(deform, "mcybe_defect", counting)
+    seen = _count_defects(monkeypatch)
     rhat, dv = trivial_deformation(raff, aff.basis_vector(1))
     assert dv.valid and not rhat.is_zero()
-    assert seen == [raff, raff + rhat, raff - rhat, raff]
+    assert seen == [raff, raff + rhat, raff - rhat]
+
+
+def test_nijenhuis_check_and_scan_require_modified_r(sl2):
+    a, r = sl2
+    for call, what in ((lambda P: nijenhuis_check(P, a.zero()), "nijenhuis_check"),
+                       (nijenhuis_scan, "nijenhuis_scan")):
+        with pytest.raises(PreconditionError,
+                           match=rf"{what} needs a modified r-matrix, "
+                                 r"but S\(R\)\(e, f\) = \(0, 0, -8\)"):
+            call(r.scale(3))
+
+
+def test_nijenhuis_check_and_scan_evaluate_one_defect(sl3, monkeypatch):
+    a, r = sl3
+    seen = _count_defects(monkeypatch)
+    assert nijenhuis_check(r, a.zero()).is_nijenhuis_element
+    assert seen == [r]
+    seen.clear()
+    results = nijenhuis_scan(r)
+    assert len(results) == 8 + 28
+    assert seen == [r]
 
 
 def test_nijenhuis_operator_identity_and_zero(sl2):
