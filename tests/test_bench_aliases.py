@@ -8,6 +8,9 @@ tuples here, unchanged, makes a renamed or wrapped alias fail the suite
 instead of silently dropping its spans from a traced run.  Likewise
 perfbench/workloads.py is loaded unchanged and its sl(2) jobs run once, so
 a renamed or changed function that the benchmark calls fails the suite.
+One full pass of seed 1 runs too, so that the inputs a timing rests on
+(the dense Fraction exp(ad x) conjugates, the sl(4) Weyl conjugates) pass
+their checks in the suite and not only in a benchmark run.
 """
 
 import importlib
@@ -55,6 +58,15 @@ def test_benchmark_smoke_jobs_pass_their_checks(tmp_path):
     workloads = _load("workloads")
     for workload in workloads.WORKLOADS:
         jobs = workloads.build(workload, 1, True, tmp_path / workload)
+        assert jobs, workload
+        for job in jobs:
+            job.check(job.call())
+
+
+def test_benchmark_full_pass_passes_its_checks(tmp_path):
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        jobs = workloads.build(workload, 1, False, tmp_path / workload)
         assert jobs, workload
         for job in jobs:
             job.check(job.call())

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog, rho
+from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cohomology, is_rota_baxter,
+                   mcybe_defect, operator_identity, rho)
 from mcybe.doubling import build_double
-from mcybe.liealg import induced_bracket_table, subspace_closure
+from mcybe.liealg import (induced_bracket_table, is_zero_vector, subspace_closure, vadd,
+                          vsub)
 from mcybe.linalg import _exact
 
 from conftest import rand_rational, rand_vector
@@ -306,3 +308,118 @@ def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
     ads.clear()
     induced_bracket_table(r)
     assert brackets == [] and len(ads) == a.dim
+
+
+# -- the operator-identity kernel against a dense route ------------------
+
+def _dense_mixed_terms(a, P):
+    """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) off dense columns of ad(Pe_i)."""
+    images = [P.apply(e) for e in a.basis()]
+    ad_cols = [a.ad(p).matrix.transpose() for p in images]    # row j = column j
+    for i, pi in enumerate(images):
+        for j in range(i + 1, a.dim):
+            yield i, j, pi, images[j], vsub(ad_cols[i].row(j), ad_cols[j].row(i))
+
+
+def _dense_operator_identity(P, S=None, algebra=None):
+    """The identity by dense bracket, apply and vsub; entries made exact by _exact."""
+    a = P.algebra if algebra is None else algebra
+    for i, j, pi, pj, mixed in _dense_mixed_terms(a, P):
+        value = vsub(a.bracket(pi, pj), P.apply(mixed))
+        if S is not None:
+            value = vadd(value, S.apply(a.bracket_basis(i, j)))
+        if not is_zero_vector(value):
+            yield (i, j), tuple(_exact(c) for c in value)
+
+
+def _dense_induced_table(P):
+    return {(i, j): tuple(_exact(c) for c in mixed)
+            for i, j, _, _, mixed in _dense_mixed_terms(P.algebra, P)
+            if not is_zero_vector(mixed)}
+
+
+def _dense_rho(P, x):
+    a = P.algebra
+    return a.ad(P.apply(x)) - P.compose(a.ad(x))
+
+
+def _kernel_operators(rng, a):
+    """Id, then signed permutations and unstructured maps, with int and Fraction
+    entries; an unstructured map has about four nonzeros per row, all of them
+    below dimension 5."""
+    n = a.dim
+    ops = [Endo.identity(a)]
+    for entry in (lambda: rng.choice((-1, 1)), lambda: rand_rational(rng) or 1):
+        perm = rng.sample(range(n), n)
+        ops.append(Endo(Matrix([[entry() if perm[i] == j else 0 for j in range(n)]
+                                for i in range(n)]), a))
+        ops.append(Endo(Matrix([[entry() if rng.random() * n < 4 else 0 for _ in range(n)]
+                                for _ in range(n)]), a))
+    return ops
+
+
+def _assert_kernel_matches_dense(rng, a, other):
+    """operator_identity, its first failing pair, induced_bracket_table and rho
+    equal the dense route in value, type and order, with brackets in a and,
+    for operator_identity, in the other table of the same dimension."""
+    failing = 0
+    for P in _kernel_operators(rng, a):
+        for S, algebra in ((None, None), (Endo.identity(a), None),
+                           (P.scale(-(rand_rational(rng) or 1)), None), (P.compose(P), None),
+                           (None, other), (P.compose(P), other)):
+                got = list(operator_identity(P, S, algebra=algebra))
+                want = list(_dense_operator_identity(P, S, algebra=algebra))
+                assert [pair for pair, _ in got] == [pair for pair, _ in want]
+                assert got == want
+                first = next(operator_identity(P, S, algebra=algebra), None)
+                assert first == next(iter(want), None)
+                failing += first is not None
+        got = induced_bracket_table(P)
+        want = _dense_induced_table(P)
+        assert list(got.items()) == list(want.items())
+        for x in _kernel_vectors(rng, a.dim) + a.basis():
+            got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
+            assert got == want, x
+            assert all(_same_exact(got.row(i), want.row(i)) for i in range(a.dim)), x
+    return failing
+
+
+def test_operator_identity_matches_dense_route(kernel_algebra):
+    a = kernel_algebra
+    rng = random.Random(100 + a.dim)
+    other = LieAlgebra(a.dim, _random_table(rng, a.dim), check=False)
+    failing = _assert_kernel_matches_dense(rng, a, other)
+    assert failing > 0 or a.is_abelian()
+
+
+def test_operator_identity_matches_dense_route_on_non_lie_tables():
+    rng = random.Random(12)
+    lie = []
+    for dim in (3, 4, 5, 3, 4, 5):
+        a = LieAlgebra(dim, _random_table(rng, dim), check=False)
+        other = LieAlgebra(dim, _random_table(rng, dim), check=False)
+        lie.append(a.verify_jacobi().ok)
+        assert _assert_kernel_matches_dense(rng, a, other) > 0
+    assert lie.count(False) >= 3
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_kernel_on_edge_dimensions(dim):
+    a = LieAlgebra(dim, {})
+    ident, zero = Endo.identity(a), Endo.zero(a)
+    for P in (ident, zero, ident.scale(-3)):
+        report = mcybe_defect(P)
+        assert report.is_zero and report.worst_pair is None
+        assert report.defect_cochain.is_zero()
+        assert is_rota_baxter(P, 1).ok and is_rota_baxter(P, 0).ok
+        assert list(operator_identity(P, P.compose(P))) == []
+        assert induced_bracket_table(P) == {}
+        for x in a.basis() + [a.zero()]:
+            assert rho(P, x) == zero
+    # C^0 = g at arity 0, and no arity-2 cochain exists below dimension 2
+    want = {0: [(0, 0, 0, 0)] * 3, 1: [(1, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0)]}[dim]
+    for flavor, P in (("R", ident), ("R", ident.scale(-1)), ("B", zero)):
+        report = cohomology(P, max_degree=3, flavor=flavor)
+        assert [(d.dim_cochains, d.dim_cocycles, d.dim_coboundaries, d.dim_cohomology)
+                for d in report.degrees.values()] == want
+        assert [len(d.cocycle_witnesses) for d in report.degrees.values()] == [w[1] for w in want]
