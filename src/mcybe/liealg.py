@@ -9,6 +9,10 @@ Every bracket, the Jacobi check included, is read off the structure table
 _table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders.  The read-only
 mapping structure keeps the validated input for equality, is_abelian, JSON,
 pi_cochain and build_double.
+
+The operator-identity kernel (operator_identity, induced_bracket_table,
+rho) reads the sparse columns of P, and of S, once per call and sums every
+bracket off _table: no bracket, ad, apply or matrix product per basis pair.
 """
 
 from dataclasses import dataclass
@@ -331,18 +335,39 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
     return True, None
 
 
-# -- the operator-identity kernel ---------------------------------------
+# -- the operator-identity kernel: sparse dicts {index: coefficient} ------
 
-def _mixed_terms(a: LieAlgebra, P: Endo):
-    """(i, j, Pe_i, Pe_j, [Pe_i, e_j] + [e_i, Pe_j]) for basis pairs i < j, lex order.
+def _add_bracket(acc, sign, table, u, v):
+    """acc += sign [u, v] over supp(u) x supp(v)."""
+    for i, x in u.items():
+        row = table[i]
+        for j, y in v.items():
+            c = sign * x * y
+            for k, w in row[j]:
+                acc[k] = acc.get(k, 0) + c * w
 
-    [Pe_i, e_j] is column j of ad(Pe_i), and [e_i, Pe_j] = -[Pe_j, e_i].
-    """
-    images = [P.apply(e) for e in a.basis()]
-    ad_cols = [a.ad(p).matrix.transpose() for p in images]    # row j = column j
-    for i, pi in enumerate(images):
-        for j in range(i + 1, a.dim):
-            yield i, j, pi, images[j], vsub(ad_cols[i].row(j), ad_cols[j].row(i))
+
+def _add_combination(acc, sign, terms, cols):
+    """acc += sign sum_k v_k cols[k] over the (k, v_k) of terms."""
+    for k, v in terms:
+        c = sign * v
+        for m, w in cols[k].items():
+            acc[m] = acc.get(m, 0) + c * w
+
+
+def _columns(P: Endo):
+    t = P.matrix.transpose()
+    return [t.nonzeros(j) for j in range(t.nrows)]
+
+
+def _mixed_terms(a: LieAlgebra, cols):
+    """(i, j, [Pe_i, e_j] + [e_i, Pe_j] as a dict) for basis pairs i < j, lex
+    order; cols[k] is the column Pe_k."""
+    for i, j in combinations(range(a.dim), 2):
+        mixed = {}
+        _add_bracket(mixed, 1, a._table, cols[i], {j: 1})
+        _add_bracket(mixed, 1, a._table, {i: 1}, cols[j])
+        yield i, j, mixed
 
 
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):
@@ -356,22 +381,27 @@ def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None
     Nijenhuis torsion of P.
     """
     a = P.algebra if algebra is None else algebra
-    for i, j, pi, pj, mixed in _mixed_terms(a, P):
-        value = vsub(a.bracket(pi, pj), P.apply(mixed))
-        if S is not None:
-            value = vadd(value, S.apply(a.bracket_basis(i, j)))
-        if not is_zero_vector(value):
-            yield (i, j), value
+    cols = _columns(P)
+    scols = None if S is None else _columns(S)
+    for i, j, mixed in _mixed_terms(a, cols):
+        value = {}
+        _add_bracket(value, 1, a._table, cols[i], cols[j])
+        _add_combination(value, -1, mixed.items(), cols)
+        if scols is not None:
+            _add_combination(value, 1, a._table[i][j], scols)
+        if any(value.values()):
+            yield (i, j), tuple(_exact(value.get(k, 0)) for k in range(a.dim))
 
 
 def induced_bracket_table(P: Endo):
     """Structure table of [x, y]_P = [Px, y] + [x, Py] on basis pairs."""
-    return {(i, j): mixed for i, j, _, _, mixed in _mixed_terms(P.algebra, P)
-            if not is_zero_vector(mixed)}
+    n = P.algebra.dim
+    return {(i, j): tuple(_exact(mixed.get(k, 0)) for k in range(n))
+            for i, j, mixed in _mixed_terms(P.algebra, _columns(P)) if any(mixed.values())}
 
 
 def rho(P: Endo, x) -> Endo:
-    """Matrix of y -> [Px, y] - P([x, y]).
+    """Matrix of y -> [Px, y] - P([x, y]); column j is [Px, e_j] - P([x, e_j]).
 
     For a modified r-matrix this is a representation of (g, [.,.]_P) on g;
     the formula itself is evaluated for any conforming P.
@@ -379,7 +409,17 @@ def rho(P: Endo, x) -> Endo:
     a = P.algebra
     if len(x) != a.dim:
         raise InputError(f"vector length {len(x)} != dim {a.dim}")
-    return a.ad(P.apply(x)) - P.compose(a.ad(x))
+    cols = _columns(P)
+    xs = {k: c for k, c in enumerate(x) if c}
+    px, columns = {}, []
+    _add_combination(px, 1, xs.items(), cols)
+    for j in range(a.dim):
+        column, bracket = {}, {}
+        _add_bracket(column, 1, a._table, px, {j: 1})
+        _add_bracket(bracket, 1, a._table, xs, {j: 1})
+        _add_combination(column, -1, bracket.items(), cols)
+        columns.append(_nonzero(column))
+    return Endo(Matrix.from_sparse(columns, a.dim).transpose(), a)
 
 
 # -- catalog ----------------------------------------------------------

@@ -8,8 +8,9 @@ which vanishes exactly when R solves the modified classical Yang-Baxter
 equation.  It, the weight-lambda Rota-Baxter axiom and the Nijenhuis
 torsion are all evaluated by the one kernel liealg.operator_identity, and
 the induced bracket [x, y]_R and the representation rho come from the same
-module.  Here also: the correspondence R = Id + 2B and the involutive-case
-equivalence analyzer.
+module, summed from R's sparse columns and the structure table.  Here
+also: the correspondence R = Id + 2B and the involutive-case equivalence
+analyzer.
 """
 
 from dataclasses import dataclass

@@ -289,25 +289,27 @@ def test_jacobi_matches_oracle_on_random_tables():
 
 def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
     a, r = sl3
-    brackets, ads = [], []
-    real_bracket, real_basis, real_ad = (LieAlgebra.bracket, LieAlgebra.bracket_basis,
-                                         LieAlgebra.ad)
-    monkeypatch.setattr(LieAlgebra, "bracket",
-                        lambda self, x, y: brackets.append(x) or real_bracket(self, x, y))
-    monkeypatch.setattr(LieAlgebra, "bracket_basis",
-                        lambda self, i, j: brackets.append(i) or real_basis(self, i, j))
-    monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: ads.append(x) or real_ad(self, x))
+    ops = [r, r.scale(3)]
+    ss = [None, Endo.identity(a), r.scale(-1), r.compose(r)]
+    calls = []
+    for cls, name in ((LieAlgebra, "bracket"), (LieAlgebra, "bracket_basis"),
+                      (LieAlgebra, "ad"), (Matrix, "apply"), (Matrix, "__matmul__")):
+        monkeypatch.setattr(cls, name, lambda *args, real=getattr(cls, name), name=name:
+                            calls.append(name) or real(*args))
     x = tuple(range(a.dim))
     a.ad(x)
-    for e in a.basis() + [x]:
-        rho(r, e)
-    assert brackets == []
-    # the Jacobi check sums structure-table entries
-    assert a.verify_jacobi().ok and brackets == []
-    # the mixed terms [Pe_i, e_j] + [e_i, Pe_j] read n columns of ad, no bracket
-    ads.clear()
-    induced_bracket_table(r)
-    assert brackets == [] and len(ads) == a.dim
+    # ad and the Jacobi check sum structure-table entries
+    assert a.verify_jacobi().ok and calls == ["ad"]
+    calls.clear()
+    # the kernel reads the columns of P and S and the structure table only
+    for P in ops:
+        for S in ss:
+            list(operator_identity(P, S))
+            list(operator_identity(P, S, algebra=a))
+        induced_bracket_table(P)
+        for e in a.basis() + [x]:
+            rho(P, e)
+    assert calls == []
 
 
 # -- the operator-identity kernel against a dense route ------------------
@@ -367,16 +369,18 @@ def _assert_kernel_matches_dense(rng, a, other):
         for S, algebra in ((None, None), (Endo.identity(a), None),
                            (P.scale(-(rand_rational(rng) or 1)), None), (P.compose(P), None),
                            (None, other), (P.compose(P), other)):
-                got = list(operator_identity(P, S, algebra=algebra))
-                want = list(_dense_operator_identity(P, S, algebra=algebra))
-                assert [pair for pair, _ in got] == [pair for pair, _ in want]
-                assert got == want
-                first = next(operator_identity(P, S, algebra=algebra), None)
-                assert first == next(iter(want), None)
-                failing += first is not None
+            got = list(operator_identity(P, S, algebra=algebra))
+            want = list(_dense_operator_identity(P, S, algebra=algebra))
+            assert [pair for pair, _ in got] == [pair for pair, _ in want]
+            for (pair, u), (_, v) in zip(got, want):
+                assert _same_exact(u, v), pair
+            first = next(operator_identity(P, S, algebra=algebra), None)
+            assert first == next(iter(want), None)
+            failing += first is not None
         got = induced_bracket_table(P)
         want = _dense_induced_table(P)
-        assert list(got.items()) == list(want.items())
+        assert list(got) == list(want)
+        assert all(_same_exact(got[pair], want[pair]) for pair in want)
         for x in _kernel_vectors(rng, a.dim) + a.basis():
             got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
             assert got == want, x
