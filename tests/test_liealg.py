@@ -420,7 +420,7 @@ def test_kernel_on_edge_dimensions(dim):
         assert induced_bracket_table(P) == {}
         for x in a.basis() + [a.zero()]:
             assert rho(P, x) == zero
-    # C^0 = g at arity 0, and no arity-2 cochain exists below dimension 2
+    # the arity-0 cochains are g itself, and no arity-2 cochain exists below dimension 2
     want = {0: [(0, 0, 0, 0)] * 3, 1: [(1, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0)]}[dim]
     for flavor, P in (("R", ident), ("R", ident.scale(-1)), ("B", zero)):
         report = cohomology(P, max_degree=3, flavor=flavor)
