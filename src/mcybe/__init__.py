@@ -10,11 +10,11 @@ diagonal/graph doubling constructions.
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import Matrix, Rational, ratio
 from .liealg import (Endo, JacobiResult, LieAlgebra, Vector, catalog,
-                     operator_identity, sl_algebra, borel_r_matrix,
+                     operator_identity, rho, sl_algebra, borel_r_matrix,
                      subspace_closure)
 from .rmatrix import (DefectReport, InvolutiveReport, RotaBaxterReport,
                       induced_bracket, involutive_analyze, is_rota_baxter,
-                      mcybe_defect, r_from_rb, rb_from_r, rho)
+                      mcybe_defect, r_from_rb, rb_from_r)
 from .cochain import (Cochain, CoboundaryMatrix, CohomologyReport, DegreeReport,
                       coboundary_matrix, coboundary_preimage, cohomology,
                       d_apply, is_cocycle, pi_cochain)

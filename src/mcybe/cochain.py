@@ -10,10 +10,11 @@ of a modified r-matrix R is built from
     lambda_u(v) = [Ru, v] - R([u, v])        (single-argument terms, rho(R, u))
     mu(u, w)    = [Ru, w] + [u, Rw]          (pair terms, the bracket [.,.]_R)
 
-and the B-complex of a weight-1 Rota-Baxter operator B is half the
-R-complex of Id + 2B (its terms put B for R and add [u, w] to mu).  It is
-built as that and halved at the end, which keeps lambda and mu integral for
-B = (R - Id)/2 with R integral; B + Id/2 would put fractions into every mu.
+both read off one image table [Re_i, e_j] built by liealg, and the B-complex
+of a weight-1 Rota-Baxter operator B is half the R-complex of Id + 2B (its
+terms put B for R and add [u, w] to mu).  It is built as that and halved
+at the end, which keeps lambda and mu integral for B = (R - Id)/2 with R
+integral; B + Id/2 would put fractions into every mu.
 """
 
 from bisect import bisect_left
@@ -24,8 +25,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
-                     rho, vadd, vector_from_json, vector_to_json, vzero)
+from .liealg import (Endo, LieAlgebra, Vector, _images, _induced, _rho_columns,
+                     is_zero_vector, vadd, vector_from_json, vector_to_json, vzero)
 from .linalg import Matrix, _exact, json_array, rank_mod_p, ratio
 
 FLAVOR_R = "R-complex"
@@ -102,11 +103,6 @@ class Cochain:
     @classmethod
     def from_vector(cls, algebra, vec):
         return cls(algebra, 0, {(): tuple(vec)})
-
-    def to_vector(self) -> Vector:
-        if self.arity != 0:
-            raise InputError(f"arity-{self.arity} cochain is not a vector")
-        return self.coeffs.get((), vzero(self.algebra.dim))
 
     @classmethod
     def from_endo(cls, endo: Endo):
@@ -273,32 +269,33 @@ def _half(x):
 
 
 def _operator_side(P: Endo, flavor, k, check):
-    """(flavor, lambdas, mus, halve) of the coboundary on arity-k cochains.
-
-    R is P, or Id + 2P with halve set in the B-complex; lambdas[u] is
-    rho(R, e_u) and mus the induced_bracket_table(R), empty at k = 0."""
+    """(lambdas, mus, halve) of the coboundary on arity-k cochains, as sparse
+    dicts off the image table of R = P, or of Id + 2P with halve set in the
+    B-complex: lambdas[u][j] = rho(R, e_u) e_j, mus[(u, w)] = [e_u, e_w]_R."""
     flavor = _canon_flavor(flavor)
-    n = P.algebra.dim
-    if not 0 <= k <= n:
-        raise InputError(f"arity k={k} out of range 0..{n}")
+    a = P.algebra
+    if not 0 <= k <= a.dim:
+        raise InputError(f"arity k={k} out of range 0..{a.dim}")
     if check:
         _check_flavor_axiom(P, flavor)
     halve = flavor == FLAVOR_B
-    R = Endo.identity(P.algebra) + P.scale(2) if halve else P
-    lambdas = [rho(R, e) for e in P.algebra.basis()]
-    return flavor, lambdas, induced_bracket_table(R) if k else {}, halve
+    R = Endo.identity(a) + P.scale(2) if halve else P
+    cols, images = _images(R, a)
+    lambdas = [_rho_columns(a, cols, images, ((u, 1),)) for u in range(a.dim)]
+    return lambdas, _induced(images), halve
 
 
 def _terms(n, k, mus):
     """(T, singles, pairs) for each sorted (k+1)-tuple T, in order: the terms
     sign * lambda_u(f(e_S)) of (d f)(e_T) as (sign, u, S), and its terms
-    sign * f(mu(e_u, e_w), e_S) with mu(e_u, e_w) nonzero as (sign, mu, S)."""
+    sign * f(mu(e_u, e_w), e_S) expanded over the basis as (c, K) for c f(e_K)."""
     for T in basis_tuples(n, k + 1):
         singles = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
                    for pos in range(k + 1)]
-        pairs = [(-1 if (p1 + p2) % 2 else 1, w, T[:p1] + T[p1 + 1:p2] + T[p2 + 1:])
+        pairs = [((-1) ** (p1 + p2) * ins[0] * x, ins[1])
                  for p1, p2 in combinations(range(k + 1), 2)
-                 if (w := mus.get((T[p1], T[p2]))) is not None]
+                 for s, x in mus.get((T[p1], T[p2]), {}).items()
+                 if (ins := insert_sorted(T[:p1] + T[p1 + 1:p2] + T[p2 + 1:], s))]
         yield T, singles, pairs
 
 
@@ -310,7 +307,6 @@ class CoboundaryMatrix:
     lexicographic order, target index fastest.
     """
     matrix: Matrix
-    flavor: str
 
 
 def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatrix:
@@ -320,10 +316,9 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     Rows are assembled as sparse dicts, block by block of n rows per
     (k+1)-tuple; no dense rows x cols table is built.
     """
-    flavor, lambdas, mus, halve = _operator_side(P, flavor, k, check)
+    lambdas, mus, halve = _operator_side(P, flavor, k, check)
     n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    lrows = [[lam.matrix.nonzeros(i).items() for i in range(n)] for lam in lambdas]
     exact = _half if halve else ratio
 
     rows = []
@@ -331,40 +326,32 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
         block = [{} for _ in range(n)]
         for sgn, u, sub in singles:
             base = col_base[sub]
-            for out, lrow in zip(block, lrows[u]):
-                for c, v in lrow:
-                    out[base + c] = out.get(base + c, 0) + sgn * v
-        for sgn, w, rest in pairs:
-            for s, ws in enumerate(w):
-                if not ws:
-                    continue
-                ins = insert_sorted(rest, s)
-                if ins is None:
-                    continue
-                isgn, key = ins
-                base = col_base[key]
-                coeff = sgn * isgn * ws
-                for m, out in enumerate(block):
-                    out[base + m] = out.get(base + m, 0) + coeff
+            for c, column in enumerate(lambdas[u]):
+                for m, v in column.items():
+                    block[m][base + c] = block[m].get(base + c, 0) + sgn * v
+        for coeff, key in pairs:
+            base = col_base[key]
+            for m, out in enumerate(block):
+                out[base + m] = out.get(base + m, 0) + coeff
         rows.extend({j: exact(x) for j, x in out.items() if x} for out in block)
-    return CoboundaryMatrix(Matrix.from_sparse(rows, len(col_base) * n), flavor)
+    return CoboundaryMatrix(Matrix.from_sparse(rows, len(col_base) * n))
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     """Apply the coboundary to a single cochain without assembling the matrix."""
-    _, lambdas, mus, halve = _operator_side(P, flavor, f.arity, check)
+    lambdas, mus, halve = _operator_side(P, flavor, f.arity, check)
     n = P.algebra.dim
     coeffs = {}
     for T, singles, pairs in _terms(n, f.arity, mus):
         acc = [0] * n
         for sgn, u, sub in singles:
-            fv = f.coeffs.get(sub)
-            if fv is not None:
-                for m, x in enumerate(lambdas[u].apply(fv)):
-                    acc[m] += sgn * x
-        for sgn, w, rest in pairs:
-            for m, x in enumerate(f.eval_insert(w, rest)):
-                acc[m] += sgn * x
+            for c, x in enumerate(f.coeffs.get(sub, ())):
+                if x:
+                    for m, v in lambdas[u][c].items():
+                        acc[m] += sgn * x * v
+        for coeff, key in pairs:
+            for m, x in enumerate(f.coeffs.get(key, ())):
+                acc[m] += coeff * x
         if any(acc):
             coeffs[T] = [_half(x) for x in acc] if halve else acc
     return Cochain(P.algebra, f.arity + 1, coeffs)

@@ -10,8 +10,7 @@ subalgebras forming a direct-sum complement.
 from dataclasses import dataclass
 
 from .errors import certify
-from .liealg import (Endo, LieAlgebra, Vector, subspace_closure, vadd, vneg,
-                     vsub)
+from .liealg import Endo, LieAlgebra, subspace_closure, vadd, vneg, vsub
 from .linalg import Matrix
 from .deform import require_deformation
 from .rmatrix import mcybe_defect, require_modified
@@ -31,17 +30,10 @@ class SubspaceCert:
 @dataclass
 class DoubledAlgebra:
     algebra: LieAlgebra
-    base: LieAlgebra
     diagonal_basis: tuple
     antidiagonal_basis: tuple
     diagonal_cert: SubspaceCert
     antidiagonal_cert: SubspaceCert
-
-    def embed_first(self, vec) -> Vector:
-        return tuple(vec) + (0,) * self.base.dim
-
-    def embed_second(self, vec) -> Vector:
-        return (0,) * self.base.dim + tuple(vec)
 
 
 def build_double(a: LieAlgebra) -> DoubledAlgebra:
@@ -66,7 +58,7 @@ def build_double(a: LieAlgebra) -> DoubledAlgebra:
     anti_ok, anti_pair = subspace_closure(double, anti)
     certify(diag_ok, "the diagonal of g (+) g is not closed under the bracket")
     certify(anti_ok == a.is_abelian(), "antidiagonal closure disagrees with abelianness")
-    return DoubledAlgebra(double, a, diag, anti,
+    return DoubledAlgebra(double, diag, anti,
                           SubspaceCert(diag, diag_ok, diag_pair),
                           SubspaceCert(anti, anti_ok, anti_pair))
 

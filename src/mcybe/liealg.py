@@ -11,8 +11,8 @@ mapping structure keeps the validated input for equality, is_abelian, JSON,
 pi_cochain and build_double.
 
 The operator-identity kernel (operator_identity, induced_bracket_table,
-rho) reads the sparse columns of P, and of S, once per call and sums every
-bracket off _table: no bracket, ad, apply or matrix product per basis pair.
+rho, and lambda and mu of the coboundary) reads everything off one sparse
+image table [Pe_i, e_j] per call, the one place where P meets _table.
 """
 
 from dataclasses import dataclass
@@ -38,10 +38,6 @@ def vadd(u, v) -> Vector:
 
 def vsub(u, v) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def vneg(u) -> Vector:
@@ -319,39 +315,25 @@ class Endo:
 def subspace_closure(algebra: LieAlgebra, basis_vectors):
     """Whether span(basis_vectors) is closed under the bracket.
 
-    Membership is decided by an exact linear solve against the spanning
-    matrix.  Returns (is_closed, failing_pair_or_None); the empty subspace
-    is closed.
+    The span is eliminated once: w lies in it exactly when the null space
+    of the matrix with the basis vectors as rows annihilates w.  Returns
+    (is_closed, failing_pair_or_None); the empty subspace is closed.
     """
     vecs = [tuple(v) for v in basis_vectors]
-    if not vecs:
-        return True, None
-    span = Matrix.from_columns(vecs)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            w = algebra.bracket(vecs[i], vecs[j])
-            if not is_zero_vector(w) and span.solve(w) is None:
-                return False, (i, j)
+    annihilator = Matrix(vecs).null_space()
+    for i, j in combinations(range(len(vecs)), 2):
+        if any(annihilator.apply(algebra.bracket(vecs[i], vecs[j]))):
+            return False, (i, j)
     return True, None
 
 
 # -- the operator-identity kernel: sparse dicts {index: coefficient} ------
 
-def _add_bracket(acc, sign, table, u, v):
-    """acc += sign [u, v] over supp(u) x supp(v)."""
-    for i, x in u.items():
-        row = table[i]
-        for j, y in v.items():
-            c = sign * x * y
-            for k, w in row[j]:
-                acc[k] = acc.get(k, 0) + c * w
-
-
-def _add_combination(acc, sign, terms, cols):
-    """acc += sign sum_k v_k cols[k] over the (k, v_k) of terms."""
+def _add_combination(acc, sign, terms, vecs):
+    """acc += sign sum_k v_k vecs[k] over the (k, v_k) of terms."""
     for k, v in terms:
         c = sign * v
-        for m, w in cols[k].items():
+        for m, w in vecs[k].items():
             acc[m] = acc.get(m, 0) + c * w
 
 
@@ -360,14 +342,45 @@ def _columns(P: Endo):
     return [t.nonzeros(j) for j in range(t.nrows)]
 
 
-def _mixed_terms(a: LieAlgebra, cols):
-    """(i, j, [Pe_i, e_j] + [e_i, Pe_j] as a dict) for basis pairs i < j, lex
-    order; cols[k] is the column Pe_k."""
-    for i, j in combinations(range(a.dim), 2):
-        mixed = {}
-        _add_bracket(mixed, 1, a._table, cols[i], {j: 1})
-        _add_bracket(mixed, 1, a._table, {i: 1}, cols[j])
-        yield i, j, mixed
+def _images(P: Endo, a: LieAlgebra):
+    """(cols, images): cols[i] is the column Pe_i and images[i][j] = [Pe_i, e_j],
+    summed off a's structure table, the one place where P meets it."""
+    cols = _columns(P)
+    images = []
+    for col in cols:
+        row = [{} for _ in range(a.dim)]
+        for k, c in col.items():
+            for out, terms in zip(row, a._table[k]):
+                for m, w in terms:
+                    out[m] = out.get(m, 0) + c * w
+        images.append(row)
+    return cols, images
+
+
+def _induced(images):
+    """{(i, j): [e_i, e_j]_P = images[i][j] - images[j][i]} over the pairs i < j
+    with a nonzero value, lex order, each value a dict of its nonzeros."""
+    table = {}
+    for i, j in combinations(range(len(images)), 2):
+        mixed = dict(images[i][j])
+        for m, w in images[j][i].items():
+            mixed[m] = mixed.get(m, 0) - w
+        if mixed := _nonzero(mixed):
+            table[(i, j)] = mixed
+    return table
+
+
+def _rho_columns(a: LieAlgebra, cols, images, xs):
+    """Column j of rho(P, x) = sum_u x_u images[u][j] - P([x, e_j]) for each j,
+    from _images(P, a) and the (u, x_u) of xs."""
+    columns = []
+    for j in range(a.dim):
+        column = {}
+        for u, c in xs:
+            _add_combination(column, c, ((j, 1),), images[u])
+            _add_combination(column, -c, a._table[u][j], cols)
+        columns.append(column)
+    return columns
 
 
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):
@@ -381,12 +394,14 @@ def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None
     Nijenhuis torsion of P.
     """
     a = P.algebra if algebra is None else algebra
-    cols = _columns(P)
+    cols, images = _images(P, a)
     scols = None if S is None else _columns(S)
-    for i, j, mixed in _mixed_terms(a, cols):
+    for i, j in combinations(range(a.dim), 2):
+        # [Pe_i, Pe_j] = sum_k (Pe_j)_k [Pe_i, e_k], and [e_i, Pe_j] = -images[j][i]
         value = {}
-        _add_bracket(value, 1, a._table, cols[i], cols[j])
-        _add_combination(value, -1, mixed.items(), cols)
+        _add_combination(value, 1, cols[j].items(), images[i])
+        _add_combination(value, -1, images[i][j].items(), cols)
+        _add_combination(value, 1, images[j][i].items(), cols)
         if scols is not None:
             _add_combination(value, 1, a._table[i][j], scols)
         if any(value.values()):
@@ -396,8 +411,8 @@ def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None
 def induced_bracket_table(P: Endo):
     """Structure table of [x, y]_P = [Px, y] + [x, Py] on basis pairs."""
     n = P.algebra.dim
-    return {(i, j): tuple(_exact(mixed.get(k, 0)) for k in range(n))
-            for i, j, mixed in _mixed_terms(P.algebra, _columns(P)) if any(mixed.values())}
+    return {pair: tuple(mixed.get(k, 0) for k in range(n))
+            for pair, mixed in _induced(_images(P, P.algebra)[1]).items()}
 
 
 def rho(P: Endo, x) -> Endo:
@@ -409,17 +424,8 @@ def rho(P: Endo, x) -> Endo:
     a = P.algebra
     if len(x) != a.dim:
         raise InputError(f"vector length {len(x)} != dim {a.dim}")
-    cols = _columns(P)
-    xs = {k: c for k, c in enumerate(x) if c}
-    px, columns = {}, []
-    _add_combination(px, 1, xs.items(), cols)
-    for j in range(a.dim):
-        column, bracket = {}, {}
-        _add_bracket(column, 1, a._table, px, {j: 1})
-        _add_bracket(bracket, 1, a._table, xs, {j: 1})
-        _add_combination(column, -1, bracket.items(), cols)
-        columns.append(_nonzero(column))
-    return Endo(Matrix.from_sparse(columns, a.dim).transpose(), a)
+    columns = _rho_columns(a, *_images(P, a), [(u, c) for u, c in enumerate(x) if c])
+    return Endo(Matrix.from_sparse([_nonzero(c) for c in columns], a.dim).transpose(), a)
 
 
 # -- catalog ----------------------------------------------------------

@@ -7,10 +7,9 @@ The central object is the defect
 which vanishes exactly when R solves the modified classical Yang-Baxter
 equation.  It, the weight-lambda Rota-Baxter axiom and the Nijenhuis
 torsion are all evaluated by the one kernel liealg.operator_identity, and
-the induced bracket [x, y]_R and the representation rho come from the same
-module, summed from R's sparse columns and the structure table.  Here
-also: the correspondence R = Id + 2B and the involutive-case equivalence
-analyzer.
+the induced bracket [x, y]_R comes from the same module; all of them are
+read off one image table [Re_i, e_j] per call.  Here also: the
+correspondence R = Id + 2B and the involutive-case equivalence analyzer.
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from itertools import combinations
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
                      subspace_closure, vector_str)
-from .liealg import rho  # noqa: F401  (re-exported next to the induced bracket)
 from .cochain import Cochain
 
 

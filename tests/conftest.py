@@ -25,6 +25,17 @@ def sl4():
 
 
 @pytest.fixture(scope="session")
+def sl3_conjugate(sl3):
+    """The sl(3) Borel operator conjugated by exp(ad x), x = E12 + E13/2 - E23:
+    a modified r-matrix with dense rational rho(R, e_u)."""
+    a, r = sl3
+    x = [0] * a.dim
+    for name, c in (("E12", 1), ("E13", Fraction(1, 2)), ("E23", -1)):
+        x[a.basis_names.index(name)] = c
+    return a, conjugate(nilpotent_exp(a, tuple(x)), r)
+
+
+@pytest.fixture(scope="session")
 def abelian3():
     return catalog("abelian", 3)
 

@@ -153,6 +153,38 @@ def test_subspace_closure(sl2):
     assert subspace_closure(a, [])[0]
 
 
+def _closure_by_solve(algebra, vecs):
+    """subspace_closure by one exact solve against the spanning matrix per pair."""
+    span = Matrix.from_columns(vecs) if vecs else None
+    for i, j in combinations(range(len(vecs)), 2):
+        w = algebra.bracket(vecs[i], vecs[j])
+        if not is_zero_vector(w) and span.solve(w) is None:
+            return False, (i, j)
+    return True, None
+
+
+def test_subspace_closure_matches_solve_route(sl3, rng=random.Random(13)):
+    # seeded spans of basis vectors and their combinations, with repeated,
+    # zero and dependent spanning vectors; closed and not closed both occur
+    a, _ = sl3
+    verdicts = []
+    for _ in range(120):
+        vecs = [a.basis_vector(i) for i in rng.sample(range(a.dim), rng.randint(0, 4))]
+        if vecs and rng.random() < 0.5:
+            vecs.append(vadd(rng.choice(vecs), rng.choice(vecs)))
+        if vecs and rng.random() < 0.3:
+            vecs.insert(rng.randrange(len(vecs) + 1), a.zero())
+        if rng.random() < 0.3:
+            vecs = [tuple(rand_rational(rng) * x for x in v) for v in vecs]
+        got = subspace_closure(a, vecs)
+        assert got == _closure_by_solve(a, vecs), vecs
+        verdicts.append(got[0])
+    borel = [a.basis_vector(i) for i in (0, 1, 2, 6, 7)]
+    dependent = borel + [vadd(borel[0], borel[3]), borel[1]]
+    assert subspace_closure(a, dependent) == _closure_by_solve(a, dependent) == (True, None)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
 def test_vector_length_guard(sl2):
     a, _ = sl2
     with pytest.raises(InputError):
