@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .errors import InputError
 from .linalg import (Matrix, Rational, _exact, _nonzero, json_array, ratio, rational_str,
-                     rational_to_json, rationals_from_json)
+                     rational_to_json, rationals_from_json, refuse_unknown_keys)
 
 Vector = tuple  # tuple of Rational, length = algebra dimension
 
@@ -214,6 +214,7 @@ class LieAlgebra:
             entries = data.get("brackets", [])
         except (TypeError, KeyError) as exc:
             raise InputError(f"bad algebra JSON: {exc}") from exc
+        refuse_unknown_keys(data, {"dim", "basis", "brackets"}, "algebra JSON")
         if type(dim) is not int or dim < 0:
             raise InputError(f"bad algebra dim {dim!r}")
         if names is not None and not all(type(s) is str
@@ -226,6 +227,7 @@ class LieAlgebra:
                 value = entry["value"]
             except (TypeError, KeyError) as exc:
                 raise InputError(f"bad bracket entry {entry!r}") from exc
+            refuse_unknown_keys(entry, {"i", "j", "value"}, "bracket entry")
             if not (type(i) is int and type(j) is int and i < j):
                 raise InputError(f"bracket entry needs integer i < j, got i={i!r} j={j!r}")
             if (i, j) in structure:
@@ -308,6 +310,7 @@ class Endo:
             rows = data["matrix"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"bad endomorphism JSON: {exc}") from exc
+        refuse_unknown_keys(data, {"matrix"}, "endomorphism JSON")
         return cls(Matrix([rationals_from_json(row, "matrix row")
                            for row in json_array(rows, "matrix")]), algebra)
 

@@ -11,9 +11,10 @@ is canonical, so the pivots, kernel bases and solutions read off it are
 deterministic.  It returns (basis, leads): the kept rows and their leading
 entries.  rank, pivot_columns, null_space, kernel_basis, solve and inverse
 are thin wrappers over it, and a matrix eliminates itself at most once.
-Run modulo the prime 2^61 - 1, the same routine gives rank_mod_p, a lower
-bound on the rank over Q by other arithmetic, with which cochain.cohomology
-certifies every rank it reports.
+certified_rank, which cochain.cohomology calls for every rank it reports,
+checks that rank by two routes sharing no arithmetic with it: the kernel
+against the integral rows the elimination read, and the same rows
+eliminated modulo the prime 2^61 - 1.
 """
 
 import re
@@ -66,6 +67,12 @@ def json_array(data, what) -> list:
     if not isinstance(data, list):
         raise InputError(f"{what} must be a JSON array, got {data!r}")
     return data
+
+
+def refuse_unknown_keys(data: dict, keys: set, what):
+    """Refuse a JSON object holding a key outside keys, naming the least one."""
+    if not data.keys() <= keys:
+        raise InputError(f"unknown key {min(data.keys() - keys)!r} in {what}")
 
 
 def rationals_from_json(data, what) -> list:
@@ -189,18 +196,36 @@ def eliminate(rows, modulus=0):
     return basis, leads
 
 
-def rank_mod_p(m: "Matrix") -> int:
-    """Rank of m modulo the prime MODULUS, each row scaled to integers first.
+def _echelon_form(rows):
+    """(pivots, rref) of eliminate() on integral rows over Q.
 
-    Scaling a row by the lcm of its denominators keeps the rank over Q, and
-    a rank modulo a prime never exceeds the rank over Q, so this is a lower
-    bound on m.rank() from an elimination sharing no arithmetic with it.
+    rref maps each pivot to the rest of its reduced row echelon row.
     """
-    rows = []
-    for row in _integral(m._rows):
-        scaled = {j: x % MODULUS for j, x in row.items()}
-        rows.append({j: x for j, x in scaled.items() if x})
-    return len(eliminate(rows, MODULUS)[0])
+    basis, leads = eliminate(rows)
+    return sorted(basis), {c: {j: _quotient(x, leads[c]) for j, x in rest.items()}
+                           for c, rest in basis.items()}
+
+
+def certified_rank(m: "Matrix") -> int:
+    """m.rank(), certified by two routes; InternalError when either fails.
+
+    The rows of m scaled to integers, which the exact elimination reads,
+    must annihilate every null_space() vector, scaled to integers too, in
+    int arithmetic; so the rank over Q is at most m.rank().  Eliminated
+    modulo the prime MODULUS, the same rows must reach m.rank(); a rank
+    modulo a prime never exceeds the rank over Q, so then both are equal.
+    """
+    rows = _integral(m._rows)
+    if m._echelon is None:
+        m._echelon = _echelon_form(rows)
+    rank = m.rank()
+    kernel = Matrix.from_sparse(_integral(m.null_space()._rows), m.ncols)
+    certify((Matrix.from_sparse(rows, m.ncols) @ kernel.transpose()).is_zero(),
+            "null space vector is not annihilated")
+    residues = [{j: r for j, x in row.items() if (r := x % MODULUS)} for row in rows]
+    certify(len(eliminate(residues, MODULUS)[0]) == rank,
+            "rank mod p and rank over Q disagree")
+    return rank
 
 
 class Matrix:
@@ -352,14 +377,6 @@ class Matrix:
             out.append(_exact(s))
         return tuple(out)
 
-    def clear_denominators(self):
-        """self with each row multiplied by the lcm of its denominators.
-
-        The entries become ints; the row space, the kernel and which
-        products vanish stay as they were.
-        """
-        return Matrix.from_sparse(_integral(self._rows), self.ncols)
-
     def transpose(self):
         cols = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self._rows):
@@ -370,15 +387,9 @@ class Matrix:
     # -- elimination: thin wrappers over eliminate() -------------------
 
     def _reduced(self):
-        """(pivots, rref) of eliminate() over Q, computed once.
-
-        rref maps each pivot to the rest of its reduced row echelon row.
-        """
+        """_echelon_form() of self's rows scaled to integers, computed once."""
         if self._echelon is None:
-            basis, leads = eliminate(_integral(self._rows))
-            rref = {c: {j: _quotient(x, leads[c]) for j, x in rest.items()}
-                    for c, rest in basis.items()}
-            self._echelon = (sorted(basis), rref)
+            self._echelon = _echelon_form(_integral(self._rows))
         return self._echelon
 
     def rank(self) -> int:

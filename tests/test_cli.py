@@ -351,7 +351,7 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
 
 # each payload was once read character by character, coerced from a boolean,
 # a non-string name or a decimal string, or crashed with a TypeError; all are
-# input errors now, as are missing keys and duplicate entries
+# input errors now, as are missing keys, unknown keys and duplicate entries
 @pytest.mark.parametrize("command, label, payload", [
     ("check-mcybe", "map", {"matrix": ["100", "010", "001"]}),
     ("check-lie", "algebra", {"dim": 3, "brackets": [{"i": 0, "j": 1, "value": "001"}]}),
@@ -377,12 +377,20 @@ _SL2_BRACKETS = [{"i": 0, "j": 1, "value": [0, 0, 1]},
     ("check-lie", "algebra", {"dim": 3, "brackets": _SL2_BRACKETS + _SL2_BRACKETS[:1]}),
     ("check-mcybe", "map", {"rows": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
     ("check-lie", "algebra", {"dim": 3, "basis": ["e", "e", "h"], "brackets": _SL2_BRACKETS}),
+    ("check-mcybe", "algebra", {"dim": 3, "basis": ["e", "f", "h"], "bracket": _SL2_BRACKETS}),
+    ("check-lie", "algebra", {"dim": 3, "brackets": [{**_SL2_BRACKETS[0], "k": 2}]
+                              + _SL2_BRACKETS[1:]}),
+    ("check-mcybe", "map", {"matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "dim": 3}),
+    ("kuranishi", "cocycle", {"degree": 1, "entry": [{"tuple": [2], "value": [0, 0, 1]}]}),
+    ("kuranishi", "cocycle", {"degree": 1, "entries": [{"tuple": [2], "value": [0, 0, 1],
+                                                        "tuples": [1]}]}),
 ], ids=["matrix-row-strings", "bracket-value-string", "basis-string", "dim-true",
         "bracket-index-bools", "cochain-tuple-string", "cochain-degree-string",
         "cochain-matrix-int", "basis-ints", "basis-null", "matrix-entry-decimal-string",
         "cochain-no-degree", "cochain-entry-no-value", "cochain-tuple-bool",
         "cochain-duplicate-entry", "bracket-no-value", "bracket-duplicate-entry",
-        "map-no-matrix", "basis-dup"])
+        "map-no-matrix", "basis-dup", "algebra-unknown-key", "bracket-unknown-key",
+        "map-unknown-key", "cochain-unknown-key", "cochain-entry-unknown-key"])
 def test_malformed_json_rejected(sl2_files, tmp_path, capsys, command, label, payload):
     algebra, borel = sl2_files
     path = write_json(tmp_path / "malformed.json", payload)
@@ -428,15 +436,26 @@ def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
     assert not captured.out
 
 
-def test_rank_mod_p_disagreement_exit_3(sl2_files, monkeypatch, capsys):
+@pytest.mark.parametrize("route, message", [
+    ("modular", "rank mod p and rank over Q disagree"),
+    ("exact", "null space vector is not annihilated"),
+], ids=["modular", "exact"])
+def test_elimination_fault_exit_3(sl2_files, monkeypatch, capsys, route, message):
     algebra, borel = sl2_files
-    # the independent rank route undercounts: the certificate must refuse
-    true_rank_p = mcybe.cochain.rank_mod_p
-    monkeypatch.setattr(mcybe.cochain, "rank_mod_p", lambda m: true_rank_p(m) - 1)
+    # one elimination, modulo the prime or over Q, loses its last pivot: the
+    # rank certificate must refuse
+    true_eliminate = mcybe.linalg.eliminate
+
+    def eliminate(rows, modulus=0):
+        basis, leads = true_eliminate(rows, modulus)
+        if bool(modulus) == (route == "modular") and basis:
+            del basis[max(basis)]
+        return basis, leads
+    monkeypatch.setattr(mcybe.linalg, "eliminate", eliminate)
     assert run(["cohomology", "--algebra", str(algebra), "--map", str(borel),
                 "--json"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "internal error: rank mod p + nullity != cochain dimension\n"
+    assert captured.err == f"internal error: {message}\n"
     assert not captured.out
 
 
@@ -453,11 +472,13 @@ sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2],
 
 
 def test_certificate_survives_python_O(sl2_files):
-    # the rank + nullity certificate in cohomology() was an assert once
+    # the rank + nullity certificate in cohomology() was an assert once; an
+    # overcounted rank is now refused first by the modular route inside
+    # certified_rank, before cohomology() compares rank + nullity
     algebra, borel = sl2_files
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
                            str(algebra), str(borel)],
                           capture_output=True, text=True, env=_env_with_src(),
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "internal error: rank + nullity != cochain dimension\n"
+    assert proc.stderr == "internal error: rank mod p and rank over Q disagree\n"

@@ -13,7 +13,7 @@ import sympy
 
 from mcybe import (Cochain, Endo, InputError, PreconditionError, catalog, cochain,
                    coboundary_matrix, coboundary_preimage, cohomology, d_apply,
-                   is_cocycle, liealg, pi_cochain, rb_from_r)
+                   is_cocycle, liealg, linalg, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
@@ -335,6 +335,21 @@ def test_cohomology_b_flavor_isomorphic(sl2, sl3):
             assert hr.dim_h(d) == hb.dim_h(d)
 
 
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
+def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
+    # the rank certificate reads the integral rows of the exact elimination:
+    # one integral copy per coboundary matrix and one per its kernel
+    _, r = request.getfixturevalue(name)
+    calls = []
+    true_integral = linalg._integral
+    monkeypatch.setattr(linalg, "_integral",
+                        lambda rows: calls.append(rows) or true_integral(rows))
+    rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
+    assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
+    assert len(calls) == 2 * 3
+
+
 def test_is_cocycle_on_exact_cochains(sl2, rng=random.Random(25)):
     a, r = sl2
     for _ in range(8):
@@ -452,6 +467,12 @@ def test_cochain_json_roundtrip(sl3, rng=random.Random(27)):
     assert again == f
     with pytest.raises(InputError):
         Cochain.from_json_dict({"degree": 2, "entries": [{"tuple": [1, 0], "value": [0] * 8}]}, a)
+    # a misspelled key would leave the cochain zero
+    entries = f.to_json_dict()["entries"]
+    with pytest.raises(InputError, match="^unknown key 'entry' in cochain JSON$"):
+        Cochain.from_json_dict({"degree": 2, "entry": entries}, a)
+    with pytest.raises(InputError, match="^unknown key 'tuples' in cochain entry$"):
+        Cochain.from_json_dict({"degree": 2, "entries": [{**entries[0], "tuples": []}]}, a)
 
 
 def test_coeff_vector_roundtrip(sl2, rng=random.Random(28)):

@@ -135,12 +135,19 @@ def test_json_roundtrip(sl3):
         LieAlgebra.from_json_dict({"dim": 2, "brackets": [{"i": 1, "j": 0, "value": [1, 0]}]})
     with pytest.raises(InputError):
         LieAlgebra.from_json_dict({"brackets": []})
+    # a misspelled key would leave the algebra abelian
+    with pytest.raises(InputError, match="^unknown key 'bracket' in algebra JSON$"):
+        LieAlgebra.from_json_dict({"dim": 8, "bracket": data["brackets"]})
+    with pytest.raises(InputError, match="^unknown key 'k' in bracket entry$"):
+        LieAlgebra.from_json_dict({"dim": 8, "brackets": [{**data["brackets"][0], "k": 2}]})
 
 
 def test_endo_json_roundtrip(sl2):
     a, r = sl2
     again = Endo.from_json_dict(r.to_json_dict(), a)
     assert again == r
+    with pytest.raises(InputError, match="^unknown key 'basis' in endomorphism JSON$"):
+        Endo.from_json_dict({**r.to_json_dict(), "basis": ["e", "f", "h"]}, a)
 
 
 def test_subspace_closure(sl2):

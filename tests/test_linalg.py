@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mcybe import InputError, Matrix
-from mcybe.linalg import MODULUS, rank_mod_p, ratio, rational_from_json, rational_to_json
+from mcybe import InputError, InternalError, Matrix
+from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json,
+                          rational_to_json)
 
 
 def rand_matrix(rng, r, c, span=6, frac=False):
@@ -155,17 +156,21 @@ def rand_sparse(rng, r, c, fill=0.3):
                     if rng.random() < fill else 0 for _ in range(c)] for _ in range(r)])
 
 
-def test_rank_mod_p_matches_rank(rng=random.Random(107)):
+def test_certified_rank_matches_rank(rng=random.Random(107)):
     for _ in range(40):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
-        assert rank_mod_p(m) == m.rank() == sympy.Matrix(m.rows_list()).rank()
+        assert certified_rank(m) == m.rank() == sympy.Matrix(m.rows_list()).rank()
 
 
-def test_rank_mod_p_is_only_a_lower_bound():
-    # a multiple of the prime vanishes modulo it
+def test_certified_rank_refuses_where_rank_mod_p_falls_short():
+    # a multiple of the prime vanishes modulo it: the certificate fails, and
+    # the uncertified rank stays exact before and after
+    assert Matrix([[MODULUS, 1], [0, 1]]).rank() == 2
     m = Matrix([[MODULUS, 1], [0, 1]])
-    assert m.rank() == 2 and rank_mod_p(m) == 1
+    with pytest.raises(InternalError, match="rank mod p and rank over Q disagree"):
+        certified_rank(m)
+    assert m.rank() == 2
 
 
 def test_rref_and_kernel_match_sympy_on_sparse(rng=random.Random(108)):
