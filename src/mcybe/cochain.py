@@ -15,6 +15,11 @@ of a weight-1 Rota-Baxter operator B is half the R-complex of Id + 2B (its
 terms put B for R and add [u, w] to mu).  It is built as that and halved
 at the end, which keeps lambda and mu integral for B = (R - Id)/2 with R
 integral; B + Id/2 would put fractions into every mu.
+
+The precondition is read off the same image table: S(R), the modified
+Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
+S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
+refuse the first pair where their own axiom fails.
 """
 
 from bisect import bisect_left
@@ -25,8 +30,9 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import (Endo, LieAlgebra, Vector, _images, _induced, _rho_columns,
-                     is_zero_vector, vadd, vector_from_json, vector_to_json, vzero)
+from .liealg import (Endo, LieAlgebra, Vector, _identity_pairs, _images, _induced,
+                     _rho_columns, is_zero_vector, vadd, vector_from_json, vector_str,
+                     vector_to_json, vzero)
 from .linalg import Matrix, _exact, certified_rank, json_array, ratio, refuse_unknown_keys
 
 FLAVOR_R = "R-complex"
@@ -249,18 +255,11 @@ def pi_cochain(algebra: LieAlgebra) -> Cochain:
 # -- coboundary operators ----------------------------------------------------
 
 
-def _check_flavor_axiom(P: Endo, flavor):
-    from . import rmatrix   # here, not at the top: rmatrix imports this module
-    if flavor == FLAVOR_R:
-        rmatrix.require_modified(P, "the R-complex coboundary")
-    else:
-        report = rmatrix.is_rota_baxter(P, 1)
-        if not report.ok:
-            i, j = report.failing_pair
-            names = P.algebra.basis_names
-            raise PreconditionError(
-                f"the B-complex coboundary needs a weight-1 Rota-Baxter operator; "
-                f"axiom fails on ({names[i]}, {names[j]})")
+def _not_modified(a: LieAlgebra, pair, value, what) -> PreconditionError:
+    """The error for an operator R with S(R) = value != 0 on the basis pair."""
+    x, y = (a.basis_names[i] for i in pair)
+    return PreconditionError(
+        f"{what} needs a modified r-matrix, but S(R)({x}, {y}) = {vector_str(value)}")
 
 
 def _half(x):
@@ -273,16 +272,22 @@ def _half(x):
 def _operator_side(P: Endo, flavor, k, check):
     """(lambdas, mus, halve) of the coboundary on arity-k cochains, as sparse
     dicts off the image table of R = P, or of Id + 2P with halve set in the
-    B-complex: lambdas[u][j] = rho(R, e_u) e_j, mus[(u, w)] = [e_u, e_w]_R."""
+    B-complex: lambdas[u][j] = rho(R, e_u) e_j, mus[(u, w)] = [e_u, e_w]_R.
+    With check set, the first basis pair where S(R) != 0 is refused."""
     flavor = _canon_flavor(flavor)
     a = P.algebra
     if not 0 <= k <= a.dim:
         raise InputError(f"arity k={k} out of range 0..{a.dim}")
-    if check:
-        _check_flavor_axiom(P, flavor)
     halve = flavor == FLAVOR_B
     R = Endo.identity(a) + P.scale(2) if halve else P
     cols, images = _images(R, a)
+    if check and (failing := next(_identity_pairs(a, cols, images,
+                                                  [{m: 1} for m in range(a.dim)]), None)):
+        if not halve:
+            raise _not_modified(a, *failing, "the R-complex coboundary")
+        x, y = (a.basis_names[i] for i in failing[0])
+        raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
+                                f"operator; axiom fails on ({x}, {y})")
     lambdas = [_rho_columns(a, cols, images, ((u, 1),)) for u in range(a.dim)]
     return lambdas, _induced(images), halve
 
@@ -438,14 +443,14 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     flavor = _canon_flavor(flavor)
     if max_degree < 1:
         raise InputError("max_degree must be >= 1")
-    _check_flavor_axiom(P, flavor)
     a = P.algebra
     n = a.dim
 
     # one walk over the degrees: the outgoing matrix of degree m (arity m-1)
     # is eliminated once (Matrix caches it) and its rank certified; its
-    # kernel gives the cocycles at degree m, and as the incoming matrix of
-    # degree m+1 its pivots give the coboundaries there
+    # certified kernel gives the cocycles at degree m, and as the incoming
+    # matrix of degree m+1 its pivots give the coboundaries there; P is
+    # checked as the first matrix is built (dim 0 has no pair to check)
     degrees = {}
     inc = None
     for degree in range(1, max_degree + 1):
@@ -454,9 +459,8 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         if dim_c == 0:
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
-        out = coboundary_matrix(P, arity, flavor=flavor, check=False).matrix
-        rank = certified_rank(out)
-        kernel = out.null_space()
+        out = coboundary_matrix(P, arity, flavor=flavor, check=inc is None).matrix
+        rank, kernel = certified_rank(out)
         dim_z = kernel.nrows
         certify(rank + dim_z == dim_c, "rank + nullity != cochain dimension")
         z_witnesses = []

@@ -397,8 +397,12 @@ def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None
     Nijenhuis torsion of P.
     """
     a = P.algebra if algebra is None else algebra
-    cols, images = _images(P, a)
-    scols = None if S is None else _columns(S)
+    yield from _identity_pairs(a, *_images(P, a), None if S is None else _columns(S))
+
+
+def _identity_pairs(a: LieAlgebra, cols, images, scols):
+    """operator_identity off (cols, images) = _images(P, a) and the columns
+    scols of S (None for the zero map)."""
     for i, j in combinations(range(a.dim), 2):
         # [Pe_i, Pe_j] = sum_k (Pe_j)_k [Pe_i, e_k], and [e_i, Pe_j] = -images[j][i]
         value = {}

@@ -14,7 +14,9 @@ are thin wrappers over it, and a matrix eliminates itself at most once.
 certified_rank, which cochain.cohomology calls for every rank it reports,
 checks that rank by two routes sharing no arithmetic with it: the kernel
 against the integral rows the elimination read, and the same rows
-eliminated modulo the prime 2^61 - 1.
+eliminated modulo the prime 2^61 - 1.  Rows are scaled to integers in one
+place, _integral, which drops the empty rows (most rows of a coboundary
+matrix); the Matrix keeps its shape and row indices.
 """
 
 import re
@@ -105,9 +107,10 @@ def _quotient(x: int, d: int) -> Rational:
 
 
 def _integral(rows):
-    """Each row dict times the lcm of its denominators."""
+    """Each nonzero row dict times the lcm of its denominators; empty rows
+    are dropped, so no elimination, residue copy or kernel check sees them."""
     scaled = []
-    for row in rows:
+    for row in filter(None, rows):
         mult = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
         scaled.append(row if mult == 1 else
                       {j: x.numerator * (mult // x.denominator) for j, x in row.items()})
@@ -118,7 +121,8 @@ def eliminate(rows, modulus=0):
     """Sparse Gauss-Jordan elimination of integer rows over Q, or GF(modulus).
 
     rows is a list of dicts {column: nonzero int}, left unchanged; over
-    GF(modulus) the entries lie in range(modulus).  Rows are taken
+    GF(modulus) the entries lie in range(modulus).  The callers pass the
+    rows of _integral(), with the empty rows dropped.  Rows are taken
     shortest first, to keep fill-in low, and each is reduced by the rows
     kept so far.  A row left nonzero is kept, its first column becomes a
     pivot, and that column is cleared from the kept rows holding it, which
@@ -206,26 +210,29 @@ def _echelon_form(rows):
                            for c, rest in basis.items()}
 
 
-def certified_rank(m: "Matrix") -> int:
-    """m.rank(), certified by two routes; InternalError when either fails.
+def certified_rank(m: "Matrix"):
+    """(m.rank(), m.null_space()), certified by two routes; InternalError
+    when either fails.
 
-    The rows of m scaled to integers, which the exact elimination reads,
-    must annihilate every null_space() vector, scaled to integers too, in
-    int arithmetic; so the rank over Q is at most m.rank().  Eliminated
-    modulo the prime MODULUS, the same rows must reach m.rank(); a rank
-    modulo a prime never exceeds the rank over Q, so then both are equal.
+    The nonzero rows of m scaled to integers, which the exact elimination
+    reads, must annihilate every null_space() vector, scaled to integers
+    too, in int arithmetic; so the rank over Q is at most m.rank().
+    Eliminated modulo the prime MODULUS, the same rows must reach m.rank();
+    a rank modulo a prime never exceeds the rank over Q, so then both are
+    equal.  The kernel is handed back unscaled: the very vectors checked.
     """
     rows = _integral(m._rows)
     if m._echelon is None:
         m._echelon = _echelon_form(rows)
     rank = m.rank()
-    kernel = Matrix.from_sparse(_integral(m.null_space()._rows), m.ncols)
-    certify((Matrix.from_sparse(rows, m.ncols) @ kernel.transpose()).is_zero(),
+    kernel = m.null_space()
+    scaled = Matrix.from_sparse(_integral(kernel._rows), m.ncols)
+    certify((Matrix.from_sparse(rows, m.ncols) @ scaled.transpose()).is_zero(),
             "null space vector is not annihilated")
     residues = [{j: r for j, x in row.items() if (r := x % MODULUS)} for row in rows]
     certify(len(eliminate(residues, MODULUS)[0]) == rank,
             "rank mod p and rank over Q disagree")
-    return rank
+    return rank, kernel
 
 
 class Matrix:

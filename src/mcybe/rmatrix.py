@@ -10,16 +10,19 @@ torsion are all evaluated by the one kernel liealg.operator_identity, and
 the induced bracket [x, y]_R comes from the same module; all of them are
 read off one image table [Re_i, e_j] per call.  Here also: the
 correspondence R = Id + 2B and the involutive-case equivalence analyzer.
+Under it S(Id + 2B) is 4 times the weight-1 Rota-Baxter defect of B, so
+the coboundaries of cochain check either flavor's precondition as S(R)
+off their own image table, calling nothing here.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, PreconditionError, certify
+from .errors import InputError, certify
 from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, operator_identity,
-                     subspace_closure, vector_str)
-from .cochain import Cochain
+                     subspace_closure)
+from .cochain import Cochain, _not_modified
 
 
 @dataclass
@@ -43,11 +46,8 @@ def mcybe_defect(R: Endo) -> DefectReport:
 def require_modified(R: Endo, what="this operation"):
     report = mcybe_defect(R)
     if not report.is_zero:
-        i, j = report.worst_pair
-        names = R.algebra.basis_names
-        raise PreconditionError(
-            f"{what} needs a modified r-matrix, but S(R)({names[i]}, {names[j]}) = "
-            f"{vector_str(report.defect_cochain.get(report.worst_pair))}")
+        raise _not_modified(R.algebra, report.worst_pair,
+                            report.defect_cochain.get(report.worst_pair), what)
     return report
 
 

@@ -10,7 +10,10 @@ perfbench/workloads.py is loaded unchanged and its sl(2) jobs run once, so
 a renamed or changed function that the benchmark calls fails the suite.
 One full pass of seed 1 runs too, so that the inputs a timing rests on
 (the dense Fraction exp(ad x) conjugates, the sl(4) Weyl conjugates) pass
-their checks in the suite and not only in a benchmark run.
+their checks in the suite and not only in a benchmark run.  Finally the
+tracer itself is installed around the cohomology-catalog smoke jobs, so a
+refactor that routes around a traced layer fails the suite instead of
+silently emptying that layer's numbers.
 """
 
 import importlib
@@ -70,3 +73,20 @@ def test_benchmark_full_pass_passes_its_checks(tmp_path):
         assert jobs, workload
         for job in jobs:
             job.check(job.call())
+
+
+def test_tracer_records_each_cohomology_layer(tmp_path):
+    spans, workloads = _load("spans"), _load("workloads")
+    jobs = workloads.build("cohomology-catalog", 1, True, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install("mcybe")
+    try:
+        reports = [job.call() for job in jobs]
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.summary()
+    matrices = sum(1 for report in reports for d in report.degrees.values() if d.dim_cochains)
+    assert matrices > len(jobs)
+    assert calls["cochain.cohomology"] == len(jobs)
+    assert calls["cochain.coboundary_matrix"] == matrices
+    assert calls["linalg.rank"] == matrices

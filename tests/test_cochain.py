@@ -11,12 +11,13 @@ from math import comb
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, InputError, PreconditionError, catalog, cochain,
+from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, catalog, cochain,
                    coboundary_matrix, coboundary_preimage, cohomology, d_apply,
-                   is_cocycle, liealg, linalg, pi_cochain, rb_from_r)
+                   is_cocycle, is_rota_baxter, liealg, linalg, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
+from mcybe.rmatrix import require_modified
 
 from conftest import conjugate, nilpotent_exp, rand_cochain, rand_endo, rand_vector
 
@@ -217,6 +218,70 @@ def test_coboundary_requires_valid_operator(sl2):
         coboundary_matrix(Endo.from_diagonal(a, [1, 1, -1]), 1)
     with pytest.raises(PreconditionError):
         coboundary_matrix(Endo.identity(a), 1, flavor="B")
+
+
+def _off_by_scale_or_entry(rng, P):
+    """c P for c in 2, -3, 1/2, and P with one seeded entry changed."""
+    rows = P.matrix.rows_list()
+    n = len(rows)
+    rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 2, Fraction(1, 2)))
+    return [P.scale(c) for c in (2, -3, Fraction(1, 2))] + [Endo(Matrix(rows), P.algebra)]
+
+
+def _old_route_message(P, flavor):
+    """The precondition message as the separate defect evaluation words it."""
+    if flavor == "R":
+        with pytest.raises(PreconditionError) as exc:
+            require_modified(P, "the R-complex coboundary")
+        return str(exc.value)
+    report = is_rota_baxter(P, 1)
+    assert not report.ok
+    i, j = report.failing_pair
+    names = P.algebra.basis_names
+    return (f"the B-complex coboundary needs a weight-1 Rota-Baxter operator; "
+            f"axiom fails on ({names[i]}, {names[j]})")
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_precondition_read_off_the_image_table(name, flavor, request, rng=random.Random(33)):
+    # S(R) on the coboundary's own image table (R = Id + 2P in the B-complex,
+    # where S(R) is 4 times P's Rota-Baxter defect) refuses exactly what the
+    # separate defect evaluation refuses, with the same message
+    a, r = request.getfixturevalue(name)
+    valid = r if flavor == "R" else rb_from_r(r)
+
+    def routes(P):
+        for k in (0, 1):
+            yield lambda: coboundary_matrix(P, k, flavor=flavor)
+            yield lambda: d_apply(P, Cochain(a, k, {tuple(range(k)): a.basis_vector(k)}),
+                                  flavor=flavor)
+        yield lambda: cohomology(P, 2, flavor=flavor)
+    for P in _off_by_scale_or_entry(rng, valid):
+        message = _old_route_message(P, flavor)
+        for route in routes(P):
+            with pytest.raises(PreconditionError) as exc:
+                route()
+            assert str(exc.value) == message
+    for route in routes(valid):
+        route()
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
+def test_cohomology_builds_each_kernel_once(name, flavor, request, monkeypatch):
+    # certified_rank hands back the kernel it checked, and the cocycle
+    # witnesses are its rows
+    a, r = request.getfixturevalue(name)
+    kernels = []
+    true_null_space = Matrix.null_space
+    monkeypatch.setattr(Matrix, "null_space",
+                        lambda m: kernels.append(true_null_space(m)) or kernels[-1])
+    rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
+    assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
+    assert len(kernels) == 3
+    for kernel, d in zip(kernels, rep.degrees.values()):
+        assert [w.to_coeff_vector() for w in d.cocycle_witnesses] == kernel.rows_list()
 
 
 def test_cohomology_sl2(sl2):

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from mcybe import rmatrix
+from mcybe import liealg, rmatrix
 from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, cochain,
                    coboundary_matrix, cohomology, d_apply, graded_bracket,
                    is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
@@ -222,20 +222,26 @@ def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
     assert arities == [1]
 
 
-def test_kuranishi_evaluates_three_defects(sl3, monkeypatch):
-    # S(R) once in each is_cocycle and once in coboundary_preimage;
-    # kuranishi checks nothing of its own
+def test_kuranishi_builds_three_image_tables(sl3, monkeypatch):
+    # each is_cocycle reads S(R) off the image table of its d_apply, and
+    # coboundary_preimage off that of its coboundary_matrix: kuranishi
+    # checks nothing of its own and builds no separate defect table
     a, r = sl3
     f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
     seen = []
-    real = rmatrix.mcybe_defect
 
-    def counting(R):
-        seen.append(R)
-        return real(R)
-    monkeypatch.setattr(rmatrix, "mcybe_defect", counting)
+    def spy(module, name, tag):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: seen.append(tag) or real(*args, **kwargs))
+    spy(cochain, "d_apply", "d_apply")
+    spy(cochain, "coboundary_matrix", "coboundary_matrix")
+    for module in (cochain, liealg):
+        spy(module, "_images", "table")
+    for name in ("mcybe_defect", "is_rota_baxter"):
+        spy(rmatrix, name, "defect")
     assert kuranishi(r, f).is_cocycle
-    assert seen == [r, r, r]
+    assert seen == ["d_apply", "table", "d_apply", "table", "coboundary_matrix", "table"]
 
 
 def test_kuranishi_needs_modified_r_matrix(sl2):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mcybe import InputError, InternalError, Matrix
+from mcybe import (InputError, InternalError, Matrix, coboundary_matrix, cohomology, linalg,
+                   rb_from_r)
 from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json,
                           rational_to_json)
 
@@ -160,7 +161,9 @@ def test_certified_rank_matches_rank(rng=random.Random(107)):
     for _ in range(40):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
-        assert certified_rank(m) == m.rank() == sympy.Matrix(m.rows_list()).rank()
+        rank, kernel = certified_rank(m)
+        assert rank == m.rank() == sympy.Matrix(m.rows_list()).rank()
+        assert kernel == m.null_space()
 
 
 def test_certified_rank_refuses_where_rank_mod_p_falls_short():
@@ -199,3 +202,53 @@ def test_sparse_arithmetic_matches_dense(rng=random.Random(110)):
         assert a.transpose().rows_list() == sa.T.tolist()
         v = tuple(rng.randint(-3, 3) for _ in range(k))
         assert list(a.apply(v)) == list(sa * sympy.Matrix(v))
+
+
+def interleave_zero_rows(rng, m):
+    """(z, kept): m with one to three zero rows after each of its rows, so
+    at least half the rows of z are zero, and the indices of m's rows in z."""
+    rows, kept = [], []
+    for i in range(m.nrows):
+        kept.append(len(rows))
+        rows.append(list(m.row(i)))
+        rows.extend([0] * m.ncols for _ in range(rng.randint(1, 3)))
+    return Matrix(rows), kept
+
+
+def test_zero_rows_change_no_answer(rng=random.Random(111)):
+    # empty rows are dropped before any elimination: every answer is the one
+    # for the matrix without them, and sympy's for the matrix with them
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
+        z, kept = interleave_zero_rows(rng, m)
+        assert 2 * sum(not z.nonzeros(i) for i in range(z.nrows)) >= z.nrows
+        ref = sympy.Matrix(z.rows_list())
+        assert z.rank() == m.rank() == ref.rank()
+        assert z.pivot_columns() == m.pivot_columns() == ref.rref()[1]
+        assert z.null_space() == m.null_space()
+        assert z.null_space().rows_list() == [list(v) for v in ref.nullspace()]
+        assert certified_rank(z) == certified_rank(m) == (ref.rank(), m.null_space())
+        b = z.apply(tuple(rng.randint(-4, 4) for _ in range(c)))
+        x = z.solve(b)
+        assert x == m.solve([b[i] for i in kept])
+        solution, params = ref.gauss_jordan_solve(sympy.Matrix(b))
+        assert list(x) == list(solution.subs({p: 0 for p in params}))
+        off = list(b)
+        off[kept[rng.randrange(r)] + 1] = 1      # a zero row of z
+        assert z.solve(off) is None
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_cohomology_eliminates_no_empty_row(sl3, flavor, monkeypatch):
+    _, r = sl3
+    P = r if flavor == "R" else rb_from_r(r)
+    m = coboundary_matrix(P, 1, flavor=flavor).matrix
+    assert any(not m.nonzeros(i) for i in range(m.nrows))     # empty rows to drop
+    seen = []
+    true_eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus=0: seen.append(
+        list(rows)) or true_eliminate(rows, modulus))
+    cohomology(P, 3, flavor=flavor)
+    assert len(seen) == 2 * 3       # exact and modular, per matrix
+    assert all(row for rows in seen for row in rows)
