@@ -20,6 +20,14 @@ The precondition is read off the same image table: S(R), the modified
 Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
 S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
 refuse the first pair where their own axiom fails.
+
+A private complex object holds this side for one library call.  As it is
+made, it builds the image table and every lambda_u in one pass and checks
+the precondition; mu is built only when an arity >= 1 coboundary first
+reads it.  cohomology and graded.kuranishi each make one and pass it to
+coboundary_matrix, d_apply, is_cocycle and coboundary_preimage in place of
+P, so one call builds one side.  Nothing of it outlives the call: no
+operator, algebra or matrix keeps a reference to it.
 """
 
 from bisect import bisect_left
@@ -31,7 +39,7 @@ from math import comb
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, _identity_pairs, _images, _induced,
-                     _rho_columns, is_zero_vector, vadd, vector_from_json, vector_str,
+                     _lambdas, is_zero_vector, vadd, vector_from_json, vector_str,
                      vector_to_json, vzero)
 from .linalg import Matrix, _exact, certified_rank, json_array, ratio, refuse_unknown_keys
 
@@ -201,6 +209,21 @@ class Cochain:
         return cls(algebra, arity, blocks)
 
     @classmethod
+    def _from_own_sparse(cls, algebra, arity, entries):
+        """from_sparse for nonzero entries at in-range indices that the package
+        built itself: each entry is made exact by _exact, and nothing is
+        checked again.  Cochains read from JSON go through __init__."""
+        n = algebra.dim
+        tuples = basis_tuples(n, arity)
+        blocks = {}
+        for i, x in entries.items():
+            blocks.setdefault(tuples[i // n], [0] * n)[i % n] = _exact(x)
+        f = cls.__new__(cls)
+        f.algebra, f.arity = algebra, arity
+        f.coeffs = {key: tuple(vec) for key, vec in blocks.items()}
+        return f
+
+    @classmethod
     def from_coeff_vector(cls, algebra, arity, values):
         values = list(values)
         size = cochain_space_dim(algebra.dim, arity)
@@ -269,34 +292,63 @@ def _half(x):
     return _exact(x / 2)
 
 
-def _operator_side(P: Endo, flavor, k, check):
-    """(lambdas, mus, halve) of the coboundary on arity-k cochains, as sparse
-    dicts off the image table of R = P, or of Id + 2P with halve set in the
-    B-complex: lambdas[u][j] = rho(R, e_u) e_j, mus[(u, w)] = [e_u, e_w]_R.
-    With check set, the first basis pair where S(R) != 0 is refused."""
+class _Complex(Endo):
+    """P with the operator side of its coboundary complex, built for one
+    library call and dropped with it.
+
+    It holds the image table of R = P, or of Id + 2P with halve set in the
+    B-complex, and lambdas[u][j] = rho(R, e_u) e_j as sparse dicts.  mus,
+    mus[(u, w)] = [e_u, e_w]_R, is made the first time it is read, which no
+    arity-0 coboundary does.  With check set, the first basis pair where
+    S(R) != 0 is refused as the complex is built.  As an Endo it is P
+    itself, so it stands wherever P does.
+    """
+
+    __slots__ = ("flavor", "halve", "images", "lambdas", "_mus")
+
+    def __init__(self, P: Endo, flavor, check):
+        super().__init__(P.matrix, P.algebra)
+        a = P.algebra
+        self.flavor = flavor
+        self.halve = flavor == FLAVOR_B
+        R = Endo.identity(a) + P.scale(2) if self.halve else P
+        cols, self.images = _images(R, a)
+        if check and (failing := next(_identity_pairs(a, cols, self.images,
+                                                      [{m: 1} for m in range(a.dim)]), None)):
+            if not self.halve:
+                raise _not_modified(a, *failing, "the R-complex coboundary")
+            x, y = (a.basis_names[i] for i in failing[0])
+            raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
+                                    f"operator; axiom fails on ({x}, {y})")
+        self.lambdas = _lambdas(a, cols, self.images)
+        self._mus = None
+
+    @property
+    def mus(self):
+        if self._mus is None:
+            self._mus = _induced(self.images)
+        return self._mus
+
+
+def _complex(P, flavor, k, check=True) -> _Complex:
+    """The complex of P for arity-k cochains: P itself when it is a complex,
+    whose flavor is certified to be flavor, else a new one.  An arity out of
+    range is refused before anything is built."""
     flavor = _canon_flavor(flavor)
-    a = P.algebra
-    if not 0 <= k <= a.dim:
-        raise InputError(f"arity k={k} out of range 0..{a.dim}")
-    halve = flavor == FLAVOR_B
-    R = Endo.identity(a) + P.scale(2) if halve else P
-    cols, images = _images(R, a)
-    if check and (failing := next(_identity_pairs(a, cols, images,
-                                                  [{m: 1} for m in range(a.dim)]), None)):
-        if not halve:
-            raise _not_modified(a, *failing, "the R-complex coboundary")
-        x, y = (a.basis_names[i] for i in failing[0])
-        raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
-                                f"operator; axiom fails on ({x}, {y})")
-    lambdas = [_rho_columns(a, cols, images, ((u, 1),)) for u in range(a.dim)]
-    return lambdas, _induced(images), halve
+    if not 0 <= k <= P.algebra.dim:
+        raise InputError(f"arity k={k} out of range 0..{P.algebra.dim}")
+    if isinstance(P, _Complex):
+        certify(P.flavor == flavor, f"the {P.flavor} of P passed as its {flavor}")
+        return P
+    return _Complex(P, flavor, check)
 
 
-def _terms(n, k, mus):
+def _terms(side: _Complex, k):
     """(T, singles, pairs) for each sorted (k+1)-tuple T, in order: the terms
     sign * lambda_u(f(e_S)) of (d f)(e_T) as (sign, u, S), and its terms
     sign * f(mu(e_u, e_w), e_S) expanded over the basis as (c, K) for c f(e_K)."""
-    for T in basis_tuples(n, k + 1):
+    mus = side.mus if k else {}
+    for T in basis_tuples(side.algebra.dim, k + 1):
         singles = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
                    for pos in range(k + 1)]
         pairs = [((-1) ** (p1 + p2) * ins[0] * x, ins[1])
@@ -321,15 +373,17 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
 
     For k = 0 the domain is g itself and (d x)(y) = [Ry, x] - R([y, x]).
     Rows are assembled as sparse dicts, block by block of n rows per
-    (k+1)-tuple; no dense rows x cols table is built.
+    (k+1)-tuple; no dense rows x cols table is built.  P may be a complex
+    built earlier in the same call, which is then checked already.
     """
-    lambdas, mus, halve = _operator_side(P, flavor, k, check)
+    side = _complex(P, flavor, k, check)
+    lambdas = side.lambdas
     n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    exact = _half if halve else ratio
+    exact = _half if side.halve else _exact
 
     rows = []
-    for _, singles, pairs in _terms(n, k, mus):
+    for _, singles, pairs in _terms(side, k):
         block = [{} for _ in range(n)]
         for sgn, u, sub in singles:
             base = col_base[sub]
@@ -346,10 +400,11 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     """Apply the coboundary to a single cochain without assembling the matrix."""
-    lambdas, mus, halve = _operator_side(P, flavor, f.arity, check)
+    side = _complex(P, flavor, f.arity, check)
+    lambdas = side.lambdas
     n = P.algebra.dim
     coeffs = {}
-    for T, singles, pairs in _terms(n, f.arity, mus):
+    for T, singles, pairs in _terms(side, f.arity):
         acc = [0] * n
         for sgn, u, sub in singles:
             for c, x in enumerate(f.coeffs.get(sub, ())):
@@ -360,7 +415,7 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
             for m, x in enumerate(f.coeffs.get(key, ())):
                 acc[m] += coeff * x
         if any(acc):
-            coeffs[T] = [_half(x) for x in acc] if halve else acc
+            coeffs[T] = [_half(x) for x in acc] if side.halve else acc
     return Cochain(P.algebra, f.arity + 1, coeffs)
 
 
@@ -446,11 +501,12 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     a = P.algebra
     n = a.dim
 
-    # one walk over the degrees: the outgoing matrix of degree m (arity m-1)
-    # is eliminated once (Matrix caches it) and its rank certified; its
+    # one complex, checked as it is built, serves every degree; one walk
+    # over the degrees: the outgoing matrix of degree m (arity m-1) is
+    # eliminated once (Matrix caches it) and its rank certified; its
     # certified kernel gives the cocycles at degree m, and as the incoming
-    # matrix of degree m+1 its pivots give the coboundaries there; P is
-    # checked as the first matrix is built (dim 0 has no pair to check)
+    # matrix of degree m+1 its pivots give the coboundaries there
+    side = _complex(P, flavor, 0)
     degrees = {}
     inc = None
     for degree in range(1, max_degree + 1):
@@ -459,13 +515,13 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         if dim_c == 0:
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
-        out = coboundary_matrix(P, arity, flavor=flavor, check=inc is None).matrix
+        out = coboundary_matrix(side, arity, flavor=flavor).matrix
         rank, kernel = certified_rank(out)
         dim_z = kernel.nrows
         certify(rank + dim_z == dim_c, "rank + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
-            z_witnesses = [Cochain.from_sparse(a, arity, kernel.nonzeros(i))
+            z_witnesses = [Cochain._from_own_sparse(a, arity, kernel.nonzeros(i))
                            for i in range(dim_z)]
         b_witnesses = []
         if degree == 1:
@@ -475,8 +531,8 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             dim_b = len(pivots)
             if witnesses:
                 images = inc.transpose()    # its row col is d of basis cochain col
-                b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}),
-                                Cochain.from_sparse(a, arity, images.nonzeros(col)))
+                b_witnesses = [(Cochain._from_own_sparse(a, arity - 1, {col: 1}),
+                                Cochain._from_own_sparse(a, arity, images.nonzeros(col)))
                                for col in pivots]
         dim_h = dim_z - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")

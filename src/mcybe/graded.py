@@ -24,8 +24,8 @@ from itertools import chain, combinations
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import Endo, is_zero_vector, vadd, vneg
-from .cochain import (Cochain, basis_tuples, coboundary_preimage, is_cocycle,
-                      pi_cochain)
+from .cochain import (FLAVOR_R, Cochain, _complex, basis_tuples, coboundary_preimage,
+                      is_cocycle, pi_cochain)
 from .rmatrix import mcybe_defect, require_modified
 
 GRADED_SIGN_CONVENTION = (
@@ -164,10 +164,12 @@ def kuranishi(R: Endo, f) -> KuranishiReport:
     fc = as_graded(f)
     if fc.arity != 1:
         raise InputError("kuranishi expects a degree-2 cochain (arity 1)")
-    # is_cocycle also requires R to be a modified r-matrix
-    if not is_cocycle(R, fc):
+    # one complex, which refuses an R that is not a modified r-matrix,
+    # serves both cocycle tests and the preimage
+    side = _complex(R, FLAVOR_R, fc.arity)
+    if not is_cocycle(side, fc):
         raise PreconditionError("kuranishi needs f in Z^2: d f != 0")
     ff = graded_bracket(fc, fc)
-    closed = is_cocycle(R, ff)
-    witness = coboundary_preimage(R, ff)
+    closed = is_cocycle(side, ff)
+    witness = coboundary_preimage(side, ff)
     return KuranishiReport(ff, closed, witness is not None, witness)

@@ -386,6 +386,23 @@ def _rho_columns(a: LieAlgebra, cols, images, xs):
     return columns
 
 
+def _lambdas(a: LieAlgebra, cols, images):
+    """lambdas[u][j] = rho(P, e_u) e_j = images[u][j] - P([e_u, e_j]) for every
+    u and j, in one pass, from _images(P, a)."""
+    table = a._table
+    lambdas = []
+    for terms_u, images_u in zip(table, images):
+        row = []
+        for terms, image in zip(terms_u, images_u):
+            column = dict(image)
+            for k, c in terms:
+                for m, w in cols[k].items():
+                    column[m] = column.get(m, 0) - c * w
+            row.append(column)
+        lambdas.append(row)
+    return lambdas
+
+
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):
     """Nonzero ((i, j), [Pe_i, Pe_j] - P([Pe_i, e_j] + [e_i, Pe_j]) + S([e_i, e_j])).
 

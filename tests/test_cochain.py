@@ -11,9 +11,10 @@ from math import comb
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, catalog, cochain,
-                   coboundary_matrix, coboundary_preimage, cohomology, d_apply,
-                   is_cocycle, is_rota_baxter, liealg, linalg, pi_cochain, rb_from_r)
+from mcybe import (Cochain, Endo, InputError, InternalError, Matrix, PreconditionError,
+                   catalog, cochain, coboundary_matrix, coboundary_preimage, cohomology,
+                   d_apply, is_cocycle, is_rota_baxter, kuranishi, liealg, linalg,
+                   pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
@@ -243,11 +244,12 @@ def _old_route_message(P, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["R", "B"])
-@pytest.mark.parametrize("name", ["sl2", "sl3"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3_conjugate"])
 def test_precondition_read_off_the_image_table(name, flavor, request, rng=random.Random(33)):
-    # S(R) on the coboundary's own image table (R = Id + 2P in the B-complex,
-    # where S(R) is 4 times P's Rota-Baxter defect) refuses exactly what the
-    # separate defect evaluation refuses, with the same message
+    # S(R) on the image table of the one complex a call builds (R = Id + 2P
+    # in the B-complex, where S(R) is 4 times P's Rota-Baxter defect) refuses
+    # exactly what the separate defect evaluation refuses, with the same
+    # message; an arity out of range is an input error before that
     a, r = request.getfixturevalue(name)
     valid = r if flavor == "R" else rb_from_r(r)
 
@@ -256,13 +258,24 @@ def test_precondition_read_off_the_image_table(name, flavor, request, rng=random
             yield lambda: coboundary_matrix(P, k, flavor=flavor)
             yield lambda: d_apply(P, Cochain(a, k, {tuple(range(k)): a.basis_vector(k)}),
                                   flavor=flavor)
+        yield lambda: cohomology(P, 1, flavor=flavor)
         yield lambda: cohomology(P, 2, flavor=flavor)
+        if flavor == "R":
+            yield lambda: kuranishi(P, Cochain.zero(a, 1))
     for P in _off_by_scale_or_entry(rng, valid):
         message = _old_route_message(P, flavor)
         for route in routes(P):
             with pytest.raises(PreconditionError) as exc:
                 route()
             assert str(exc.value) == message
+        too_high = Cochain.zero(a, a.dim + 1)
+        for route in (lambda: coboundary_matrix(P, a.dim + 1, flavor=flavor),
+                      lambda: d_apply(P, too_high, flavor=flavor),
+                      lambda: is_cocycle(P, too_high, flavor=flavor),
+                      lambda: coboundary_preimage(P, Cochain.zero(a, a.dim + 2),
+                                                  flavor=flavor)):
+            with pytest.raises(InputError, match="out of range"):
+                route()
     for route in routes(valid):
         route()
 
@@ -413,6 +426,122 @@ def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
     rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
     assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
     assert len(calls) == 2 * 3
+
+
+# -- one complex per library call ---------------------------------------------
+
+def _spy_side(monkeypatch, seen):
+    """Log "table" for each image table and "mu" for each induced bracket
+    built, through liealg and through cochain's own names for them."""
+    for name, tag in (("_images", "table"), ("_induced", "mu")):
+        real = getattr(liealg, name)
+        spy = lambda *args, real=real, tag=tag: seen.append(tag) or real(*args)
+        monkeypatch.setattr(liealg, name, spy)
+        monkeypatch.setattr(cochain, name, spy)
+
+
+def _attributes(obj):
+    """What obj holds, as {attribute: id(value)}: its instance dict, or its
+    slots for a class without one."""
+    if hasattr(obj, "__dict__"):
+        return {name: id(value) for name, value in vars(obj).items()}
+    return {name: id(getattr(obj, name)) for name in type(obj).__slots__}
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_cohomology_builds_one_side_per_call(sl3, flavor, monkeypatch):
+    # one image table per call at every max_degree, mu only from arity 1 up,
+    # and nothing left behind on the operator, its matrix or its algebra
+    a, r = sl3
+    P = r if flavor == "R" else rb_from_r(r)
+    before = [_attributes(x) for x in (P, P.matrix, a)]
+    seen = []
+    _spy_side(monkeypatch, seen)
+    for max_degree in (1, 2, 3, 4):
+        cohomology(P, max_degree, flavor=flavor, witnesses=False)
+        assert seen == ["table"] + ["mu"] * (max_degree > 1), max_degree
+        seen.clear()
+    for _ in range(2):
+        cohomology(P, 2, flavor=flavor)
+    assert seen == ["table", "mu"] * 2
+    assert [_attributes(x) for x in (P, P.matrix, a)] == before
+    assert not hasattr(P, "__dict__") and not hasattr(P.matrix, "__dict__")
+
+
+def _typed_rows(m):
+    """The rows of m as sorted (column, type, entry) triples."""
+    return [[(j, type(x), x) for j, x in sorted(m.nonzeros(i).items())] for i in range(m.nrows)]
+
+
+def _typed_coeffs(f):
+    return {key: [(type(x), x) for x in vec] for key, vec in f.coeffs.items()}
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate", "sl4"])
+def test_shared_complex_matches_standalone(name, flavor, request, monkeypatch,
+                                           rng=random.Random(34)):
+    # every matrix cohomology assembles off its one complex, and every
+    # d_apply through a shared complex, equals the standalone call on P
+    a, r = request.getfixturevalue(name)
+    P = r if flavor == "R" else rb_from_r(r)
+    inside = []
+    assemble = cochain.coboundary_matrix
+
+    def recorded(Q, k, **kwargs):
+        cb = assemble(Q, k, **kwargs)
+        inside.append((Q, k, cb.matrix))
+        return cb
+    monkeypatch.setattr(cochain, "coboundary_matrix", recorded)
+    cohomology(P, 4, flavor=flavor, witnesses=False)
+    monkeypatch.undo()
+    assert [k for _, k, _ in inside] == [0, 1, 2, 3]
+    side = inside[0][0]
+    assert isinstance(side, cochain._Complex) and all(Q is side for Q, _, _ in inside)
+    for _, k, m in inside:
+        assert _typed_rows(m) == _typed_rows(coboundary_matrix(P, k, flavor=flavor).matrix)
+        for _ in range(3):
+            f = rand_cochain(rng, a, k).scale(rng.choice((1, Fraction(-2, 3))))
+            got, want = d_apply(side, f, flavor=flavor), d_apply(P, f, flavor=flavor)
+            assert got == want and _typed_coeffs(got) == _typed_coeffs(want)
+
+
+def test_complex_of_the_other_flavor_is_refused(sl3):
+    a, r = sl3
+    f = Cochain.from_vector(a, a.basis_vector(0))
+    for flavor, other in (("R", "B"), ("B", "R")):
+        side = cochain._complex(r if flavor == "R" else rb_from_r(r), flavor, 0)
+        for route in (lambda: coboundary_matrix(side, 0, flavor=other),
+                      lambda: d_apply(side, f, flavor=other),
+                      lambda: is_cocycle(side, f, flavor=other),
+                      lambda: coboundary_preimage(side, d_apply(side, f, flavor=flavor),
+                                                  flavor=other)):
+            with pytest.raises(InternalError, match=f"{flavor}-complex of P passed"):
+                route()
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
+def test_witnesses_equal_their_checked_build(name, flavor, request, monkeypatch):
+    # the witnesses skip Cochain.__init__'s checks; built through the checked
+    # from_sparse they are the same cochains, entry types included
+    a, r = request.getfixturevalue(name)
+    P = r if flavor == "R" else rb_from_r(r)
+    own = cohomology(P, 3, flavor=flavor)
+    monkeypatch.setattr(Cochain, "_from_own_sparse", classmethod(Cochain.from_sparse.__func__))
+    checked = cohomology(P, 3, flavor=flavor)
+    count = 0
+    for mine, theirs in zip(own.degrees.values(), checked.degrees.values()):
+        pairs = list(zip(mine.cocycle_witnesses, theirs.cocycle_witnesses))
+        for (pre, img), (pre2, img2) in zip(mine.coboundary_witnesses,
+                                            theirs.coboundary_witnesses):
+            pairs += [(pre, pre2), (img, img2)]
+        for u, v in pairs:
+            assert u == v and _typed_coeffs(u) == _typed_coeffs(v)
+            assert list(u.coeffs) == list(v.coeffs)
+        count += len(pairs)
+    assert own.to_json_dict() == checked.to_json_dict()
+    assert count > 100
 
 
 def test_is_cocycle_on_exact_cochains(sl2, rng=random.Random(25)):
