@@ -22,7 +22,7 @@ S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
 refuse the first pair where their own axiom fails.
 
 A private complex object holds this side for one library call.  As it is
-made, it builds the image table and every lambda_u in one pass and checks
+made, it builds the image table, reads every lambda_u off it and checks
 the precondition; mu is built only when an arity >= 1 coboundary first
 reads it.  cohomology and graded.kuranishi each make one and pass it to
 coboundary_matrix, d_apply, is_cocycle and coboundary_preimage in place of
@@ -198,29 +198,21 @@ class Cochain:
     @classmethod
     def from_sparse(cls, algebra, arity, entries):
         """The cochain with coefficient x at each index i of {i: x}: entry
-        i % n of its value on basis_tuples(n, arity)[i // n]; others are 0."""
+        i % n of its value on basis_tuples(n, arity)[i // n]; others are 0.
+
+        Each index is range-checked and each entry passed through ratio; the
+        keys come from basis_tuples, so __init__'s checks of them are skipped.
+        """
         n = algebra.dim
         tuples = basis_tuples(n, arity)
         blocks = {}
         for i, x in entries.items():
             if not 0 <= i < len(tuples) * n:
                 raise InputError(f"coefficient index {i} out of range")
-            blocks.setdefault(tuples[i // n], [0] * n)[i % n] = x
-        return cls(algebra, arity, blocks)
-
-    @classmethod
-    def _from_own_sparse(cls, algebra, arity, entries):
-        """from_sparse for nonzero entries at in-range indices that the package
-        built itself: each entry is made exact by _exact, and nothing is
-        checked again.  Cochains read from JSON go through __init__."""
-        n = algebra.dim
-        tuples = basis_tuples(n, arity)
-        blocks = {}
-        for i, x in entries.items():
-            blocks.setdefault(tuples[i // n], [0] * n)[i % n] = _exact(x)
+            blocks.setdefault(tuples[i // n], [0] * n)[i % n] = ratio(x)
         f = cls.__new__(cls)
         f.algebra, f.arity = algebra, arity
-        f.coeffs = {key: tuple(vec) for key, vec in blocks.items()}
+        f.coeffs = {key: tuple(vec) for key, vec in blocks.items() if any(vec)}
         return f
 
     @classmethod
@@ -296,31 +288,30 @@ class _Complex(Endo):
     """P with the operator side of its coboundary complex, built for one
     library call and dropped with it.
 
-    It holds the image table of R = P, or of Id + 2P with halve set in the
-    B-complex, and lambdas[u][j] = rho(R, e_u) e_j as sparse dicts.  mus,
-    mus[(u, w)] = [e_u, e_w]_R, is made the first time it is read, which no
-    arity-0 coboundary does.  With check set, the first basis pair where
+    It holds the image table of R = P, or of Id + 2P in the B-complex, and
+    lambdas[u][j] = rho(R, e_u) e_j as sparse dicts.  mus, mus[(u, w)] =
+    [e_u, e_w]_R, is made the first time it is read, which no arity-0
+    coboundary does.  With check set, the first basis pair where
     S(R) != 0 is refused as the complex is built.  As an Endo it is P
     itself, so it stands wherever P does.
     """
 
-    __slots__ = ("flavor", "halve", "images", "lambdas", "_mus")
+    __slots__ = ("flavor", "images", "lambdas", "_mus")
 
     def __init__(self, P: Endo, flavor, check):
         super().__init__(P.matrix, P.algebra)
         a = P.algebra
         self.flavor = flavor
-        self.halve = flavor == FLAVOR_B
-        R = Endo.identity(a) + P.scale(2) if self.halve else P
+        R = Endo.identity(a) + P.scale(2) if flavor == FLAVOR_B else P
         cols, self.images = _images(R, a)
         if check and (failing := next(_identity_pairs(a, cols, self.images,
                                                       [{m: 1} for m in range(a.dim)]), None)):
-            if not self.halve:
+            if flavor == FLAVOR_R:
                 raise _not_modified(a, *failing, "the R-complex coboundary")
             x, y = (a.basis_names[i] for i in failing[0])
             raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
                                     f"operator; axiom fails on ({x}, {y})")
-        self.lambdas = _lambdas(a, cols, self.images)
+        self.lambdas = _lambdas(a, cols, self.images, range(a.dim))
         self._mus = None
 
     @property
@@ -380,7 +371,7 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     lambdas = side.lambdas
     n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    exact = _half if side.halve else _exact
+    exact = _half if side.flavor == FLAVOR_B else _exact
 
     rows = []
     for _, singles, pairs in _terms(side, k):
@@ -415,7 +406,7 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
             for m, x in enumerate(f.coeffs.get(key, ())):
                 acc[m] += coeff * x
         if any(acc):
-            coeffs[T] = [_half(x) for x in acc] if side.halve else acc
+            coeffs[T] = [_half(x) for x in acc] if side.flavor == FLAVOR_B else acc
     return Cochain(P.algebra, f.arity + 1, coeffs)
 
 
@@ -521,7 +512,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         certify(rank + dim_z == dim_c, "rank + nullity != cochain dimension")
         z_witnesses = []
         if witnesses:
-            z_witnesses = [Cochain._from_own_sparse(a, arity, kernel.nonzeros(i))
+            z_witnesses = [Cochain.from_sparse(a, arity, kernel.nonzeros(i))
                            for i in range(dim_z)]
         b_witnesses = []
         if degree == 1:
@@ -531,8 +522,8 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             dim_b = len(pivots)
             if witnesses:
                 images = inc.transpose()    # its row col is d of basis cochain col
-                b_witnesses = [(Cochain._from_own_sparse(a, arity - 1, {col: 1}),
-                                Cochain._from_own_sparse(a, arity, images.nonzeros(col)))
+                b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}),
+                                Cochain.from_sparse(a, arity, images.nonzeros(col)))
                                for col in pivots]
         dim_h = dim_z - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")

@@ -373,27 +373,13 @@ def _induced(images):
     return table
 
 
-def _rho_columns(a: LieAlgebra, cols, images, xs):
-    """Column j of rho(P, x) = sum_u x_u images[u][j] - P([x, e_j]) for each j,
-    from _images(P, a) and the (u, x_u) of xs."""
-    columns = []
-    for j in range(a.dim):
-        column = {}
-        for u, c in xs:
-            _add_combination(column, c, ((j, 1),), images[u])
-            _add_combination(column, -c, a._table[u][j], cols)
-        columns.append(column)
-    return columns
-
-
-def _lambdas(a: LieAlgebra, cols, images):
-    """lambdas[u][j] = rho(P, e_u) e_j = images[u][j] - P([e_u, e_j]) for every
-    u and j, in one pass, from _images(P, a)."""
-    table = a._table
+def _lambdas(a: LieAlgebra, cols, images, us):
+    """For each u of us, the columns of rho(P, e_u): column j is
+    images[u][j] - P([e_u, e_j]), from _images(P, a)."""
     lambdas = []
-    for terms_u, images_u in zip(table, images):
+    for u in us:
         row = []
-        for terms, image in zip(terms_u, images_u):
+        for terms, image in zip(a._table[u], images[u]):
             column = dict(image)
             for k, c in terms:
                 for m, w in cols[k].items():
@@ -448,7 +434,12 @@ def rho(P: Endo, x) -> Endo:
     a = P.algebra
     if len(x) != a.dim:
         raise InputError(f"vector length {len(x)} != dim {a.dim}")
-    columns = _rho_columns(a, *_images(P, a), [(u, c) for u, c in enumerate(x) if c])
+    support = [u for u, c in enumerate(x) if c]
+    columns = [{} for _ in range(a.dim)]
+    for u, lam in zip(support, _lambdas(a, *_images(P, a), support)):
+        for column, part in zip(columns, lam):
+            for m, w in part.items():
+                column[m] = column.get(m, 0) + x[u] * w
     return Endo(Matrix.from_sparse([_nonzero(c) for c in columns], a.dim).transpose(), a)
 
 

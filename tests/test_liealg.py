@@ -5,11 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cohomology, is_rota_baxter,
-                   mcybe_defect, operator_identity, rho)
+from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cochain, cohomology,
+                   is_rota_baxter, mcybe_defect, operator_identity, rho)
 from mcybe.doubling import build_double
-from mcybe.liealg import (_images, _lambdas, induced_bracket_table, is_zero_vector,
-                          subspace_closure, vadd, vsub)
+from mcybe.liealg import (induced_bracket_table, is_zero_vector, subspace_closure, vadd,
+                          vsub)
 from mcybe.linalg import _exact, _nonzero
 
 from conftest import rand_rational, rand_vector
@@ -401,9 +401,9 @@ def _kernel_operators(rng, a):
 
 def _assert_kernel_matches_dense(rng, a, other):
     """operator_identity, its first failing pair, induced_bracket_table, rho
-    and the coboundary's one-pass lambda columns equal the dense route in
-    value, type and order, with brackets in a and, for operator_identity, in
-    the other table of the same dimension."""
+    and the coboundary's lambda columns equal the dense route in value, type
+    and order, with brackets in a and, for operator_identity, in the other
+    table of the same dimension."""
     failing = 0
     for P in _kernel_operators(rng, a):
         for S, algebra in ((None, None), (Endo.identity(a), None),
@@ -425,8 +425,8 @@ def _assert_kernel_matches_dense(rng, a, other):
             got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
             assert got == want, x
             assert all(_same_exact(got.row(i), want.row(i)) for i in range(a.dim)), x
-        # lambdas[u][j] is column j of rho(P, e_u), for every u at once
-        lambdas = _lambdas(a, *_images(P, a))
+        # the coboundary's lambdas[u][j] is column j of rho(P, e_u)
+        lambdas = cochain._Complex(P, cochain.FLAVOR_R, check=False).lambdas
         for u, e in enumerate(a.basis()):
             want = _dense_rho(P, e).matrix.transpose()
             for j, column in enumerate(lambdas[u]):
