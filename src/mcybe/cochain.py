@@ -12,9 +12,16 @@ of a modified r-matrix R is built from
 
 both read off one image table [Re_i, e_j] built by liealg, and the B-complex
 of a weight-1 Rota-Baxter operator B is half the R-complex of Id + 2B (its
-terms put B for R and add [u, w] to mu).  It is built as that and halved
-at the end, which keeps lambda and mu integral for B = (R - Id)/2 with R
-integral; B + Id/2 would put fractions into every mu.
+terms put B for R and add [u, w] to mu).  It is built as that and halved:
+lambda once, as the complex is made, and each sum of mu terms once, which
+keeps mu integral for B = (R - Id)/2 with R integral; B + Id/2 would put
+fractions into every mu.
+
+lambda_u is stored as the rows of rho(R, e_u).  The faces of one
+(k+1)-tuple T have distinct k-tuples, so their lambda terms fill disjoint
+column blocks: the rows of the coboundary on T are copies of lambda rows
+shifted to each face's block, plus the mu terms, summed per k-tuple and
+added once on that block's diagonal.
 
 The precondition is read off the same image table: S(R), the modified
 Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
@@ -22,9 +29,9 @@ S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
 refuse the first pair where their own axiom fails.
 
 A private complex object holds this side for one library call.  As it is
-made, it builds the image table, reads every lambda_u off it and checks
-the precondition; mu is built only when an arity >= 1 coboundary first
-reads it.  cohomology and graded.kuranishi each make one and pass it to
+made, it builds the image table, checks the precondition and reads every
+lambda_u off the table; mu is built only when an arity >= 1 coboundary
+first reads it.  cohomology and graded.kuranishi each make one and pass it to
 coboundary_matrix, d_apply, is_cocycle and coboundary_preimage in place of
 P, so one call builds one side.  Nothing of it outlives the call: no
 operator, algebra or matrix keeps a reference to it.
@@ -289,11 +296,12 @@ class _Complex(Endo):
     library call and dropped with it.
 
     It holds the image table of R = P, or of Id + 2P in the B-complex, and
-    lambdas[u][j] = rho(R, e_u) e_j as sparse dicts.  mus, mus[(u, w)] =
-    [e_u, e_w]_R, is made the first time it is read, which no arity-0
-    coboundary does.  With check set, the first basis pair where
-    S(R) != 0 is refused as the complex is built.  As an Endo it is P
-    itself, so it stands wherever P does.
+    lambdas[u][m], row m of rho(R, e_u) as a dict {j: nonzero exact value},
+    halved in the B-complex.  mus, mus[(u, w)] = [e_u, e_w]_R, is made the
+    first time it is read, which no arity-0 coboundary does; it is never
+    halved.  With check set, the first basis pair where S(R) != 0 is
+    refused as the complex is built.  As an Endo it is P itself, so it
+    stands wherever P does.
     """
 
     __slots__ = ("flavor", "images", "lambdas", "_mus")
@@ -311,7 +319,11 @@ class _Complex(Endo):
             x, y = (a.basis_names[i] for i in failing[0])
             raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
                                     f"operator; axiom fails on ({x}, {y})")
-        self.lambdas = _lambdas(a, cols, self.images, range(a.dim))
+        lambdas = _lambdas(a, cols, self.images, range(a.dim))
+        if flavor == FLAVOR_B:
+            lambdas = [[{j: _half(x) for j, x in row.items()} for row in lam]
+                       for lam in lambdas]
+        self.lambdas = lambdas
         self._mus = None
 
     @property
@@ -335,18 +347,28 @@ def _complex(P, flavor, k, check=True) -> _Complex:
 
 
 def _terms(side: _Complex, k):
-    """(T, singles, pairs) for each sorted (k+1)-tuple T, in order: the terms
-    sign * lambda_u(f(e_S)) of (d f)(e_T) as (sign, u, S), and its terms
-    sign * f(mu(e_u, e_w), e_S) expanded over the basis as (c, K) for c f(e_K)."""
+    """(T, faces, diagonal) for each sorted (k+1)-tuple T, in order.
+
+    faces lists the terms sign * lambda_u(f(e_S)) of (d f)(e_T) as
+    (sign, u, S).  The terms sign * f(mu(e_u, e_w), e_S), expanded over the
+    basis, are summed per key: diagonal maps each K to the nonzero exact c
+    of its term c f(e_K), halved once in the B-complex.
+    """
     mus = side.mus if k else {}
+    exact = _half if side.flavor == FLAVOR_B else _exact
     for T in basis_tuples(side.algebra.dim, k + 1):
-        singles = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
-                   for pos in range(k + 1)]
-        pairs = [((-1) ** (p1 + p2) * ins[0] * x, ins[1])
-                 for p1, p2 in combinations(range(k + 1), 2)
-                 for s, x in mus.get((T[p1], T[p2]), {}).items()
-                 if (ins := insert_sorted(T[:p1] + T[p1 + 1:p2] + T[p2 + 1:], s))]
-        yield T, singles, pairs
+        faces = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
+                 for pos in range(k + 1)]
+        sums = {}
+        for p1, p2 in combinations(range(k + 1), 2):
+            mu = mus.get((T[p1], T[p2]))
+            if mu:
+                rest = T[:p1] + T[p1 + 1:p2] + T[p2 + 1:]
+                sign = -1 if (p1 + p2) % 2 else 1
+                for s, x in mu.items():
+                    if ins := insert_sorted(rest, s):
+                        sums[ins[1]] = sums.get(ins[1], 0) + sign * ins[0] * x
+        yield T, faces, {key: exact(c) for key, c in sums.items() if c}
 
 
 @dataclass
@@ -371,42 +393,49 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     lambdas = side.lambdas
     n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-    exact = _half if side.flavor == FLAVOR_B else _exact
 
     rows = []
-    for _, singles, pairs in _terms(side, k):
+    for _, faces, diagonal in _terms(side, k):
+        # the faces of T have distinct S, so their lambda copies never overlap
         block = [{} for _ in range(n)]
-        for sgn, u, sub in singles:
+        for sgn, u, sub in faces:
             base = col_base[sub]
-            for c, column in enumerate(lambdas[u]):
-                for m, v in column.items():
-                    block[m][base + c] = block[m].get(base + c, 0) + sgn * v
-        for coeff, key in pairs:
-            base = col_base[key]
-            for m, out in enumerate(block):
-                out[base + m] = out.get(base + m, 0) + coeff
-        rows.extend({j: exact(x) for j, x in out.items() if x} for out in block)
+            for out, lam in zip(block, lambdas[u]):
+                for j, x in lam.items():
+                    out[base + j] = sgn * x
+        for key, c in diagonal.items():
+            for j, out in enumerate(block, col_base[key]):
+                x = _exact(out.get(j, 0) + c)
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
+        rows.extend(block)
     return CoboundaryMatrix(Matrix.from_sparse(rows, len(col_base) * n))
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     """Apply the coboundary to a single cochain without assembling the matrix."""
+    if f.algebra != P.algebra:
+        raise InputError("the coboundary needs a cochain over the operator's algebra")
     side = _complex(P, flavor, f.arity, check)
     lambdas = side.lambdas
     n = P.algebra.dim
     coeffs = {}
-    for T, singles, pairs in _terms(side, f.arity):
+    for T, faces, diagonal in _terms(side, f.arity):
         acc = [0] * n
-        for sgn, u, sub in singles:
-            for c, x in enumerate(f.coeffs.get(sub, ())):
-                if x:
-                    for m, v in lambdas[u][c].items():
-                        acc[m] += sgn * x * v
-        for coeff, key in pairs:
+        for sgn, u, sub in faces:
+            value = f.coeffs.get(sub)
+            if value:
+                for m, lam in enumerate(lambdas[u]):
+                    for j, x in lam.items():
+                        if value[j]:
+                            acc[m] += sgn * x * value[j]
+        for key, c in diagonal.items():
             for m, x in enumerate(f.coeffs.get(key, ())):
-                acc[m] += coeff * x
+                acc[m] += c * x
         if any(acc):
-            coeffs[T] = [_half(x) for x in acc] if side.flavor == FLAVOR_B else acc
+            coeffs[T] = acc
     return Cochain(P.algebra, f.arity + 1, coeffs)
 
 
@@ -417,6 +446,8 @@ def is_cocycle(P: Endo, f: Cochain, flavor="R") -> bool:
 
 def coboundary_preimage(P: Endo, f: Cochain, flavor="R"):
     """Some g with d g = f, or None when f is not a coboundary."""
+    if f.algebra != P.algebra:
+        raise InputError("the coboundary needs a cochain over the operator's algebra")
     if f.arity == 0:
         raise InputError("degree-1 cochains have no preimage space (C^0 = 0)")
     cb = coboundary_matrix(P, f.arity - 1, flavor=flavor)

@@ -13,6 +13,8 @@ pi_cochain and build_double.
 The operator-identity kernel (operator_identity, induced_bracket_table,
 rho, and lambda and mu of the coboundary) reads everything off one sparse
 image table [Pe_i, e_j] per call, the one place where P meets _table.
+rho(P, e_u) is built as its rows {j: nonzero exact value}, which the
+coboundary copies and rho(P, x) combines.
 """
 
 from dataclasses import dataclass
@@ -332,14 +334,6 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
 
 # -- the operator-identity kernel: sparse dicts {index: coefficient} ------
 
-def _add_combination(acc, sign, terms, vecs):
-    """acc += sign sum_k v_k vecs[k] over the (k, v_k) of terms."""
-    for k, v in terms:
-        c = sign * v
-        for m, w in vecs[k].items():
-            acc[m] = acc.get(m, 0) + c * w
-
-
 def _columns(P: Endo):
     t = P.matrix.transpose()
     return [t.nonzeros(j) for j in range(t.nrows)]
@@ -374,18 +368,20 @@ def _induced(images):
 
 
 def _lambdas(a: LieAlgebra, cols, images, us):
-    """For each u of us, the columns of rho(P, e_u): column j is
-    images[u][j] - P([e_u, e_j]), from _images(P, a)."""
+    """For each u of us, the rows of rho(P, e_u) as dicts {j: nonzero exact
+    value}: column j is images[u][j] - P([e_u, e_j]), from _images(P, a)."""
     lambdas = []
     for u in us:
-        row = []
-        for terms, image in zip(a._table[u], images[u]):
+        rows = [{} for _ in range(a.dim)]
+        for j, (terms, image) in enumerate(zip(a._table[u], images[u])):
             column = dict(image)
             for k, c in terms:
                 for m, w in cols[k].items():
                     column[m] = column.get(m, 0) - c * w
-            row.append(column)
-        lambdas.append(row)
+            for m, x in column.items():
+                if x:
+                    rows[m][j] = _exact(x)
+        lambdas.append(rows)
     return lambdas
 
 
@@ -407,13 +403,24 @@ def _identity_pairs(a: LieAlgebra, cols, images, scols):
     """operator_identity off (cols, images) = _images(P, a) and the columns
     scols of S (None for the zero map)."""
     for i, j in combinations(range(a.dim), 2):
-        # [Pe_i, Pe_j] = sum_k (Pe_j)_k [Pe_i, e_k], and [e_i, Pe_j] = -images[j][i]
+        # [Pe_i, Pe_j] = sum_k (Pe_j)_k [Pe_i, e_k]; P is applied once to
+        # [Pe_i, e_j] + [e_i, Pe_j] = images[i][j] - images[j][i]
         value = {}
-        _add_combination(value, 1, cols[j].items(), images[i])
-        _add_combination(value, -1, images[i][j].items(), cols)
-        _add_combination(value, 1, images[j][i].items(), cols)
+        image = images[i]
+        for k, c in cols[j].items():
+            for m, w in image[k].items():
+                value[m] = value.get(m, 0) + c * w
+        mixed = dict(image[j])
+        for k, c in images[j][i].items():
+            mixed[k] = mixed.get(k, 0) - c
+        for k, c in mixed.items():
+            if c:
+                for m, w in cols[k].items():
+                    value[m] = value.get(m, 0) - c * w
         if scols is not None:
-            _add_combination(value, 1, a._table[i][j], scols)
+            for k, c in a._table[i][j]:
+                for m, w in scols[k].items():
+                    value[m] = value.get(m, 0) + c * w
         if any(value.values()):
             yield (i, j), tuple(_exact(value.get(k, 0)) for k in range(a.dim))
 
@@ -435,12 +442,12 @@ def rho(P: Endo, x) -> Endo:
     if len(x) != a.dim:
         raise InputError(f"vector length {len(x)} != dim {a.dim}")
     support = [u for u, c in enumerate(x) if c]
-    columns = [{} for _ in range(a.dim)]
+    rows = [{} for _ in range(a.dim)]
     for u, lam in zip(support, _lambdas(a, *_images(P, a), support)):
-        for column, part in zip(columns, lam):
-            for m, w in part.items():
-                column[m] = column.get(m, 0) + x[u] * w
-    return Endo(Matrix.from_sparse([_nonzero(c) for c in columns], a.dim).transpose(), a)
+        for row, part in zip(rows, lam):
+            for j, w in part.items():
+                row[j] = row.get(j, 0) + x[u] * w
+    return Endo(Matrix.from_sparse([_nonzero(row) for row in rows], a.dim), a)
 
 
 # -- catalog ----------------------------------------------------------

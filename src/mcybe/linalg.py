@@ -8,13 +8,15 @@ only nonzeros.
 One routine, eliminate(), is a sparse Gauss-Jordan elimination on rows
 scaled to integers.  Over Q it yields the reduced row echelon form, which
 is canonical, so the pivots, kernel bases and solutions read off it are
-deterministic.  It returns (basis, leads): the kept rows and their leading
-entries.  rank, pivot_columns, null_space, kernel_basis, solve and inverse
-are thin wrappers over it, and a matrix eliminates itself at most once.
+deterministic.  It returns (basis, leads, kept): the reduced rows, their
+leading entries and the indices of the input rows it kept.  rank,
+pivot_columns, null_space, kernel_basis, solve and inverse are thin
+wrappers over it, and a matrix eliminates itself at most once.
 certified_rank, which cochain.cohomology calls for every rank it reports,
 checks that rank by two routes sharing no arithmetic with it: the kernel
-against the integral rows the elimination read, and the same rows
-eliminated modulo the prime 2^61 - 1.  Rows are scaled to integers in one
+against the integral rows the elimination read (an upper bound), and the
+kept rows restricted to the pivot columns, an r x r minor eliminated modulo
+the prime 2^61 - 1 (a lower bound).  Rows are scaled to integers in one
 place, _integral, which drops the empty rows (most rows of a coboundary
 matrix); the Matrix keeps its shape and row indices.
 """
@@ -132,15 +134,16 @@ def eliminate(rows, modulus=0):
     its entries, with a positive lead, and over GF(modulus) it is scaled to
     lead with 1.
 
-    Returns (basis, leads).  basis maps each pivot column to the rest of
-    its kept row and leads maps it to the row's entry there, so
+    Returns (basis, leads, kept).  basis maps each pivot column to the rest
+    of its reduced row and leads maps it to the row's entry there, so
     {c: 1} | {j: x / leads[c]} for increasing c are the nonzero rows of the
-    reduced row echelon form.
+    reduced row echelon form.  kept lists the indices into rows of the rows
+    left nonzero, in the order they were kept; they span the row space.
     """
-    basis, leads = {}, {}
-    holders = {}        # non-pivot column -> pivots whose kept row holds it
-    for row in sorted(rows, key=len):
-        row = dict(row)
+    basis, leads, kept = {}, {}, []
+    holders = {}        # non-pivot column -> pivots whose reduced row holds it
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = dict(rows[i])
         for c in [c for c in row if c in basis]:
             f = row.pop(c)
             if leads[c] != 1:
@@ -156,6 +159,7 @@ def eliminate(rows, modulus=0):
                     del row[j]
         if not row:
             continue
+        kept.append(i)
         pivot = min(row)
         lead = row.pop(pivot)
         if modulus:
@@ -170,56 +174,63 @@ def eliminate(rows, modulus=0):
                 row = {j: x // g for j, x in row.items()}
                 lead //= g
         for q in holders.pop(pivot, ()):
-            kept = basis[q]
-            f = kept.pop(pivot)
+            held = basis[q]
+            f = held.pop(pivot)
             if lead != 1:
                 leads[q] *= lead
-                for j in kept:
-                    kept[j] *= lead
+                for j in held:
+                    held[j] *= lead
             for j, x in row.items():
-                v = kept.get(j, 0) - f * x
+                v = held.get(j, 0) - f * x
                 if modulus:
                     v %= modulus
                 if v:
-                    if j not in kept:
+                    if j not in held:
                         holders.setdefault(j, set()).add(q)
-                    kept[j] = v
+                    held[j] = v
                 else:
-                    del kept[j]
+                    del held[j]
                     holders[j].discard(q)
             if not modulus:
-                g = gcd(leads[q], *kept.values())
+                g = gcd(leads[q], *held.values())
                 if g != 1:
                     leads[q] //= g
-                    for j in kept:
-                        kept[j] //= g
+                    for j in held:
+                        held[j] //= g
         basis[pivot] = row
         leads[pivot] = lead
         for j in row:
             holders.setdefault(j, set()).add(pivot)
-    return basis, leads
+    return basis, leads, kept
 
 
 def _echelon_form(rows):
-    """(pivots, rref) of eliminate() on integral rows over Q.
+    """(pivots, rref, kept) of eliminate() on integral rows over Q.
 
-    rref maps each pivot to the rest of its reduced row echelon row.
+    rref maps each pivot to the rest of its reduced row echelon row, and
+    kept lists the indices into rows of the rows the elimination kept.
     """
-    basis, leads = eliminate(rows)
+    basis, leads, kept = eliminate(rows)
     return sorted(basis), {c: {j: _quotient(x, leads[c]) for j, x in rest.items()}
-                           for c, rest in basis.items()}
+                           for c, rest in basis.items()}, kept
 
 
 def certified_rank(m: "Matrix"):
     """(m.rank(), m.null_space()), certified by two routes; InternalError
     when either fails.
 
-    The nonzero rows of m scaled to integers, which the exact elimination
-    reads, must annihilate every null_space() vector, scaled to integers
-    too, in int arithmetic; so the rank over Q is at most m.rank().
-    Eliminated modulo the prime MODULUS, the same rows must reach m.rank();
-    a rank modulo a prime never exceeds the rank over Q, so then both are
-    equal.  The kernel is handed back unscaled: the very vectors checked.
+    Upper bound: the nonzero rows of m scaled to integers, which the exact
+    elimination reads, must annihilate every null_space() vector, scaled to
+    integers too, in int arithmetic; so the rank over Q is at most m.rank().
+    Lower bound: the r rows the elimination kept, restricted to its r pivot
+    columns, must have rank m.rank() modulo the prime MODULUS.  Over Q that
+    minor is invertible, since the reduced rows are an invertible
+    combination of the kept rows and are the identity on the pivots; a
+    minor nonsingular modulo a prime is nonsingular over Q, so the rank over
+    Q is at least m.rank().  The route reads only the indices of the exact
+    elimination, none of its arithmetic: a wrong row or pivot can only
+    make the minor singular, and then the rank is refused.  The kernel is
+    handed back unscaled: the very vectors checked.
     """
     rows = _integral(m._rows)
     if m._echelon is None:
@@ -229,8 +240,10 @@ def certified_rank(m: "Matrix"):
     scaled = Matrix.from_sparse(_integral(kernel._rows), m.ncols)
     certify((Matrix.from_sparse(rows, m.ncols) @ scaled.transpose()).is_zero(),
             "null space vector is not annihilated")
-    residues = [{j: r for j, x in row.items() if (r := x % MODULUS)} for row in rows]
-    certify(len(eliminate(residues, MODULUS)[0]) == rank,
+    _, rref, kept = m._echelon      # rref is keyed by the pivots
+    minor = [{j: r for j, x in rows[i].items() if j in rref and (r := x % MODULUS)}
+             for i in kept]
+    certify(len(eliminate(minor, MODULUS)[0]) == rank,
             "rank mod p and rank over Q disagree")
     return rank, kernel
 
@@ -415,7 +428,7 @@ class Matrix:
         The basis is echelon-normalized and deterministic, each row v
         satisfies self @ v = 0 exactly, and there are ncols - rank rows.
         """
-        pivots, rref = self._reduced()
+        pivots, rref, _ = self._reduced()
         vectors = {f: {f: 1} for f in range(self.ncols) if f not in rref}
         for c in pivots:
             for f, x in rref[c].items():
@@ -433,8 +446,8 @@ class Matrix:
         if len(b) != self.nrows:
             raise InputError(f"rhs length {len(b)} != rows {self.nrows}")
         n = self.ncols
-        basis, leads = eliminate(_integral([{**row, n: bv} if bv else row
-                                            for row, bv in zip(self._rows, b)]))
+        basis, leads, _ = eliminate(_integral([{**row, n: bv} if bv else row
+                                               for row, bv in zip(self._rows, b)]))
         if n in basis:
             return None
         x = [0] * n
@@ -448,8 +461,8 @@ class Matrix:
         if not self.is_square():
             raise InputError(f"inverse of non-square {self.shape} matrix")
         n = self.nrows
-        basis, leads = eliminate(_integral([{**row, n + i: 1}
-                                            for i, row in enumerate(self._rows)]))
+        basis, leads, _ = eliminate(_integral([{**row, n + i: 1}
+                                               for i, row in enumerate(self._rows)]))
         if len(basis) < n or any(c >= n for c in basis):
             return None
         return Matrix.from_sparse([{j - n: _quotient(x, leads[c]) for j, x in basis[c].items()}

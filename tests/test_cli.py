@@ -439,24 +439,37 @@ def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
 @pytest.mark.parametrize("route, message", [
     ("modular", "rank mod p and rank over Q disagree"),
     ("exact", "null space vector is not annihilated"),
-], ids=["modular", "exact"])
+    ("kept", "rank mod p and rank over Q disagree"),
+], ids=["modular", "exact", "kept"])
 def test_elimination_fault_exit_3(sl2_files, monkeypatch, capsys, route, message):
     algebra, borel = sl2_files
-    # one elimination, modulo the prime or over Q, loses its last pivot: the
-    # rank certificate must refuse
+    # one elimination, modulo the prime or over Q, loses its last pivot, or
+    # the exact one reports a dependent row as kept: the rank certificate
+    # must refuse
     true_eliminate = mcybe.linalg.eliminate
+    faults = []
 
     def eliminate(rows, modulus=0):
-        basis, leads = true_eliminate(rows, modulus)
-        if bool(modulus) == (route == "modular") and basis:
+        basis, leads, kept = true_eliminate(rows, modulus)
+        if route == "kept" and not modulus:
+            # a dropped row lies in the span of the rows kept before it, so
+            # in place of a row kept after it, it makes the minor singular
+            order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+            dropped = [t for t, i in enumerate(order) if i not in kept]
+            if dropped and order.index(kept[-1]) > dropped[0]:
+                kept = kept[:-1] + [order[dropped[0]]]
+                faults.append(route)
+        elif bool(modulus) == (route == "modular") and basis:
             del basis[max(basis)]
-        return basis, leads
+            faults.append(route)
+        return basis, leads, kept
     monkeypatch.setattr(mcybe.linalg, "eliminate", eliminate)
     assert run(["cohomology", "--algebra", str(algebra), "--map", str(borel),
                 "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"internal error: {message}\n"
     assert not captured.out
+    assert faults == [route]
 
 
 _OPTIMIZED_SCRIPT = """

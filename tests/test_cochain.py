@@ -547,6 +547,20 @@ def test_d_apply_rejects_arity_above_dim(sl2):
             d_apply(op, Cochain.zero(a, a.dim + 1), flavor=flavor)
 
 
+def test_cochain_over_another_algebra_is_refused(sl2, sl3):
+    # a cochain over a smaller or a larger algebra than the operator's is an
+    # input error, through P itself and through a complex built from it
+    for (a, r), (b, s) in ((sl3, sl2), (sl2, sl3)):
+        for flavor, op in (("R", r), ("B", rb_from_r(r))):
+            side = cochain._complex(op, flavor, 0)
+            for f in (Cochain.from_vector(b, b.basis_vector(0)), Cochain.from_endo(s)):
+                for P in (op, side):
+                    routes = [d_apply, is_cocycle] + [coboundary_preimage] * (f.arity > 0)
+                    for route in routes:
+                        with pytest.raises(InputError, match="over the operator's algebra"):
+                            route(P, f, flavor=flavor)
+
+
 def test_r_as_two_cochain_is_not_closed(sl2):
     # d(R) = -2 pi on a non-abelian algebra, so R is not a 2-cocycle
     a, r = sl2

@@ -276,6 +276,13 @@ def test_kuranishi_rejects_non_cocycles(sl2):
         kuranishi(r, r)        # d(R) = -2 pi != 0
 
 
+def test_graded_bracket_needs_one_algebra(sl2, sl3):
+    (_, r), (b, s) = sl2, sl3
+    for f, g in ((r, s), (s, r), (Cochain.from_endo(r), pi_cochain(b))):
+        with pytest.raises(InputError, match="cochains over the same algebra"):
+            graded_bracket(f, g)
+
+
 def test_graded_elements_need_arity_one(sl2):
     a, _ = sl2
     with pytest.raises(InputError):

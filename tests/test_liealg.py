@@ -1,6 +1,7 @@
 """Lie algebra construction, bracket, Jacobi, adjoints, and the catalog."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cochain, cohom
 from mcybe.doubling import build_double
 from mcybe.liealg import (induced_bracket_table, is_zero_vector, subspace_closure, vadd,
                           vsub)
-from mcybe.linalg import _exact, _nonzero
+from mcybe.linalg import _exact
 
 from conftest import rand_rational, rand_vector
 
@@ -425,14 +426,23 @@ def _assert_kernel_matches_dense(rng, a, other):
             got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
             assert got == want, x
             assert all(_same_exact(got.row(i), want.row(i)) for i in range(a.dim)), x
-        # the coboundary's lambdas[u][j] is column j of rho(P, e_u)
+        # the coboundary's lambdas[u][m] is row m of rho(P, e_u), its nonzeros only
         lambdas = cochain._Complex(P, cochain.FLAVOR_R, check=False).lambdas
         for u, e in enumerate(a.basis()):
-            want = _dense_rho(P, e).matrix.transpose()
-            for j, column in enumerate(lambdas[u]):
-                got, col = _nonzero(column), want.nonzeros(j)
-                assert sorted(got) == sorted(col), (u, j)
-                assert _same_exact([got[m] for m in col], col.values()), (u, j)
+            want = _dense_rho(P, e).matrix
+            for m, row in enumerate(lambdas[u]):
+                dense = want.nonzeros(m)
+                assert sorted(row) == sorted(dense), (u, m)
+                assert _same_exact([row[j] for j in dense], dense.values()), (u, m)
+        # the B-complex stores half of each lambda entry of Id + 2P, made exact
+        halved = cochain._Complex(P, cochain.FLAVOR_B, check=False).lambdas
+        doubled = cochain._Complex(Endo.identity(a) + P.scale(2), cochain.FLAVOR_R,
+                                   check=False).lambdas
+        for u in range(a.dim):
+            for m, row in enumerate(doubled[u]):
+                assert sorted(halved[u][m]) == sorted(row), (u, m)
+                assert _same_exact([halved[u][m][j] for j in row],
+                                   [_exact(Fraction(x, 2)) for x in row.values()]), (u, m)
     return failing
 
 

@@ -166,6 +166,39 @@ def test_certified_rank_matches_rank(rng=random.Random(107)):
         assert kernel == m.null_space()
 
 
+def kept_minor(m):
+    """The rows m's elimination kept, restricted to its pivot columns, dense.
+
+    The elimination reads the nonempty rows of m in order, each scaled by a
+    positive integer, and reports the indices of the ones it kept.
+    """
+    pivots, _, kept = m._reduced()
+    rows = [row for row in map(m.nonzeros, range(m.nrows)) if row]
+    return [[rows[i].get(j, 0) for j in pivots] for i in kept]
+
+
+def assert_nonsingular_kept_minor(m):
+    minor, r = kept_minor(m), m.rank()
+    assert len(minor) == r and all(len(row) == r for row in minor)
+    assert sympy.Matrix(r, r, [x for row in minor for x in row]).rank() == r
+
+
+def test_kept_rows_give_a_nonsingular_minor(rng=random.Random(112)):
+    for _ in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
+        assert_nonsingular_kept_minor(m)
+
+
+@pytest.mark.parametrize("name, arities",
+                         [("sl2", 4), ("sl3", 3), ("sl3_conjugate", 2), ("sl4", 2)])
+def test_coboundary_kept_rows_give_a_nonsingular_minor(name, arities, request):
+    _, r = request.getfixturevalue(name)
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        for arity in range(arities):
+            assert_nonsingular_kept_minor(coboundary_matrix(P, arity, flavor=flavor).matrix)
+
+
 def test_certified_rank_refuses_where_rank_mod_p_falls_short():
     # a multiple of the prime vanishes modulo it: the certificate fails, and
     # the uncertified rank stays exact before and after
@@ -248,7 +281,13 @@ def test_cohomology_eliminates_no_empty_row(sl3, flavor, monkeypatch):
     seen = []
     true_eliminate = linalg.eliminate
     monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus=0: seen.append(
-        list(rows)) or true_eliminate(rows, modulus))
+        (list(rows), modulus)) or true_eliminate(rows, modulus))
     cohomology(P, 3, flavor=flavor)
-    assert len(seen) == 2 * 3       # exact and modular, per matrix
-    assert all(row for rows in seen for row in rows)
+    assert [modulus for _, modulus in seen] == [0, MODULUS] * 3   # exact, then the minor
+    assert all(row for rows, _ in seen for row in rows)
+    # each modular call gets the rank's worth of rows, inside the pivot columns
+    for arity in range(3):
+        m = coboundary_matrix(P, arity, flavor=flavor).matrix
+        minor = seen[2 * arity + 1][0]
+        assert len(minor) == m.rank()
+        assert all(row.keys() <= set(m.pivot_columns()) for row in minor)
