@@ -102,6 +102,8 @@ def _read_json(path, report, label):
     except json.JSONDecodeError as exc:
         raise InputError(f"{label} file {path} is not valid JSON: "
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:    # too deep, too many digits, not UTF-8
+        raise InputError(f"{label} file {path} is not readable JSON: {exc}") from exc
 
 
 def _write_json_files(outputs):
@@ -158,6 +160,8 @@ def _parse_element(text, algebra):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"--element is not valid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise InputError(f"--element is not readable JSON: {exc}") from exc
     vec = tuple(rationals_from_json(data, "--element"))
     if len(vec) != algebra.dim:
         raise InputError(f"--element length {len(vec)} != dim {algebra.dim}")

@@ -48,7 +48,7 @@ from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, _identity_pairs, _images, _induced,
                      _lambdas, is_zero_vector, vadd, vector_from_json, vector_str,
                      vector_to_json, vzero)
-from .linalg import Matrix, _exact, certified_rank, json_array, ratio, refuse_unknown_keys
+from .linalg import Matrix, _exact, certified_rank, json_array, json_object, ratio
 
 FLAVOR_R = "R-complex"
 FLAVOR_B = "B-complex"
@@ -245,22 +245,13 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, data, algebra):
-        try:
-            arity = data["degree"]
-            entries = data.get("entries", [])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bad cochain JSON: {exc}") from exc
-        refuse_unknown_keys(data, {"degree", "entries"}, "cochain JSON")
+        arity, entries = json_object(data, "cochain JSON", ("degree",), {"entries": []})
         if type(arity) is not int:
             raise InputError(f"cochain degree must be an integer, got {arity!r}")
         coeffs = {}
         for entry in json_array(entries, "cochain entries"):
-            try:
-                tup = tuple(json_array(entry["tuple"], "cochain tuple"))
-                value = entry["value"]
-            except (TypeError, KeyError) as exc:
-                raise InputError(f"bad cochain entry {entry!r}") from exc
-            refuse_unknown_keys(entry, {"tuple", "value"}, "cochain entry")
+            tup, value = json_object(entry, "cochain entry", ("tuple", "value"))
+            tup = tuple(json_array(tup, "cochain tuple"))
             if not all(type(t) is int for t in tup):
                 raise InputError(f"cochain tuple {list(tup)} needs integer indices")
             if tup in coeffs:
@@ -381,7 +372,7 @@ class CoboundaryMatrix:
     matrix: Matrix
 
 
-def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatrix:
+def coboundary_matrix(P: Endo, k: int, flavor="R") -> CoboundaryMatrix:
     """Matrix of the coboundary on arity-k cochains (degree k+1 -> k+2).
 
     For k = 0 the domain is g itself and (d x)(y) = [Ry, x] - R([y, x]).
@@ -389,7 +380,7 @@ def coboundary_matrix(P: Endo, k: int, flavor="R", check=True) -> CoboundaryMatr
     (k+1)-tuple; no dense rows x cols table is built.  P may be a complex
     built earlier in the same call, which is then checked already.
     """
-    side = _complex(P, flavor, k, check)
+    side = _complex(P, flavor, k)
     lambdas = side.lambdas
     n = P.algebra.dim
     col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}

@@ -22,8 +22,8 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .errors import InputError
-from .linalg import (Matrix, Rational, _exact, _nonzero, json_array, ratio, rational_str,
-                     rational_to_json, rationals_from_json, refuse_unknown_keys)
+from .linalg import (Matrix, Rational, _exact, _nonzero, json_array, json_object, ratio,
+                     rational_str, rational_to_json, rationals_from_json)
 
 Vector = tuple  # tuple of Rational, length = algebra dimension
 
@@ -210,13 +210,8 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, data, check=True):
-        try:
-            dim = data["dim"]
-            names = data.get("basis")
-            entries = data.get("brackets", [])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bad algebra JSON: {exc}") from exc
-        refuse_unknown_keys(data, {"dim", "basis", "brackets"}, "algebra JSON")
+        dim, names, entries = json_object(data, "algebra JSON", ("dim",),
+                                          {"basis": None, "brackets": []})
         if type(dim) is not int or dim < 0:
             raise InputError(f"bad algebra dim {dim!r}")
         if names is not None and not all(type(s) is str
@@ -224,12 +219,7 @@ class LieAlgebra:
             raise InputError(f"algebra basis names must be strings, got {names!r}")
         structure = {}
         for entry in json_array(entries, "algebra brackets"):
-            try:
-                i, j = entry["i"], entry["j"]
-                value = entry["value"]
-            except (TypeError, KeyError) as exc:
-                raise InputError(f"bad bracket entry {entry!r}") from exc
-            refuse_unknown_keys(entry, {"i", "j", "value"}, "bracket entry")
+            i, j, value = json_object(entry, "bracket entry", ("i", "j", "value"))
             if not (type(i) is int and type(j) is int and i < j):
                 raise InputError(f"bracket entry needs integer i < j, got i={i!r} j={j!r}")
             if (i, j) in structure:
@@ -308,11 +298,7 @@ class Endo:
 
     @classmethod
     def from_json_dict(cls, data, algebra):
-        try:
-            rows = data["matrix"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bad endomorphism JSON: {exc}") from exc
-        refuse_unknown_keys(data, {"matrix"}, "endomorphism JSON")
+        rows, = json_object(data, "endomorphism JSON", ("matrix",))
         return cls(Matrix([rationals_from_json(row, "matrix row")
                            for row in json_array(rows, "matrix")]), algebra)
 

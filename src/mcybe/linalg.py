@@ -61,7 +61,7 @@ def rational_from_json(v) -> Rational:
             raise InputError(f"bad rational string {v!r}: use an integer or 'p/q'")
         try:
             return ratio(Fraction(v))
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, ValueError) as exc:    # past the int-digit limit
             raise InputError(f"bad rational string {v!r}: {exc}") from exc
     raise InputError(f"not a rational: {v!r} (use an int or a 'p/q' string)")
 
@@ -73,10 +73,21 @@ def json_array(data, what) -> list:
     return data
 
 
-def refuse_unknown_keys(data: dict, keys: set, what):
-    """Refuse a JSON object holding a key outside keys, naming the least one."""
-    if not data.keys() <= keys:
-        raise InputError(f"unknown key {min(data.keys() - keys)!r} in {what}")
+def json_object(data, what, required, optional={}) -> list:
+    """The values of data's required keys, then of its optional keys or their
+    defaults; data must be a JSON object with no key outside the two."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {data!r}")
+    try:
+        values = [data[key] for key in required]
+    except KeyError as exc:
+        raise InputError(f"missing key {exc.args[0]!r} in {what}") from exc
+    # an object of exactly the required keys needs no key-set comparison
+    if len(data) > len(required) and (unknown := data.keys() - required - optional.keys()):
+        raise InputError(f"unknown key {min(unknown)!r} in {what}")
+    if optional:
+        values += [data.get(key, default) for key, default in optional.items()]
+    return values
 
 
 def rationals_from_json(data, what) -> list:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcybe import Endo, LieAlgebra, Matrix, catalog
+from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog
 from mcybe.cochain import Cochain, basis_tuples
 
 
@@ -60,6 +60,13 @@ def gl2_like():
         (1, 2): (0, 2, 0, 0),
     }
     return LieAlgebra(4, structure, basis_names=["e", "f", "h", "z"])
+
+
+def input_error(call):
+    """The message of the InputError that call() raises."""
+    with pytest.raises(InputError) as err:
+        call()
+    return str(err.value)
 
 
 def rand_rational(rng, span=4):

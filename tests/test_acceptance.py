@@ -53,8 +53,7 @@ def cob(name, flavor, arity):
     if key not in _MATRICES:
         algebra, r = instance(name)
         op = r if flavor == "R" else rb_from_r(r)
-        _MATRICES[key] = coboundary_matrix(op, arity, flavor=flavor,
-                                           check=False).matrix
+        _MATRICES[key] = coboundary_matrix(op, arity, flavor=flavor).matrix
     return _MATRICES[key]
 
 

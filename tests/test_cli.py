@@ -425,6 +425,36 @@ def test_bad_rational_flag_exit_2(sl2_files, flag):
                 "--map", str(borel), flag]) == 2
 
 
+DIGITS = "1" * 5000      # past Python's 4,300-digit limit for int <-> str
+NESTED = "[" * 5000 + "]" * 5000
+
+
+# json.loads raises RecursionError on the nesting, ValueError on the long
+# integer and UnicodeDecodeError on a byte that is not UTF-8, and Fraction
+# raises ValueError on the long string; each is an input error, not a
+# traceback with the "check failed" exit 1
+@pytest.mark.parametrize("argv, text", [
+    (["check", "lie", "--algebra", "FILE"], NESTED),
+    (["check", "lie", "--algebra", "FILE"], '\xff{"dim": 0}'),
+    (["check", "lie", "--algebra", "FILE"], '{"dim": %s}' % DIGITS),
+    (["check", "mcybe", "--algebra", "ALG", "--map", "FILE"],
+     '{"matrix": [["%s", 0, 0], [0, 1, 0], [0, 0, 1]]}' % DIGITS),
+    (["check", "rota-baxter", "--algebra", "ALG", "--map", "MAP", "--weight", DIGITS], None),
+    (["nijenhuis", "check", "--algebra", "ALG", "--map", "MAP", "--element", NESTED], None),
+], ids=["algebra-nested", "algebra-not-utf8", "algebra-dim-digits", "matrix-entry-digits",
+        "weight-digits", "element-nested"])
+def test_unreadable_input_exit_2(sl2_files, tmp_path, capsys, argv, text):
+    algebra, borel = sl2_files
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text, encoding="latin-1")    # one byte per character
+    files = {"ALG": str(algebra), "MAP": str(borel), "FILE": str(path)}
+    assert run([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
     algebra, borel = sl2_files
     # the graph closure says "subalgebra"; make the defect route say otherwise

@@ -20,7 +20,8 @@ from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
 from mcybe.rmatrix import require_modified
 
-from conftest import conjugate, nilpotent_exp, rand_cochain, rand_endo, rand_vector
+from conftest import (conjugate, input_error, nilpotent_exp, rand_cochain, rand_endo,
+                      rand_vector)
 
 
 def vscale(c, u):
@@ -105,7 +106,7 @@ def test_each_coboundary_builds_one_image_table(sl3, monkeypatch):
     a, r = sl3
     for flavor, op in (("R", r), ("B", rb_from_r(r))):
         for k in (0, 1, 2):
-            coboundary_matrix(op, k, flavor=flavor, check=False)
+            coboundary_matrix(op, k, flavor=flavor)
             assert len(tables) == 1
             d_apply(op, Cochain(a, k, {tuple(range(k)): a.basis_vector(k)}),
                     flavor=flavor, check=False)
@@ -152,11 +153,11 @@ def test_complex_property_both_flavors(sl2, sl3, abelian3):
     for a, r in (sl2, sl3, abelian3):
         b = rb_from_r(r)
         for k in range(0, min(3, a.dim)):
-            dr1 = coboundary_matrix(r, k + 1, check=False).matrix
-            dr0 = coboundary_matrix(r, k, check=False).matrix
+            dr1 = coboundary_matrix(r, k + 1).matrix
+            dr0 = coboundary_matrix(r, k).matrix
             assert (dr1 @ dr0).is_zero()
-            db1 = coboundary_matrix(b, k + 1, flavor="B", check=False).matrix
-            db0 = coboundary_matrix(b, k, flavor="B", check=False).matrix
+            db1 = coboundary_matrix(b, k + 1, flavor="B").matrix
+            db0 = coboundary_matrix(b, k, flavor="B").matrix
             assert (db1 @ db0).is_zero()
 
 
@@ -165,8 +166,8 @@ def test_scaling_relation_r_equals_2b(sl2, sl3, abelian3):
     for a, r in (sl2, sl3, abelian3):
         b = rb_from_r(r)
         for k in range(0, min(3, a.dim) + 1):
-            mr = coboundary_matrix(r, k, check=False).matrix
-            mb = coboundary_matrix(b, k, flavor="B", check=False).matrix
+            mr = coboundary_matrix(r, k).matrix
+            mb = coboundary_matrix(b, k, flavor="B").matrix
             assert mr == mb.scale(2)
 
 
@@ -657,6 +658,30 @@ def test_cochain_json_roundtrip(sl3, rng=random.Random(27)):
         Cochain.from_json_dict({"degree": 2, "entry": entries}, a)
     with pytest.raises(InputError, match="^unknown key 'tuples' in cochain entry$"):
         Cochain.from_json_dict({"degree": 2, "entries": [{**entries[0], "tuples": []}]}, a)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, r: coboundary_matrix(r, 0, flavor="X"), "unknown flavor 'X'; use 'R' or 'B'"),
+    (lambda a, r: Cochain(a, -1), "negative cochain arity"),
+    (lambda a, r: Cochain(a, 2, {(0,): (1, 0, 0)}), "tuple (0,) has length != arity 2"),
+    (lambda a, r: Cochain(a, 1, {(0,): (1,)}), "value for (0,) has length 1 != dim 3"),
+    (lambda a, r: Cochain.zero(a, 2).to_endo(), "arity-2 cochain is not an endomorphism"),
+    (lambda a, r: Cochain.zero(a, 1) + Cochain.zero(a, 2), "cochain mismatch (arity or algebra)"),
+    (lambda a, r: Cochain.from_coeff_vector(a, 1, [0] * 8), "coefficient vector length 8 != 9"),
+    (lambda a, r: coboundary_preimage(r, Cochain.zero(a, 0)),
+     "degree-1 cochains have no preimage space (C^0 = 0)"),
+    (lambda a, r: Cochain.from_json_dict([], a), "cochain JSON must be a JSON object, got []"),
+    (lambda a, r: Cochain.from_json_dict({"entries": []}, a),
+     "missing key 'degree' in cochain JSON"),
+    (lambda a, r: Cochain.from_json_dict({"degree": 1, "entries": [[[0], [1, 0, 0]]]}, a),
+     "cochain entry must be a JSON object, got [[0], [1, 0, 0]]"),
+    (lambda a, r: Cochain.from_json_dict({"degree": 1, "entries": [{"value": [1, 0, 0]}]}, a),
+     "missing key 'tuple' in cochain entry"),
+], ids=["flavor", "negative-arity", "tuple-length", "value-length", "to-endo-arity", "conform",
+        "coeff-vector-length", "preimage-degree-1", "json-not-object", "json-no-degree",
+        "entry-not-object", "entry-no-tuple"])
+def test_input_errors(sl2, call, message):
+    assert input_error(lambda: call(*sl2)) == message
 
 
 def test_coeff_vector_roundtrip(sl2, rng=random.Random(28)):

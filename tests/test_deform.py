@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, Matrix, PreconditionError, check_equivalence,
+from mcybe import (Cochain, Endo, Matrix, PreconditionError, catalog, check_equivalence,
                    check_linear_deformation, coboundary_matrix, coboundary_preimage,
                    compatible_bracket_check, d_apply, deformed_complements,
                    induced_bracket, induced_bracket_deformation, nijenhuis_check,
@@ -16,7 +16,7 @@ from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
 from mcybe.rmatrix import induced_bracket_table
 
-from conftest import rand_endo, rand_vector
+from conftest import input_error, rand_endo, rand_vector
 
 
 def d_endo(r, x):
@@ -455,6 +455,16 @@ def test_deformation_precondition_names_caller_and_pair(sl2, what, call):
     with pytest.raises(PreconditionError) as info:
         call(r, rhat)
     assert str(info.value) == f"{what} needs a valid deformation; failing pair {pair}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, r: check_equivalence(r, r, r, (1, 0)), "element length 2 != dim 3"),
+    (lambda a, r: nijenhuis_check(r, (1, 0, 0, 0)), "element length 4 != dim 3"),
+    (lambda a, r: nijenhuis_operator_check(a, Endo.identity(catalog("abelian", 2)[0])),
+     "operator does not fit the algebra"),
+], ids=["equivalence-element", "nijenhuis-element", "nijenhuis-operator-size"])
+def test_input_errors(sl2, call, message):
+    assert input_error(lambda: call(*sl2)) == message
 
 
 def test_weight0_defect_matches_rb_check(sl2, rng=random.Random(47)):

@@ -15,7 +15,7 @@ from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, cochain
 from mcybe.graded import as_graded, d_graded, shuffles_three, shuffles_two
 from mcybe.liealg import vadd, vsub
 
-from conftest import rand_cochain, rand_endo
+from conftest import input_error, rand_cochain, rand_endo
 
 
 def explicit_bracket_endos(a, f, g):
@@ -290,3 +290,8 @@ def test_graded_elements_need_arity_one(sl2):
     with pytest.raises(InputError):
         graded_bracket(Cochain.from_vector(a, a.basis_vector(0)),
                        Cochain.zero(a, 1))
+
+
+def test_as_graded_refuses_a_non_cochain(sl2):
+    a, _ = sl2
+    assert input_error(lambda: as_graded(a.basis_vector(0))) == "not a graded element: tuple"

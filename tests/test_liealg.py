@@ -9,11 +9,11 @@ import pytest
 from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cochain, cohomology,
                    is_rota_baxter, mcybe_defect, operator_identity, rho)
 from mcybe.doubling import build_double
-from mcybe.liealg import (induced_bracket_table, is_zero_vector, subspace_closure, vadd,
-                          vsub)
+from mcybe.liealg import (induced_bracket_table, is_zero_vector, sl_algebra, subspace_closure,
+                          vadd, vector_from_json, vsub)
 from mcybe.linalg import _exact
 
-from conftest import rand_rational, rand_vector
+from conftest import input_error, rand_rational, rand_vector
 
 
 def test_sl2_classic_brackets(sl2):
@@ -149,6 +149,31 @@ def test_endo_json_roundtrip(sl2):
     assert again == r
     with pytest.raises(InputError, match="^unknown key 'basis' in endomorphism JSON$"):
         Endo.from_json_dict({**r.to_json_dict(), "basis": ["e", "f", "h"]}, a)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, r: vector_from_json([1, 2], a.dim), "vector length 2 != dim 3"),
+    (lambda a, r: LieAlgebra(-1, {}), "negative dimension"),
+    (lambda a, r: LieAlgebra(2, {}, basis_names=["a"]), "1 basis names for dimension 2"),
+    (lambda a, r: LieAlgebra(2, {(0, 1): (1,)}), "structure value for (0, 1) has length 1"),
+    (lambda a, r: a.basis_vector(3), "basis index 3 out of range"),
+    (lambda a, r: Endo.from_diagonal(a, [1, -1]), "diagonal length mismatch"),
+    (lambda a, r: rho(r, (1, 0)), "vector length 2 != dim 3"),
+    (lambda a, r: sl_algebra(1), "sl(n) needs n >= 2"),
+    (lambda a, r: LieAlgebra.from_json_dict([1, 2]),
+     "algebra JSON must be a JSON object, got [1, 2]"),
+    (lambda a, r: LieAlgebra.from_json_dict({"basis": []}), "missing key 'dim' in algebra JSON"),
+    (lambda a, r: LieAlgebra.from_json_dict({"dim": 2, "brackets": [[0, 1]]}),
+     "bracket entry must be a JSON object, got [0, 1]"),
+    (lambda a, r: LieAlgebra.from_json_dict({"dim": 2, "brackets": [{"i": 0, "j": 1}]}),
+     "missing key 'value' in bracket entry"),
+    (lambda a, r: Endo.from_json_dict("1 0 0 1", a),
+     "endomorphism JSON must be a JSON object, got '1 0 0 1'"),
+], ids=["vector-length", "negative-dim", "basis-name-count", "structure-value-length",
+        "basis-vector-range", "diagonal-length", "rho-length", "sl1", "algebra-not-object",
+        "algebra-no-dim", "bracket-not-object", "bracket-no-value", "endo-not-object"])
+def test_input_errors(sl2, call, message):
+    assert input_error(lambda: call(*sl2)) == message
 
 
 def test_subspace_closure(sl2):

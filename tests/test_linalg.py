@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: rank, kernels, solving, edge shapes."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ import sympy
 from mcybe import (InputError, InternalError, Matrix, coboundary_matrix, cohomology, linalg,
                    rb_from_r)
 from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json,
-                          rational_to_json)
+                          rational_to_json, rationals_from_json)
+
+from conftest import input_error
 
 
 def rand_matrix(rng, r, c, span=6, frac=False):
@@ -143,6 +146,27 @@ def test_rational_json_roundtrip():
                 "1/2\n", "+1", "1/-2", "1/", "/2", "", "\u0661", "1/0"):
         with pytest.raises(InputError):
             rational_from_json(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ratio(True), "booleans are not rationals"),
+    (lambda: rationals_from_json(json.loads("[0, true]"), "matrix row"), "not a rational: True"),
+    (lambda: Matrix([[1, 2], [3]]), "ragged rows in matrix"),
+    (lambda: Matrix.from_columns([[1, 2], [3]]), "ragged columns in matrix"),
+    (lambda: Matrix.identity(2) + Matrix.identity(3), "shape mismatch (2, 2) + (3, 3)"),
+    (lambda: Matrix.zero(2, 3) @ Matrix.zero(2, 3), "shape mismatch (2, 3) @ (2, 3)"),
+    (lambda: Matrix.identity(2).apply((1, 2, 3)), "vector length 3 != cols 2"),
+    (lambda: Matrix.zero(2, 3).inverse(), "inverse of non-square (2, 3) matrix"),
+], ids=["ratio-bool", "json-true-entry", "ragged-rows", "ragged-columns", "add-shapes",
+        "matmul-shapes", "apply-length", "inverse-non-square"])
+def test_input_errors(call, message):
+    assert input_error(call) == message
+
+
+def test_repr_prints_at_most_36_entries():
+    rows = [[Fraction(1, 2), -3]] * 18
+    assert repr(Matrix(rows)) == "Matrix[" + "; ".join(["1/2 -3"] * 18) + "]"
+    assert repr(Matrix(rows + rows[:1])) == "Matrix(19x2)"
 
 
 def test_entry_normalization():
