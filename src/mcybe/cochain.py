@@ -175,27 +175,6 @@ class Cochain:
                 or other.algebra != self.algebra:
             raise InputError("cochain mismatch (arity or algebra)")
 
-    # -- evaluation --------------------------------------------------------
-
-    def eval_insert(self, vec, rest) -> Vector:
-        """f(v, e_{rest_1}, ..., e_{rest_(k-1)}) with v expanded over the basis."""
-        rest = tuple(rest)
-        n = self.algebra.dim
-        acc = None
-        for s, c in enumerate(vec):
-            if not c:
-                continue
-            ins = insert_sorted(rest, s)
-            if ins is None:
-                continue
-            sign, key = ins
-            stored = self.coeffs.get(key)
-            if stored is None:
-                continue
-            term = tuple(sign * c * x for x in stored)
-            acc = term if acc is None else vadd(acc, term)
-        return acc if acc is not None else vzero(n)
-
     # -- coefficient vectors (basis: tuples lex, then target index) --------
 
     def to_coeff_vector(self):

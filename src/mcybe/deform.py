@@ -11,7 +11,10 @@ where S2 is the weight-0 Rota-Baxter defect of Rhat, so a deformation is
 valid exactly when Rhat is a 2-cocycle (t coefficient) and a weight-0
 Rota-Baxter operator (t^2 coefficient).  S2, the Nijenhuis torsion and the
 deformation omega of the induced bracket all come from the kernel
-liealg.operator_identity and its induced_bracket_table.
+liealg.operator_identity and its induced_bracket_table.  The Nijenhuis
+element equations make no dense bracket call: [[x, e_j], [x, e_k]] comes
+from liealg._sparse_bracket, and [x, [x, Re_j]] - [x, R[x, e_j]] is
+column j of A(AR - RA) for A = ad_x.
 
 Each public entry point checks once that R is a modified r-matrix:
 nijenhuis_scan before all its candidates, not once per candidate, and
@@ -23,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import (Endo, LieAlgebra, Vector, induced_bracket_table, is_zero_vector,
+from .liealg import (Endo, LieAlgebra, Vector, _sparse_bracket, induced_bracket_table,
                      operator_identity, vadd)
 from .cochain import Cochain, d_apply
 from .rmatrix import induced_bracket, mcybe_defect, require_modified
@@ -108,9 +111,11 @@ class EquivalenceVerdict:
 
 def _commutator_witness(a: LieAlgebra, x):
     """First basis pair (j, k), j < k, with [[x, e_j], [x, e_k]] != 0, or None."""
-    images = [a.bracket(x, e) for e in a.basis()]
+    xs = [(i, c) for i, c in enumerate(x) if c]
+    images = [[(m, w) for m, w in _sparse_bracket(a, xs, ((j, 1),)).items() if w]
+              for j in range(a.dim)]
     return next(((j, k) for j, k in combinations(range(a.dim), 2)
-                 if not is_zero_vector(a.bracket(images[j], images[k]))), None)
+                 if any(_sparse_bracket(a, images[j], images[k]).values())), None)
 
 
 def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
@@ -173,9 +178,10 @@ def _nijenhuis_verdict(R: Endo, x) -> NijenhuisVerdict:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
     eq1_witness = _commutator_witness(a, x)
     eq1_ok = eq1_witness is None
-    eq2_witness = next((j for j, ej in enumerate(a.basis())
-                        if a.bracket(x, a.bracket(x, R.apply(ej)))
-                        != a.bracket(x, R.apply(a.bracket(x, ej)))), None)
+    # [x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA), A = ad_x
+    ad_x = a.ad(x).matrix
+    gap = ad_x @ (ad_x @ R.matrix - R.matrix @ ad_x)
+    eq2_witness = min((j for i in range(a.dim) for j in gap.nonzeros(i)), default=None)
     eq2_ok = eq2_witness is None
     return NijenhuisVerdict(eq1_ok, eq2_ok, eq1_ok and eq2_ok,
                             eq1_witness, eq2_witness)

@@ -9,6 +9,13 @@ On C* = (+)_{k>=1} Hom(wedge^k g, g) the bracket of f (arity p) and g
       + (-1)^{pq} sum_{S(p,q)} (-1)^s [f(x..), g(x..)]
 
 with order-preserving block shuffles S(...) and their permutation signs.
+It is evaluated on each basis tuple x_1 < .. < x_{p+q} in turn, with the
+shuffles enumerated once per call.  Each value of f and g is read once as
+its nonzero (index, value) pairs, the brackets [g(e..), e_m] and
+[f(e..), g(e..)] come from liealg._sparse_bracket off the structure table,
+an inserted vector is expanded over its support only, and every term of
+one tuple is summed into one dense list that the Cochain makes exact once.
+
 Modified r-matrices are exactly the degree-1 solutions of [[R,R]] = 2 pi,
 weight-0 Rota-Baxter operators exactly the Maurer-Cartan elements
 [[B,B]] = 0, and d_R = [[R, .]] squares to zero.
@@ -20,12 +27,12 @@ graded antisymmetry [[f,g]] = -(-1)^{pq} [[g,f]] and graded Jacobi
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import Endo, is_zero_vector, vadd, vneg
+from .liealg import Endo, _sparse_bracket
 from .cochain import (FLAVOR_R, Cochain, _complex, basis_tuples, coboundary_preimage,
-                      is_cocycle, pi_cochain)
+                      insert_sorted, is_cocycle, pi_cochain)
 from .rmatrix import mcybe_defect, require_modified
 
 GRADED_SIGN_CONVENTION = (
@@ -69,44 +76,41 @@ def graded_bracket(f, g) -> Cochain:
     if f.algebra != g.algebra:
         raise InputError("graded bracket needs cochains over the same algebra")
     a = f.algebra
-    n = a.dim
     p, q = f.arity, g.arity
     total = p + q
     sign_pq = -1 if (p * q) % 2 else 1
-
-    def insertions(T, outer, inner, sign):
-        """The nonzero terms sign (-1)^s outer([inner(x..), x_mid], x..) of
-        the insertion sum over the (arity inner, 1, arity outer - 1)-shuffles s."""
-        for first, mid, last, sgn in shuffles_three(total, inner.arity, outer.arity - 1):
-            iv = inner.coeffs.get(tuple(T[i] for i in first))
-            if iv is None:
-                continue
-            w = a.bracket(iv, a.basis_vector(T[mid]))
-            term = outer.eval_insert(w, tuple(T[i] for i in last))
-            if not is_zero_vector(term):
-                yield term if sign * sgn > 0 else vneg(term)
+    # each value read once, as its nonzero (index, value) pairs
+    fs, gs = ({key: tuple((k, x) for k, x in enumerate(vec) if x)
+               for key, vec in h.coeffs.items()} for h in (f, g))
+    # outer([inner(x..), x_mid], x..) over the (arity inner, 1, arity outer - 1)-shuffles
+    insertions = [(fs, gs, 1, list(shuffles_three(total, q, p - 1))),
+                  (gs, fs, -sign_pq, list(shuffles_three(total, p, q - 1)))]
+    products = [(first, second, sign_pq * sgn) for first, second, sgn in shuffles_two(total, p)]
 
     coeffs = {}
-    for T in basis_tuples(n, total):
-        acc = None
-        for term in chain(insertions(T, f, g, 1), insertions(T, g, f, -sign_pq)):
-            acc = term if acc is None else vadd(acc, term)
-        for first, second, sgn in shuffles_two(total, p):
-            fv = f.coeffs.get(tuple(T[i] for i in first))
-            if fv is None:
-                continue
-            gv = g.coeffs.get(tuple(T[i] for i in second))
-            if gv is None:
-                continue
-            term = a.bracket(fv, gv)
-            if is_zero_vector(term):
-                continue
-            s = sign_pq * sgn
-            if s < 0:
-                term = tuple(-x for x in term)
-            acc = term if acc is None else vadd(acc, term)
-        if acc is not None and not is_zero_vector(acc):
+    for T in basis_tuples(a.dim, total):
+        acc = [0] * a.dim
+        for outer, inner, sign, shuffles in insertions:
+            for first, mid, last, sgn in shuffles:
+                iv = inner.get(tuple([T[i] for i in first]))
+                if iv is None:
+                    continue
+                rest = tuple([T[i] for i in last])
+                # outer(w, x..) for w = [iv, e_mid], with w expanded over the basis
+                for s, w in _sparse_bracket(a, iv, ((T[mid], 1),)).items():
+                    if w and (ins := insert_sorted(rest, s)) and (ov := outer.get(ins[1])):
+                        c = sign * sgn * ins[0] * w
+                        for k, v in ov:
+                            acc[k] += c * v
+        for first, second, sign in products:
+            fv = fs.get(tuple([T[i] for i in first]))
+            gv = fv and gs.get(tuple([T[i] for i in second]))
+            if gv:
+                for k, v in _sparse_bracket(a, fv, gv).items():
+                    acc[k] += sign * v
+        if any(acc):
             coeffs[T] = acc
+    # Cochain makes each entry exact, once
     return Cochain(a, total, coeffs)
 
 

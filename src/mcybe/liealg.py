@@ -6,7 +6,9 @@ cannot be represented.  The Jacobi identity is verified eagerly on
 construction unless explicitly deferred.
 
 Every bracket, the Jacobi check included, is read off the structure table
-_table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders.  The read-only
+_table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders.
+_sparse_bracket sums [x, y] over the nonzero (index, value) pairs of x and
+y, for the graded bracket and the Nijenhuis witnesses.  The read-only
 mapping structure keeps the validated input for equality, is_abelian, JSON,
 pi_cochain and build_double.
 
@@ -171,17 +173,37 @@ class LieAlgebra:
         return tuple(_exact(a) for a in acc)
 
     def verify_jacobi(self) -> JacobiResult:
-        """Check [[e_i,e_j],e_k] + cyclic = 0 on all i<j<k; first violation wins."""
-        table = self._table
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = [0] * self.dim
-            for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                # [[e_p, e_q], e_r]: c v e_m for (l, c) in [e_p, e_q] and (m, v) in [e_l, e_r]
-                for l, c in table[p][q]:
-                    for m, v in table[l][r]:
-                        acc[m] += c * v
-            if any(acc):
-                return JacobiResult(False, (i, j, k), tuple(_exact(a) for a in acc))
+        """Check [[e_i,e_j],e_k] + cyclic = 0 on all i<j<k; first violation wins.
+
+        A triple holding a central basis vector, or whose three pairs all
+        bracket to zero, has a zero jacobiator, so only the other triples
+        are visited, still in lexicographic order.
+        """
+        table, dim = self._table, self.dim
+        live = [i for i, row in enumerate(table) if any(row)]     # not central
+        for p, i in enumerate(live):
+            ti = table[i]
+            for q in range(p + 1, len(live)):
+                j = live[q]
+                tij, tj = ti[j], table[j]
+                ks = live[q + 1:] if tij else [k for k in live[q + 1:] if ti[k] or tj[k]]
+                for k in ks:
+                    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], each
+                    # as -[e_r, [e_p, e_q]] = -sum c v e_m over (l, c) in [e_p, e_q]
+                    # and (m, v) in [e_r, e_l]
+                    tk = table[k]
+                    acc = [0] * dim
+                    for l, c in tij:
+                        for m, v in tk[l]:
+                            acc[m] -= c * v
+                    for l, c in tj[k]:
+                        for m, v in ti[l]:
+                            acc[m] -= c * v
+                    for l, c in tk[i]:
+                        for m, v in tj[l]:
+                            acc[m] -= c * v
+                    if any(acc):
+                        return JacobiResult(False, (i, j, k), tuple(_exact(a) for a in acc))
         return JacobiResult(True)
 
     def ad(self, x) -> "Endo":
@@ -316,6 +338,21 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
         if any(annihilator.apply(algebra.bracket(vecs[i], vecs[j]))):
             return False, (i, j)
     return True, None
+
+
+def _sparse_bracket(a: LieAlgebra, xs, ys) -> dict:
+    """[x, y] as {k: coefficient} off a's structure table, for x and y given
+    by their nonzero (index, value) pairs; entries are not made exact, and
+    one may be zero where terms cancel."""
+    acc = {}
+    table = a._table
+    for i, x in xs:
+        row = table[i]
+        for j, y in ys:
+            c = x * y
+            for k, v in row[j]:
+                acc[k] = acc.get(k, 0) + c * v
+    return acc
 
 
 # -- the operator-identity kernel: sparse dicts {index: coefficient} ------

@@ -13,12 +13,14 @@ leading entries and the indices of the input rows it kept.  rank,
 pivot_columns, null_space, kernel_basis, solve and inverse are thin
 wrappers over it, and a matrix eliminates itself at most once.
 certified_rank, which cochain.cohomology calls for every rank it reports,
-checks that rank by two routes sharing no arithmetic with it: the kernel
-against the integral rows the elimination read (an upper bound), and the
-kept rows restricted to the pivot columns, an r x r minor eliminated modulo
-the prime 2^61 - 1 (a lower bound).  Rows are scaled to integers in one
-place, _integral, which drops the empty rows (most rows of a coboundary
-matrix); the Matrix keeps its shape and row indices.
+checks that rank by two routes sharing no arithmetic with it: the null
+space vectors, read off the reduced row echelon entries over one common
+denominator, against the integral rows the elimination read, with no
+product matrix (an upper bound), and the kept rows restricted to the pivot
+columns, an r x r minor eliminated modulo the prime 2^61 - 1 (a lower
+bound).  Rows are scaled to integers in one place, _integral, once per
+matrix, which drops the empty rows (most rows of a coboundary matrix); the
+Matrix keeps its shape and row indices.
 """
 
 import re
@@ -231,8 +233,11 @@ def certified_rank(m: "Matrix"):
     when either fails.
 
     Upper bound: the nonzero rows of m scaled to integers, which the exact
-    elimination reads, must annihilate every null_space() vector, scaled to
-    integers too, in int arithmetic; so the rank over Q is at most m.rank().
+    elimination reads, must annihilate the null_space() vector of every
+    free column f, that is r[f] = sum_c r[c] rref[c][f] over the pivots c
+    for each such row r.  This is checked in int arithmetic, with the rref
+    entries over one common denominator; so the rank over Q is at most
+    m.rank().
     Lower bound: the r rows the elimination kept, restricted to its r pivot
     columns, must have rank m.rank() modulo the prime MODULUS.  Over Q that
     minor is invertible, since the reduced rows are an invertible
@@ -240,23 +245,36 @@ def certified_rank(m: "Matrix"):
     minor nonsingular modulo a prime is nonsingular over Q, so the rank over
     Q is at least m.rank().  The route reads only the indices of the exact
     elimination, none of its arithmetic: a wrong row or pivot can only
-    make the minor singular, and then the rank is refused.  The kernel is
-    handed back unscaled: the very vectors checked.
+    make the minor singular, and then the rank is refused.  The kernel
+    handed back is null_space(), built from the same rref entries that the
+    upper bound reads.
     """
     rows = _integral(m._rows)
     if m._echelon is None:
         m._echelon = _echelon_form(rows)
-    rank = m.rank()
-    kernel = m.null_space()
-    scaled = Matrix.from_sparse(_integral(kernel._rows), m.ncols)
-    certify((Matrix.from_sparse(rows, m.ncols) @ scaled.transpose()).is_zero(),
-            "null space vector is not annihilated")
     _, rref, kept = m._echelon      # rref is keyed by the pivots
+    den = lcm(*[x.denominator for rest in rref.values() for x in rest.values()
+                if type(x) is Fraction])
+    scaled = rref if den == 1 else {
+        c: {f: x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
+            for f, x in rest.items()} for c, rest in rref.items()}
+    for row in rows:
+        # den (row . v_f) for each free column f: den row[f] - sum_c row[c] scaled[c][f]
+        acc = {}
+        for c, x in row.items():
+            rest = scaled.get(c)
+            if rest is None:
+                acc[c] = acc.get(c, 0) + den * x
+            else:
+                for f, y in rest.items():
+                    acc[f] = acc.get(f, 0) - x * y
+        certify(not any(acc.values()), "null space vector is not annihilated")
     minor = [{j: r for j, x in rows[i].items() if j in rref and (r := x % MODULUS)}
              for i in kept]
+    rank = m.rank()
     certify(len(eliminate(minor, MODULUS)[0]) == rank,
             "rank mod p and rank over Q disagree")
-    return rank, kernel
+    return rank, m.null_space()
 
 
 class Matrix:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,30 @@ def test_check_lie_broken_algebra(tmp_path, capsys):
     assert run(["check", "lie", "--algebra", broken]) == 1
     out = capsys.readouterr().out
     assert "(e, f, h)" in out
+
+
+def _unit(dim, k, c=1):
+    return [c if m == k else 0 for m in range(dim)]
+
+
+@pytest.mark.parametrize("brackets, code", [
+    ([], 0),
+    ([{"i": 0, "j": 1, "value": _unit(1500, 2)}], 0),
+    ([{"i": 1497, "j": 1498, "value": _unit(1500, 1499)},
+      {"i": 1498, "j": 1499, "value": _unit(1500, 1498)}], 1),
+], ids=["abelian", "heisenberg", "broken"])
+def test_check_lie_large_sparse_algebra(tmp_path, capsys, brackets, code):
+    # central basis vectors and triples whose pairs all bracket to zero are
+    # skipped: a 1500-dimensional file with at most two brackets is checked
+    # in well under a second
+    path = write_json(tmp_path / "big.json", {"dim": 1500, "brackets": brackets})
+    start = time.perf_counter()
+    assert run(["check", "lie", "--algebra", path, "--json"]) == code
+    assert time.perf_counter() - start < 20
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    if code:
+        assert witnesses["jacobi_triple"] == ["x1498", "x1499", "x1500"]
+        assert witnesses["jacobiator"] == _unit(1500, 1499, -1)
 
 
 def test_cohomology_report(sl2_files, capsys):
@@ -500,6 +525,42 @@ def test_elimination_fault_exit_3(sl2_files, monkeypatch, capsys, route, message
     assert captured.err == f"internal error: {message}\n"
     assert not captured.out
     assert faults == [route]
+
+
+_CORRUPT_RREF_SCRIPT = """
+import sys
+import mcybe.linalg
+from mcybe.cli import run
+assert sys.argv[3] == ("optimized" if not __debug__ else "plain")
+true_form = mcybe.linalg._echelon_form
+
+
+def echelon_form(rows):
+    # the elimination is right; one reduced row echelon entry is changed after it
+    pivots, rref, kept = true_form(rows)
+    rest = next((rest for rest in rref.values() if rest), None)
+    if rest is not None:
+        rest[min(rest)] += 1
+    return pivots, rref, kept
+
+
+mcybe.linalg._echelon_form = echelon_form
+sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_corrupt_rref_entry_exit_3(sl2_files, flags):
+    # the kernel check reads the rref entries themselves, so a wrong entry is
+    # refused even though the rank and pivots are right, with asserts on or off
+    algebra, borel = sl2_files
+    proc = subprocess.run([sys.executable, *flags, "-c", _CORRUPT_RREF_SCRIPT,
+                           str(algebra), str(borel), "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=_env_with_src(),
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "internal error: null space vector is not annihilated\n"
+    assert not proc.stdout
 
 
 _OPTIMIZED_SCRIPT = """

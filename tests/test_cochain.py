@@ -418,7 +418,7 @@ def test_cohomology_b_flavor_isomorphic(sl2, sl3):
 @pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
 def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
     # the rank certificate reads the integral rows of the exact elimination:
-    # one integral copy per coboundary matrix and one per its kernel
+    # one integral copy per coboundary matrix, and none of its kernel
     _, r = request.getfixturevalue(name)
     calls = []
     true_integral = linalg._integral
@@ -426,7 +426,7 @@ def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
                         lambda rows: calls.append(rows) or true_integral(rows))
     rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
     assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
-    assert len(calls) == 2 * 3
+    assert len(calls) == 3
 
 
 # -- one complex per library call ---------------------------------------------

@@ -211,6 +211,43 @@ def test_nijenhuis_scan_defaults(sl2, sl3, abelian3, affine2):
     assert found == [(1, 0), (0, 1)]
 
 
+def _dense_commutator_witness(a, x):
+    """Oracle: the first (j, k) with [[x, e_j], [x, e_k]] != 0, by dense brackets."""
+    images = [a.bracket(x, e) for e in a.basis()]
+    return next(((j, k) for j, k in combinations(range(a.dim), 2)
+                 if any(a.bracket(images[j], images[k]))), None)
+
+
+def _dense_eq2_witness(R, x):
+    """Oracle: the first j with [x, [x, Re_j]] != [x, R[x, e_j]], by dense brackets."""
+    a = R.algebra
+    return next((j for j, e in enumerate(a.basis())
+                 if a.bracket(x, a.bracket(x, R.apply(e)))
+                 != a.bracket(x, R.apply(a.bracket(x, e)))), None)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl3_conjugate", "affine2", "abelian3"])
+def test_nijenhuis_witnesses_match_dense_oracle(name, request):
+    # every scan candidate (basis vectors and pair sums) and seeded sparse and
+    # dense x with int and Fraction entries, against the dense bracket route
+    a, r = request.getfixturevalue(name)
+    rng = random.Random(a.dim)
+    xs = [x for x, _ in nijenhuis_scan(r)]
+    for _ in range(12):
+        support = rng.sample(range(a.dim), rng.randint(1, a.dim))
+        xs.append(tuple(rng.choice((1, -2, Fraction(1, 2), Fraction(-2, 3)))
+                        if k in support else 0 for k in range(a.dim)))
+    eq1 = eq2 = 0
+    for x in xs:
+        v = deform._nijenhuis_verdict(r, x)
+        assert deform._commutator_witness(a, x) == v.eq1_witness == _dense_commutator_witness(a, x)
+        assert v.eq2_witness == _dense_eq2_witness(r, x)
+        eq1 += v.eq1_ok
+        eq2 += v.eq2_ok
+    if name in ("sl2", "sl3", "sl4"):
+        assert eq1 < len(xs) and eq2 < len(xs)
+
+
 def test_trivial_deformation_zero(sl2):
     a, r = sl2
     rhat, dv = trivial_deformation(r, a.zero())

@@ -7,15 +7,16 @@ from math import comb
 import pytest
 
 from mcybe import liealg, rmatrix
-from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, cochain,
+from mcybe import (Cochain, Endo, InputError, LieAlgebra, Matrix, PreconditionError, cochain,
                    coboundary_matrix, cohomology, d_apply, graded_bracket,
                    is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
                    mc_deformation_check, mcybe_defect, pi_cochain,
                    satisfies_mc_modified)
+from mcybe.cochain import basis_tuples, insert_sorted
 from mcybe.graded import as_graded, d_graded, shuffles_three, shuffles_two
-from mcybe.liealg import vadd, vsub
+from mcybe.liealg import vadd, vneg, vsub
 
-from conftest import input_error, rand_cochain, rand_endo
+from conftest import input_error, rand_cochain, rand_endo, rand_rational
 
 
 def explicit_bracket_endos(a, f, g):
@@ -66,6 +67,62 @@ def test_arity_one_bracket_against_expansion(sl2, sl3, rng=random.Random(31)):
         for _ in range(8):
             f, g = rand_endo(rng, a), rand_endo(rng, a)
             assert graded_bracket(f, g) == explicit_bracket_endos(a, f, g)
+
+
+def dense_graded_bracket(f, g):
+    """Oracle: the shuffle-sum bracket term by term on dense vectors, each
+    insertion f(v, e..) expanded over the basis through insert_sorted."""
+    a = f.algebra
+    p, q = f.arity, g.arity
+    total = p + q
+    sign_pq = -1 if (p * q) % 2 else 1
+
+    def insert(outer, vec, rest):
+        acc = (0,) * a.dim
+        for s, c in enumerate(vec):
+            ins = c and insert_sorted(rest, s)
+            if ins and ins[1] in outer.coeffs:
+                acc = vadd(acc, tuple(ins[0] * c * x for x in outer.coeffs[ins[1]]))
+        return acc
+
+    coeffs = {}
+    for T in basis_tuples(a.dim, total):
+        acc = (0,) * a.dim
+        for outer, inner, sign in ((f, g, 1), (g, f, -sign_pq)):
+            for first, mid, last, sgn in shuffles_three(total, inner.arity, outer.arity - 1):
+                w = a.bracket(inner.get(tuple(T[i] for i in first)), a.basis_vector(T[mid]))
+                term = insert(outer, w, tuple(T[i] for i in last))
+                acc = vadd(acc, term if sign * sgn > 0 else vneg(term))
+        for first, second, sgn in shuffles_two(total, p):
+            term = a.bracket(f.get(tuple(T[i] for i in first)), g.get(tuple(T[i] for i in second)))
+            acc = vadd(acc, term if sign_pq * sgn > 0 else vneg(term))
+        if any(acc):
+            coeffs[T] = acc
+    return Cochain(a, total, coeffs)
+
+
+def _fraction_cochain(rng, a, arity):
+    tuples = basis_tuples(a.dim, arity)
+    return Cochain(a, arity, {tup: tuple(rand_rational(rng) for _ in range(a.dim))
+                              for tup in rng.sample(tuples, min(3, len(tuples)))})
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "gl2_like", "affine2"])
+def test_graded_bracket_matches_dense_oracle(name, request):
+    # values and their types: an entry of denominator 1 is an int
+    a = request.getfixturevalue(name)
+    a = a if isinstance(a, LieAlgebra) else a[0]
+    rng = random.Random(a.dim + 40)
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            if p + q > a.dim:
+                continue
+            f, g = _fraction_cochain(rng, a, p), _fraction_cochain(rng, a, q)
+            got, want = graded_bracket(f, g), dense_graded_bracket(f, g)
+            assert got == want
+            assert got.to_json_dict() == want.to_json_dict()
+            assert {T: [type(x) for x in v] for T, v in got.coeffs.items()} == \
+                {T: [type(x) for x in v] for T, v in want.coeffs.items()}
 
 
 def test_identity_bracket_is_two_pi(sl2, sl3, abelian3, affine2):

@@ -352,6 +352,25 @@ def test_jacobi_matches_oracle_on_random_tables():
     assert 0 < verdicts.count(True) < verdicts.count(False)
 
 
+def _sparse_table(rng, dim):
+    """A seeded table with a few nonzero pairs scattered over a larger basis,
+    so most triples hold no nonzero pair."""
+    pairs = list(combinations(range(dim), 2))
+    pairs = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+    return {pair: tuple(rng.choice((0, 0, 0, 1, -1, Fraction(1, 2))) for _ in range(dim))
+            for pair in pairs}
+
+
+def test_jacobi_matches_full_walk_on_sparse_tables():
+    # the first failing triple and its jacobiator, as the walk over every
+    # triple finds them, on tables where the visited triples are few
+    rng = random.Random(19)
+    verdicts = [_assert_jacobi_matches_oracle(
+        LieAlgebra(dim, _sparse_table(rng, dim), check=False))
+        for dim in (3, 6, 9, 12) for _ in range(40)]
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
 def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
     a, r = sl3
     ops = [r, r.scale(3)]
