@@ -8,19 +8,18 @@ only nonzeros.
 One routine, eliminate(), is a sparse Gauss-Jordan elimination on rows
 scaled to integers.  Over Q it yields the reduced row echelon form, which
 is canonical, so the pivots, kernel bases and solutions read off it are
-deterministic.  It returns (basis, leads, kept): the reduced rows, their
-leading entries and the indices of the input rows it kept.  rank,
-pivot_columns, null_space, kernel_basis, solve and inverse are thin
-wrappers over it, and a matrix eliminates itself at most once.
-certified_rank, which cochain.cohomology calls for every rank it reports,
-checks that rank by two routes sharing no arithmetic with it: the null
-space vectors, read off the reduced row echelon entries over one common
-denominator, against the integral rows the elimination read, with no
-product matrix (an upper bound), and the kept rows restricted to the pivot
+deterministic.  A matrix eliminates itself at most once and keeps the
+integral output as its one echelon form (basis, leads, kept, rows): the
+reduced row and leading entry of each pivot column, the indices of the rows
+kept, and the rows eliminated, which _integral scaled to integers without
+the empty rows (most rows of a coboundary matrix).  rank and pivot_columns
+read it as it is, and null_space divides by the leads.  certified_rank,
+which cochain.cohomology calls for every rank it reports, checks that rank
+on the same form by two routes: the rows against the null space vectors,
+read off basis and leads over one common denominator with no product
+matrix (an upper bound), and the kept rows restricted to the pivot
 columns, an r x r minor eliminated modulo the prime 2^61 - 1 (a lower
-bound).  Rows are scaled to integers in one place, _integral, once per
-matrix, which drops the empty rows (most rows of a coboundary matrix); the
-Matrix keeps its shape and row indices.
+bound).
 """
 
 import re
@@ -217,47 +216,30 @@ def eliminate(rows, modulus=0):
     return basis, leads, kept
 
 
-def _echelon_form(rows):
-    """(pivots, rref, kept) of eliminate() on integral rows over Q.
-
-    rref maps each pivot to the rest of its reduced row echelon row, and
-    kept lists the indices into rows of the rows the elimination kept.
-    """
-    basis, leads, kept = eliminate(rows)
-    return sorted(basis), {c: {j: _quotient(x, leads[c]) for j, x in rest.items()}
-                           for c, rest in basis.items()}, kept
-
-
 def certified_rank(m: "Matrix"):
-    """(m.rank(), m.null_space()), certified by two routes; InternalError
-    when either fails.
+    """(m.rank(), m.null_space()), certified by two routes on m's echelon
+    form (basis, leads, kept, rows); InternalError when either fails.
 
-    Upper bound: the nonzero rows of m scaled to integers, which the exact
-    elimination reads, must annihilate the null_space() vector of every
-    free column f, that is r[f] = sum_c r[c] rref[c][f] over the pivots c
-    for each such row r.  This is checked in int arithmetic, with the rref
-    entries over one common denominator; so the rank over Q is at most
-    m.rank().
+    Upper bound: the integral rows, which the exact elimination read, must
+    annihilate the null_space() vector of every free column f, that is
+    r[f] = sum_c r[c] basis[c][f] / leads[c] over the pivots c for each
+    such row r.  This is checked in int arithmetic over den = lcm(leads),
+    with basis[c] scaled by den // leads[c], so the rank over Q is at most
+    m.rank(); null_space(), the kernel handed back, is built from the same
+    basis and leads.
     Lower bound: the r rows the elimination kept, restricted to its r pivot
     columns, must have rank m.rank() modulo the prime MODULUS.  Over Q that
     minor is invertible, since the reduced rows are an invertible
-    combination of the kept rows and are the identity on the pivots; a
-    minor nonsingular modulo a prime is nonsingular over Q, so the rank over
-    Q is at least m.rank().  The route reads only the indices of the exact
-    elimination, none of its arithmetic: a wrong row or pivot can only
-    make the minor singular, and then the rank is refused.  The kernel
-    handed back is null_space(), built from the same rref entries that the
-    upper bound reads.
+    combination of the kept rows and are diagonal on the pivots; a minor
+    nonsingular modulo a prime is nonsingular over Q, so the rank over Q is
+    at least m.rank().  The route reads only the indices of the exact
+    elimination, none of its arithmetic: a wrong row or pivot can only make
+    the minor singular, and then the rank is refused.
     """
-    rows = _integral(m._rows)
-    if m._echelon is None:
-        m._echelon = _echelon_form(rows)
-    _, rref, kept = m._echelon      # rref is keyed by the pivots
-    den = lcm(*[x.denominator for rest in rref.values() for x in rest.values()
-                if type(x) is Fraction])
-    scaled = rref if den == 1 else {
-        c: {f: x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
-            for f, x in rest.items()} for c, rest in rref.items()}
+    basis, leads, kept, rows = m._reduced()
+    den = lcm(*leads.values())
+    scaled = basis if den == 1 else {
+        c: {f: y * (den // leads[c]) for f, y in rest.items()} for c, rest in basis.items()}
     for row in rows:
         # den (row . v_f) for each free column f: den row[f] - sum_c row[c] scaled[c][f]
         acc = {}
@@ -269,7 +251,7 @@ def certified_rank(m: "Matrix"):
                 for f, y in rest.items():
                     acc[f] = acc.get(f, 0) - x * y
         certify(not any(acc.values()), "null space vector is not annihilated")
-    minor = [{j: r for j, x in rows[i].items() if j in rref and (r := x % MODULUS)}
+    minor = [{j: r for j, x in rows[i].items() if j in basis and (r := x % MODULUS)}
              for i in kept]
     rank = m.rank()
     certify(len(eliminate(minor, MODULUS)[0]) == rank,
@@ -436,9 +418,11 @@ class Matrix:
     # -- elimination: thin wrappers over eliminate() -------------------
 
     def _reduced(self):
-        """_echelon_form() of self's rows scaled to integers, computed once."""
+        """The one echelon form (basis, leads, kept, rows), computed once:
+        eliminate() on rows, self's nonempty rows scaled by _integral."""
         if self._echelon is None:
-            self._echelon = _echelon_form(_integral(self._rows))
+            rows = _integral(self._rows)
+            self._echelon = (*eliminate(rows), rows)
         return self._echelon
 
     def rank(self) -> int:
@@ -447,7 +431,7 @@ class Matrix:
 
     def pivot_columns(self) -> tuple:
         """The pivot columns of the reduced row echelon form, increasing."""
-        return tuple(self._reduced()[0])
+        return tuple(sorted(self._reduced()[0]))
 
     def null_space(self):
         """A basis of the right null space as the rows of a matrix.
@@ -457,11 +441,11 @@ class Matrix:
         The basis is echelon-normalized and deterministic, each row v
         satisfies self @ v = 0 exactly, and there are ncols - rank rows.
         """
-        pivots, rref, _ = self._reduced()
-        vectors = {f: {f: 1} for f in range(self.ncols) if f not in rref}
-        for c in pivots:
-            for f, x in rref[c].items():
-                vectors[f][c] = -x
+        basis, leads, _, _ = self._reduced()
+        vectors = {f: {f: 1} for f in range(self.ncols) if f not in basis}
+        for c in sorted(basis):
+            for f, x in basis[c].items():
+                vectors[f][c] = -_quotient(x, leads[c])
         return Matrix.from_sparse(list(vectors.values()), self.ncols)
 
     def kernel_basis(self):

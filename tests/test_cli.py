@@ -532,19 +532,19 @@ import sys
 import mcybe.linalg
 from mcybe.cli import run
 assert sys.argv[3] == ("optimized" if not __debug__ else "plain")
-true_form = mcybe.linalg._echelon_form
+true_eliminate = mcybe.linalg.eliminate
 
 
-def echelon_form(rows):
-    # the elimination is right; one reduced row echelon entry is changed after it
-    pivots, rref, kept = true_form(rows)
-    rest = next((rest for rest in rref.values() if rest), None)
-    if rest is not None:
+def eliminate(rows, modulus=0):
+    # the elimination is right; over Q one stored entry is changed after it
+    basis, leads, kept = true_eliminate(rows, modulus)
+    rest = next((rest for rest in basis.values() if rest), None)
+    if not modulus and rest is not None:
         rest[min(rest)] += 1
-    return pivots, rref, kept
+    return basis, leads, kept
 
 
-mcybe.linalg._echelon_form = echelon_form
+mcybe.linalg.eliminate = eliminate
 sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2]]))
 """
 

@@ -196,9 +196,9 @@ def kept_minor(m):
     The elimination reads the nonempty rows of m in order, each scaled by a
     positive integer, and reports the indices of the ones it kept.
     """
-    pivots, _, kept = m._reduced()
+    basis, _, kept, _ = m._reduced()
     rows = [row for row in map(m.nonzeros, range(m.nrows)) if row]
-    return [[rows[i].get(j, 0) for j in pivots] for i in kept]
+    return [[rows[i].get(j, 0) for j in sorted(basis)] for i in kept]
 
 
 def assert_nonsingular_kept_minor(m):
