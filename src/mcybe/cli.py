@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError, too_long_to_print
 from .linalg import rational_from_json, rational_str, rational_to_json, rationals_from_json
 from .liealg import Endo, LieAlgebra, vector_str
 from . import rmatrix
@@ -83,7 +83,10 @@ class Report:
 
     def emit(self, as_json):
         if as_json:
-            print(json.dumps(self.data, sort_keys=True, indent=2))
+            try:
+                print(json.dumps(self.data, sort_keys=True, indent=2))
+            except ValueError as exc:    # json.dumps fails before print writes
+                raise too_long_to_print(exc) from exc
         else:
             print(f"== {self.data['command']}")
             for line in self.lines:
@@ -512,6 +515,7 @@ def run(argv=None):
     report = Report(command)
     try:
         code = args.func(args, report)
+        report.emit(args.json)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -521,7 +525,6 @@ def run(argv=None):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    report.emit(args.json)
     return code
 
 

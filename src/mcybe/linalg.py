@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError, certify
+from .errors import InputError, certify, too_long_to_print
 
 # Exact scalar: int or Fraction.  Fractions with denominator 1 are
 # normalized back to int by ratio().
@@ -98,12 +98,16 @@ def rationals_from_json(data, what) -> list:
 
 def rational_to_json(x: Rational):
     x = ratio(x)
-    return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
+    return x if isinstance(x, int) else rational_str(x)
 
 
 def rational_str(x: Rational) -> str:
+    """str(rational_to_json(x)); InputError past the int-to-string digit limit."""
     x = ratio(x)
-    return str(x) if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x) if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise too_long_to_print(exc) from exc
 
 
 def _exact(x) -> Rational:

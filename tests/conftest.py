@@ -1,7 +1,9 @@
 """Shared fixtures: catalog instances, extra algebras, random generators."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,22 @@ def gl2_like():
         (1, 2): (0, 2, 0, 0),
     }
     return LieAlgebra(4, structure, basis_names=["e", "f", "h", "z"])
+
+
+# The package's source, which the ast guards parse.
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+
+
+def package_modules(*skip):
+    """The modules of the package but those named in skip, as parameters
+    identified by file name."""
+    return [pytest.param(path, id=path.name) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in skip]
+
+
+def node_lines(source, match):
+    """Sorted line numbers of the nodes of source's syntax tree that match."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if match(node))
 
 
 def input_error(call):

@@ -8,21 +8,20 @@ eval_insert, the dense per-term route they replaced.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
 from mcybe import Cochain
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+from conftest import PACKAGE, node_lines
+
 DENSE = {"bracket", "basis_vector", "eval_insert"}
 
 
 def dense_calls(source):
     """Line numbers of every call of an attribute named in DENSE."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in DENSE)
+    return node_lines(source, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr in DENSE)
 
 
 @pytest.mark.parametrize("name", ["graded.py", "deform.py"])

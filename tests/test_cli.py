@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mcybe
-from mcybe.cli import run
+from mcybe.cli import Report, run
 from mcybe.rmatrix import DefectReport
 
 
@@ -478,6 +478,52 @@ def test_unreadable_input_exit_2(sl2_files, tmp_path, capsys, argv, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.fixture(params=["1", "2"], ids=["int", "fraction"])
+def scaled_borel(sl2_files, tmp_path, request):
+    """sl(2) and its Borel R times (10^2999 + 7)/q: a legal input, each entry
+    under the int-to-string digit limit, whose MCYBE defect has 6,000 digits."""
+    algebra, borel = sl2_files
+    matrix = [[f"{x * (10 ** 2999 + 7)}/{request.param}" for x in row]
+              for row in json.loads(borel.read_text())["matrix"]]
+    return str(algebra), write_json(tmp_path / "scaled.json", {"matrix": matrix})
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", [["check", "mcybe"], ["induced"],
+                                     ["cohomology", "--max-degree", "1"]],
+                         ids=["check-mcybe", "induced", "cohomology"])
+def test_number_too_long_to_print_exit_2(scaled_borel, capsys, command, flags):
+    # the report (or, in cohomology, the precondition's message) would print
+    # the defect; that number is refused as input, never a traceback
+    algebra, scaled = scaled_borel
+    assert run([*command, "--algebra", algebra, "--map", scaled, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"input error: a number has more than "
+                            f"{sys.get_int_max_str_digits()} digits to print\n")
+    assert not captured.out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_scaled_borel_double_graph_still_reports(scaled_borel, capsys, flags):
+    # the graph basis holds only R's own entries, which print
+    algebra, scaled = scaled_borel
+    assert run(["double", "graph", "--algebra", algebra, "--map", scaled, *flags]) == 1
+    captured = capsys.readouterr()
+    assert not captured.err
+    if flags:
+        assert json.loads(captured.out)["verdicts"]["is_subalgebra"] is False
+    else:
+        assert "graph of R is a subalgebra of g(+)g: FAIL" in captured.out
+
+
+def test_emit_raises_other_value_errors():
+    # only the digit limit is an input error; a circular report is a bug
+    report = Report("check lie")
+    report.data["witnesses"]["self"] = report.data
+    with pytest.raises(ValueError, match="Circular reference"):
+        report.emit(True)
 
 
 def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):

@@ -6,11 +6,10 @@ its __all__, or carry `# noqa: F401` on its lines.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+from conftest import package_modules
 
 
 def _annotations(tree):
@@ -58,7 +57,7 @@ def unused_imports(source):
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", package_modules())
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

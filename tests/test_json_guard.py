@@ -8,25 +8,24 @@ names either.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+from conftest import PACKAGE, node_lines, package_modules
+
 CAUGHT = {"KeyError", "TypeError"}
 
 
 def key_read_handlers(source):
     """Line numbers of every except clause naming KeyError or TypeError."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.ExceptHandler) and node.type is not None
-                  and any(isinstance(n, ast.Name) and n.id in CAUGHT
-                          or isinstance(n, ast.Attribute) and n.attr in CAUGHT
-                          for n in ast.walk(node.type)))
+    return node_lines(source, lambda node: isinstance(node, ast.ExceptHandler)
+                      and node.type is not None
+                      and any(isinstance(n, ast.Name) and n.id in CAUGHT
+                              or isinstance(n, ast.Attribute) and n.attr in CAUGHT
+                              for n in ast.walk(node.type)))
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", package_modules("linalg.py"))
 def test_module_decodes_no_json_object_by_hand(path):
     assert key_read_handlers(path.read_text()) == []
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import sympy
 
 from mcybe import (InputError, InternalError, Matrix, coboundary_matrix, cohomology, linalg,
                    rb_from_r)
-from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json,
+from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json, rational_str,
                           rational_to_json, rationals_from_json)
 
 from conftest import input_error
@@ -148,6 +149,18 @@ def test_rational_json_roundtrip():
             rational_from_json(bad)
 
 
+def test_rational_str_is_the_json_text():
+    for v in (3, -7, Fraction(2, 3), Fraction(-9, 4), 0, Fraction(4, 2)):
+        assert rational_str(v) == str(rational_to_json(v))
+    # past the int-to-string digit limit a number is refused as input, and
+    # any other ValueError stays what it was
+    limit = f"more than {sys.get_int_max_str_digits()} digits"
+    for v in (10 ** 5000, Fraction(10 ** 5000 + 1, 2)):
+        assert limit in input_error(lambda: rational_str(v))
+    assert limit in input_error(lambda: rational_to_json(Fraction(1, 10 ** 5000 + 1)))
+    assert input_error(lambda: rational_str(0.5)) == "not an exact rational: 0.5 of type float"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: ratio(True), "booleans are not rationals"),
     (lambda: rationals_from_json(json.loads("[0, true]"), "matrix row"), "not a rational: True"),
@@ -188,6 +201,77 @@ def test_certified_rank_matches_rank(rng=random.Random(107)):
         rank, kernel = certified_rank(m)
         assert rank == m.rank() == sympy.Matrix(m.rows_list()).rank()
         assert kernel == m.null_space()
+
+
+def test_one_form_matches_sympy_rref(rng=random.Random(113)):
+    # the stored form is integral; a pivot row whose rref entries have a
+    # denominator has a lead != 1, and the kernel check scales it by lcm(leads)
+    with_lead = 0
+    for _ in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rng, r, c, frac=True)
+        rref, pivots = sympy.Matrix(m.rows_list()).rref()
+        assert m.pivot_columns() == pivots
+        # each null_space row: 1 at its free column f, -rref[i, f] at pivot i
+        assert m.null_space().rows_list() == [
+            [int(j == f) - (rref[pivots.index(j), f] if j in pivots else 0) for j in range(c)]
+            for f in range(c) if f not in pivots]
+        assert certified_rank(m) == (len(pivots), m.null_space())
+        with_lead += any(lead != 1 for lead in m._reduced()[1].values())
+    assert 4 * with_lead >= 40
+
+
+def test_rank_first_then_certificate_scales_once(monkeypatch, rng=random.Random(114)):
+    # rank() stores the one form, which certified_rank then reads as it is
+    calls = []
+    true_integral = linalg._integral
+    monkeypatch.setattr(linalg, "_integral",
+                        lambda rows: calls.append(rows) or true_integral(rows))
+    for _ in range(20):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        rows = rand_matrix(rng, r, c, frac=True).rows_list()
+        fresh = certified_rank(Matrix(rows))
+        m = Matrix(rows)
+        calls.clear()
+        rank = m.rank()
+        assert certified_rank(m) == fresh == (rank, m.null_space())
+        assert len(calls) == 1
+
+
+def row_space_moves(rng, m):
+    """Three matrices with m's row space: each row scaled by a seeded nonzero
+    rational, the rows permuted, and the sum of two rows appended."""
+    rows = m.rows_list()
+    scales = [Fraction(rng.choice((1, -1, 2, -3, 5)), rng.randint(1, 4)) for _ in rows]
+    scaled = [[s * x for x in row] for s, row in zip(scales, rows)]
+    permuted = rng.sample(rows, len(rows))
+    a, b = rng.choice(rows), rng.choice(rows)
+    return Matrix(scaled), Matrix(permuted), Matrix(rows + [[x + y for x, y in zip(a, b)]])
+
+
+def assert_row_space_moves_keep_the_form(rng, m):
+    rank, null = certified_rank(m)
+    pivots = m.pivot_columns()
+    for moved in row_space_moves(rng, m):
+        assert moved.rank() == rank and moved.pivot_columns() == pivots
+        assert moved.null_space() == null
+        assert certified_rank(moved) == (rank, null)
+
+
+def test_row_space_moves_keep_the_form(rng=random.Random(115)):
+    for _ in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = rand_matrix(rng, r, c, frac=True) if rng.random() < 0.5 else rand_sparse(rng, r, c)
+        assert_row_space_moves_keep_the_form(rng, m)
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
+def test_coboundary_row_space_moves_keep_the_form(name, request, rng=random.Random(116)):
+    _, r = request.getfixturevalue(name)
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        for arity in range(3):
+            assert_row_space_moves_keep_the_form(
+                rng, coboundary_matrix(P, arity, flavor=flavor).matrix)
 
 
 def kept_minor(m):

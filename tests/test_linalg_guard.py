@@ -1,31 +1,30 @@
 """The elimination internals stay inside mcybe.linalg.
 
-linalg.certified_rank is the one rank certificate of the package: it scales
-a matrix to integers once and runs both eliminations on those rows.  Each
-module of src/mcybe is parsed with ast, and no module but linalg may name
-eliminate, MODULUS or _integral, whether read, called, or imported.
+linalg.certified_rank is the one rank certificate of the package: it reads
+a matrix's one echelon form, which Matrix._reduced stores in _echelon, and
+runs the modular elimination on its rows.  Each module of src/mcybe is
+parsed with ast, and no module but linalg may name eliminate, MODULUS,
+_integral, _echelon or _reduced, whether read, called, or imported.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
-INTERNALS = {"eliminate", "MODULUS", "_integral"}
+from conftest import PACKAGE, node_lines, package_modules
+
+INTERNALS = {"eliminate", "MODULUS", "_integral", "_echelon", "_reduced"}
 
 
 def internal_uses(source):
     """Line numbers of every name, attribute or imported name in INTERNALS."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Name) and node.id in INTERNALS
-                  or isinstance(node, ast.Attribute) and node.attr in INTERNALS
-                  or isinstance(node, ast.ImportFrom)
-                  and any(alias.name in INTERNALS for alias in node.names))
+    return node_lines(source, lambda node: isinstance(node, ast.Name) and node.id in INTERNALS
+                      or isinstance(node, ast.Attribute) and node.attr in INTERNALS
+                      or isinstance(node, ast.ImportFrom)
+                      and any(alias.name in INTERNALS for alias in node.names))
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", package_modules("linalg.py"))
 def test_module_uses_no_elimination_internals(path):
     assert internal_uses(path.read_text()) == []
 
@@ -35,6 +34,7 @@ def test_guard_flags_internal_uses():
               'p = linalg.MODULUS\n'
               'doc = "eliminate _integral MODULUS"\n'
               'def f(m):\n'
-              '    return _integral(m._rows), m.eliminated\n')
-    assert internal_uses(source) == [1, 2, 5]
+              '    return _integral(m._rows), m.eliminated\n'
+              'basis, leads, kept, rows = m._echelon or m._reduced()\n')
+    assert internal_uses(source) == [1, 2, 5, 6, 6]
     assert internal_uses((PACKAGE / "linalg.py").read_text())

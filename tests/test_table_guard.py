@@ -7,21 +7,19 @@ but liealg may read an attribute named _table.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+from conftest import PACKAGE, node_lines, package_modules
 
 
 def table_reads(source):
     """Line numbers of every attribute access named _table."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "_table"]
+    return node_lines(source, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "_table")
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "liealg.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", package_modules("liealg.py"))
 def test_module_reads_no_structure_table(path):
     assert table_reads(path.read_text()) == []
 
