@@ -449,7 +449,7 @@ class Matrix:
         vectors = {f: {f: 1} for f in range(self.ncols) if f not in basis}
         for c in sorted(basis):
             for f, x in basis[c].items():
-                vectors[f][c] = -_quotient(x, leads[c])
+                vectors[f][c] = _quotient(-x, leads[c])
         return Matrix.from_sparse(list(vectors.values()), self.ncols)
 
     def kernel_basis(self):

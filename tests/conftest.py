@@ -1,4 +1,4 @@
-"""Shared fixtures: catalog instances, extra algebras, random generators."""
+"""Shared fixtures: catalog instances, extra algebras, random generators, ast guard helpers."""
 
 import ast
 import random

@@ -505,6 +505,18 @@ def test_number_too_long_to_print_exit_2(scaled_borel, capsys, command, flags):
     assert not captured.out
 
 
+def test_number_too_long_for_the_json_report_exit_2(scaled_borel, capsys):
+    # [[R, R]] of the scaled R has 6,000-digit values, which only the JSON
+    # report prints: json.dumps in Report.emit meets the limit
+    algebra, scaled = scaled_borel
+    argv = ["graded-bracket", "--algebra", algebra, "--left", scaled, "--right", scaled]
+    assert run(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"input error: a number has more than "
+                            f"{sys.get_int_max_str_digits()} digits to print\n")
+    assert not captured.out
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_scaled_borel_double_graph_still_reports(scaled_borel, capsys, flags):
     # the graph basis holds only R's own entries, which print
