@@ -37,15 +37,13 @@ CONVENTIONS = {
 
 
 def _jsonable(obj):
+    """The JSON form of a value json.dumps cannot encode itself: a Fraction,
+    or a Cochain, Endo or LieAlgebra through its to_json_dict()."""
     if isinstance(obj, Fraction):
         return rational_to_json(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (Cochain, Endo, LieAlgebra)):
-        return _jsonable(obj.to_json_dict())
-    return obj
+        return obj.to_json_dict()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class Report:
@@ -66,7 +64,8 @@ class Report:
         }
 
     def verdict(self, key, value, line=None):
-        self.data["verdicts"][key] = _jsonable(value)
+        """Record value as it is; only a JSON report converts it, in emit."""
+        self.data["verdicts"][key] = value
         if line is not None:
             self.lines.append(line)
 
@@ -76,7 +75,7 @@ class Report:
         return 0 if ok else 1
 
     def witness(self, key, value):
-        self.data["witnesses"][key] = _jsonable(value)
+        self.data["witnesses"][key] = value
 
     def note(self, line):
         self.lines.append(line)
@@ -84,7 +83,7 @@ class Report:
     def emit(self, as_json):
         if as_json:
             try:
-                print(json.dumps(self.data, sort_keys=True, indent=2))
+                print(json.dumps(self.data, sort_keys=True, indent=2, default=_jsonable))
             except ValueError as exc:    # json.dumps fails before print writes
                 raise too_long_to_print(exc) from exc
         else:
@@ -224,7 +223,7 @@ def cmd_cohomology(args, report):
                      witnesses=args.witnesses)
     degrees = {}
     for d, dr in sorted(rep.degrees.items()):
-        degrees[d] = {
+        degrees[str(d)] = {
             "arity": dr.arity,
             "dim_cochains": dr.dim_cochains,
             "dim_cocycles": dr.dim_cocycles,

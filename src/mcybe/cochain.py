@@ -17,11 +17,14 @@ lambda once, as the complex is made, and each sum of mu terms once, which
 keeps mu integral for B = (R - Id)/2 with R integral; B + Id/2 would put
 fractions into every mu.
 
-lambda_u is stored as the rows of rho(R, e_u).  The faces of one
-(k+1)-tuple T have distinct k-tuples, so their lambda terms fill disjoint
-column blocks: the rows of the coboundary on T are copies of lambda rows
-shifted to each face's block, plus the mu terms, summed per k-tuple and
-added once on that block's diagonal.
+lambda_u is stored as the rows of rho(R, e_u).  The coboundary is walked
+by source: one sorted k-tuple S at a time, it yields every term of d that
+reads f(e_S).  A face term sends f(e_S) through lambda_u to T = S + {u}, one
+T per u, so in the matrix the rows of T on S's column block are a copy of
+lambda_u's rows; a mu term reaches each T = (S - {s}) + {u, w} where
+mu(u, w) has a nonzero e_s component, and these are summed per T and added
+once on the diagonal of that block.  d_apply walks only the support of its
+cochain, coboundary_matrix every source block.
 
 The precondition is read off the same image table: S(R), the modified
 Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
@@ -30,11 +33,12 @@ refuse the first pair where their own axiom fails.
 
 A private complex object holds this side for one library call.  As it is
 made, it builds the image table, checks the precondition and reads every
-lambda_u off the table; mu is built only when an arity >= 1 coboundary
-first reads it.  cohomology and graded.kuranishi each make one and pass it to
-coboundary_matrix, d_apply, is_cocycle and coboundary_preimage in place of
-P, so one call builds one side.  Nothing of it outlives the call: no
-operator, algebra or matrix keeps a reference to it.
+lambda_u off the table; mu, indexed by the basis vector e_s it reaches, is
+built only when a source of arity >= 1 first reads it.  cohomology and
+graded.kuranishi each make one and pass it to coboundary_matrix, d_apply,
+is_cocycle and coboundary_preimage in place of P, so one call builds one
+side.  Nothing of it outlives the call: no operator, algebra or matrix
+keeps a reference to it.
 """
 
 from bisect import bisect_left
@@ -267,14 +271,15 @@ class _Complex(Endo):
 
     It holds the image table of R = P, or of Id + 2P in the B-complex, and
     lambdas[u][m], row m of rho(R, e_u) as a dict {j: nonzero exact value},
-    halved in the B-complex.  mus, mus[(u, w)] = [e_u, e_w]_R, is made the
+    halved in the B-complex.  mu_index, mu_index[s] = [(u, w, x)] over the
+    pairs u < w whose [e_u, e_w]_R has e_s component x != 0, is made the
     first time it is read, which no arity-0 coboundary does; it is never
     halved.  With check set, the first basis pair where S(R) != 0 is
     refused as the complex is built.  As an Endo it is P itself, so it
     stands wherever P does.
     """
 
-    __slots__ = ("flavor", "images", "lambdas", "_mus")
+    __slots__ = ("flavor", "images", "lambdas", "_mu_index")
 
     def __init__(self, P: Endo, flavor, check):
         super().__init__(P.matrix, P.algebra)
@@ -294,13 +299,17 @@ class _Complex(Endo):
             lambdas = [[{j: _half(x) for j, x in row.items()} for row in lam]
                        for lam in lambdas]
         self.lambdas = lambdas
-        self._mus = None
+        self._mu_index = None
 
     @property
-    def mus(self):
-        if self._mus is None:
-            self._mus = _induced(self.images)
-        return self._mus
+    def mu_index(self):
+        if self._mu_index is None:
+            index = {}
+            for (u, w), mu in _induced(self.images).items():
+                for s, x in mu.items():
+                    index.setdefault(s, []).append((u, w, x))
+            self._mu_index = index
+        return self._mu_index
 
 
 def _complex(P, flavor, k, check=True) -> _Complex:
@@ -316,29 +325,37 @@ def _complex(P, flavor, k, check=True) -> _Complex:
     return _Complex(P, flavor, check)
 
 
-def _terms(side: _Complex, k):
-    """(T, faces, diagonal) for each sorted (k+1)-tuple T, in order.
+def _terms(side: _Complex, S):
+    """(faces, diagonal): the terms of d f that read f(e_S), S a sorted tuple.
 
-    faces lists the terms sign * lambda_u(f(e_S)) of (d f)(e_T) as
-    (sign, u, S).  The terms sign * f(mu(e_u, e_w), e_S), expanded over the
-    basis, are summed per key: diagonal maps each K to the nonzero exact c
-    of its term c f(e_K), halved once in the B-complex.
+    faces lists (sign, u, T) for each u outside S: sign * lambda_u(f(e_S))
+    is a term of (d f)(e_T), T = S + {u} sorted.  The terms sign *
+    f(mu(e_u, e_w), e_rest) of (d f)(e_T) that read f(e_S), one for each s
+    in S and each pair u < w outside rest = S - {s} with mu(e_u, e_w)_s != 0,
+    where T = rest + {u, w}, are summed per T: diagonal maps each T to the
+    nonzero exact c of its term c f(e_S), halved once in the B-complex.
     """
-    mus = side.mus if k else {}
+    faces = []
+    pos = 0                     # the place of u in T, (-1)^pos the sign of its face
+    for u in range(side.algebra.dim):
+        if pos < len(S) and S[pos] == u:
+            pos += 1
+        else:
+            faces.append((-1 if pos % 2 else 1, u, S[:pos] + (u,) + S[pos:]))
+    index = side.mu_index if S else {}
+    sums = {}
+    for i, s in enumerate(S):
+        rest = S[:i] + S[i + 1:]
+        for u, w, x in index.get(s, ()):
+            if u in rest or w in rest:
+                continue
+            # u and w sit at p and q + 1 of T; the sign of the pair times
+            # that of s in S is (-1)^(p + q + 1 + i)
+            p, q = bisect_left(rest, u), bisect_left(rest, w)
+            T = rest[:p] + (u,) + rest[p:q] + (w,) + rest[q:]
+            sums[T] = sums.get(T, 0) + (x if (p + q + i) % 2 else -x)
     exact = _half if side.flavor == FLAVOR_B else _exact
-    for T in basis_tuples(side.algebra.dim, k + 1):
-        faces = [(-1 if pos % 2 else 1, T[pos], T[:pos] + T[pos + 1:])
-                 for pos in range(k + 1)]
-        sums = {}
-        for p1, p2 in combinations(range(k + 1), 2):
-            mu = mus.get((T[p1], T[p2]))
-            if mu:
-                rest = T[:p1] + T[p1 + 1:p2] + T[p2 + 1:]
-                sign = -1 if (p1 + p2) % 2 else 1
-                for s, x in mu.items():
-                    if ins := insert_sorted(rest, s):
-                        sums[ins[1]] = sums.get(ins[1], 0) + sign * ins[0] * x
-        yield T, faces, {key: exact(c) for key, c in sums.items() if c}
+    return faces, {T: exact(c) for T, c in sums.items() if c}
 
 
 @dataclass
@@ -355,57 +372,61 @@ def coboundary_matrix(P: Endo, k: int, flavor="R") -> CoboundaryMatrix:
     """Matrix of the coboundary on arity-k cochains (degree k+1 -> k+2).
 
     For k = 0 the domain is g itself and (d x)(y) = [Ry, x] - R([y, x]).
-    Rows are assembled as sparse dicts, block by block of n rows per
-    (k+1)-tuple; no dense rows x cols table is built.  P may be a complex
-    built earlier in the same call, which is then checked already.
+    Rows are assembled as sparse dicts, one column block of n columns per
+    source k-tuple at a time; no dense rows x cols table is built.  P may be
+    a complex built earlier in the same call, which is then checked already.
     """
     side = _complex(P, flavor, k)
     lambdas = side.lambdas
     n = P.algebra.dim
-    col_base = {tup: i * n for i, tup in enumerate(basis_tuples(n, k))}
-
-    rows = []
-    for _, faces, diagonal in _terms(side, k):
-        # the faces of T have distinct S, so their lambda copies never overlap
-        block = [{} for _ in range(n)]
-        for sgn, u, sub in faces:
-            base = col_base[sub]
-            for out, lam in zip(block, lambdas[u]):
-                for j, x in lam.items():
-                    out[base + j] = sgn * x
-        for key, c in diagonal.items():
-            for j, out in enumerate(block, col_base[key]):
+    row_base = {T: i * n for i, T in enumerate(basis_tuples(n, k + 1))}
+    rows = [{} for _ in range(len(row_base) * n)]
+    sources = basis_tuples(n, k)
+    for i, S in enumerate(sources):
+        base = i * n
+        faces, diagonal = _terms(side, S)
+        # S reaches each T through one face, so its lambda copies never overlap
+        for sgn, u, T in faces:
+            start = row_base[T]
+            for m, lam in enumerate(lambdas[u]):
+                if lam:
+                    out = rows[start + m]
+                    for j, x in lam.items():
+                        out[base + j] = sgn * x
+        for T, c in diagonal.items():
+            start = row_base[T]
+            for j, out in enumerate(rows[start:start + n], base):
                 x = _exact(out.get(j, 0) + c)
                 if x:
                     out[j] = x
                 else:
                     del out[j]
-        rows.extend(block)
-    return CoboundaryMatrix(Matrix.from_sparse(rows, len(col_base) * n))
+    return CoboundaryMatrix(Matrix.from_sparse(rows, len(sources) * n))
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
-    """Apply the coboundary to a single cochain without assembling the matrix."""
+    """Apply the coboundary to a single cochain without assembling the
+    matrix, walking only the terms that read a nonzero value of f."""
     if f.algebra != P.algebra:
         raise InputError("the coboundary needs a cochain over the operator's algebra")
     side = _complex(P, flavor, f.arity, check)
     lambdas = side.lambdas
     n = P.algebra.dim
     coeffs = {}
-    for T, faces, diagonal in _terms(side, f.arity):
-        acc = [0] * n
-        for sgn, u, sub in faces:
-            value = f.coeffs.get(sub)
-            if value:
-                for m, lam in enumerate(lambdas[u]):
+    for S, value in f.coeffs.items():
+        faces, diagonal = _terms(side, S)
+        for sgn, u, T in faces:
+            acc = coeffs.get(T) or coeffs.setdefault(T, [0] * n)
+            for m, lam in enumerate(lambdas[u]):
+                if lam:
                     for j, x in lam.items():
                         if value[j]:
                             acc[m] += sgn * x * value[j]
-        for key, c in diagonal.items():
-            for m, x in enumerate(f.coeffs.get(key, ())):
-                acc[m] += c * x
-        if any(acc):
-            coeffs[T] = acc
+        for T, c in diagonal.items():
+            acc = coeffs.get(T) or coeffs.setdefault(T, [0] * n)
+            for m, x in enumerate(value):
+                if x:
+                    acc[m] += c * x
     return Cochain(P.algebra, f.arity + 1, coeffs)
 
 

@@ -19,7 +19,9 @@ on the same form by two routes: the rows against the null space vectors,
 read off basis and leads over one common denominator with no product
 matrix (an upper bound), and the kept rows restricted to the pivot
 columns, an r x r minor eliminated modulo the prime 2^61 - 1 (a lower
-bound).
+bound).  solve(b) does not read that form: it eliminates, with b as one
+more column, only the rows that a walk over shared columns reaches from
+the nonzeros of b, so a sparse b costs the blocks it touches.
 """
 
 import re
@@ -42,6 +44,8 @@ _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def ratio(x) -> Rational:
     """Coerce x to an exact rational, refusing floats."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise InputError("booleans are not rationals")
     if isinstance(x, int):
@@ -53,6 +57,8 @@ def ratio(x) -> Rational:
 
 def rational_from_json(v) -> Rational:
     """Decode an int or a 'p/q' string."""
+    if type(v) is int:
+        return v
     if isinstance(v, bool):
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
@@ -458,13 +464,32 @@ class Matrix:
         return [null.row(i) for i in range(null.nrows)]
 
     def solve(self, b):
-        """Some x with self @ x = b, or None when b is outside the image."""
+        """Some x with self @ x = b, or None when b is outside the image.
+
+        Only the rows that shared columns connect to a nonzero of b are
+        eliminated, with b as one more column: the reduced row echelon form
+        of a matrix is that of each such block of rows, and the other blocks
+        hold no entry of b, so x is the one read off the whole matrix.  The
+        certificate self @ x = b is checked on every row.
+        """
         b = [ratio(x) for x in b]
         if len(b) != self.nrows:
             raise InputError(f"rhs length {len(b)} != rows {self.nrows}")
+        holders = {}
+        for i, row in enumerate(self._rows):
+            for j in row:
+                holders.setdefault(j, []).append(i)
+        reached = {i for i, bv in enumerate(b) if bv}
+        stack = list(reached)
+        while stack:
+            for j in self._rows[stack.pop()]:
+                for i in holders.pop(j, ()):
+                    if i not in reached:
+                        reached.add(i)
+                        stack.append(i)
         n = self.ncols
-        basis, leads, _ = eliminate(_integral([{**row, n: bv} if bv else row
-                                               for row, bv in zip(self._rows, b)]))
+        basis, leads, _ = eliminate(_integral([{**self._rows[i], n: b[i]} if b[i] else
+                                               self._rows[i] for i in sorted(reached)]))
         if n in basis:
             return None
         x = [0] * n

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog
+from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog, linalg
 from mcybe.cochain import Cochain, basis_tuples
 
 
@@ -111,6 +111,21 @@ def rand_cochain(rng, algebra, arity, support=2, span=3):
     for tup in rng.sample(tuples, min(support, len(tuples))):
         coeffs[tup] = tuple(rng.randint(-span, span) for _ in range(algebra.dim))
     return Cochain(algebra, arity, coeffs)
+
+
+def full_solve(m, b):
+    """Matrix.solve(b) without its reach restriction: every row of the matrix
+    [m | b] is eliminated, and x is read off the reduced row echelon form
+    with each free column at 0; None when b is outside the image."""
+    n = m.ncols
+    basis, leads, _ = linalg.eliminate(linalg._integral(
+        [{**m.nonzeros(i), n: bv} if bv else m.nonzeros(i) for i, bv in enumerate(b)]))
+    if n in basis:
+        return None
+    x = [0] * n
+    for c, rest in basis.items():
+        x[c] = linalg.ratio(Fraction(rest.get(n, 0), leads[c]))
+    return tuple(x)
 
 
 def rand_invertible(rng, n, span=2):

@@ -507,9 +507,15 @@ def test_number_too_long_to_print_exit_2(scaled_borel, capsys, command, flags):
 
 def test_number_too_long_for_the_json_report_exit_2(scaled_borel, capsys):
     # [[R, R]] of the scaled R has 6,000-digit values, which only the JSON
-    # report prints: json.dumps in Report.emit meets the limit
+    # report prints: the text report prints its one line, and json.dumps in
+    # Report.emit meets the limit
     algebra, scaled = scaled_borel
     argv = ["graded-bracket", "--algebra", algebra, "--left", scaled, "--right", scaled]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("== graded-bracket\n"
+                            "[[left, right]] has arity 2 with 3 nonzero basis values\n")
+    assert not captured.err
     assert run(argv + ["--json"]) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"input error: a number has more than "

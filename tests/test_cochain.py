@@ -136,16 +136,26 @@ def test_sl2_degree2_kernel_pattern(sl2):
 
 
 def test_coboundary_matrix_matches_d_apply(sl2, sl3, sl3_conjugate, rng=random.Random(24)):
-    # matrix route and direct evaluation route must agree; the conjugate's
+    # matrix route and direct evaluation route must agree, in both flavors,
+    # on the empty cochain, on one-key cochains and on 3R, which is no
+    # modified r-matrix, through a complex built unchecked; the conjugate's
     # lambda is dense and rational, so a row/column mix-up shows
-    for a, r in (sl2, sl3, sl3_conjugate):
-        for k in (0, 1, 2):
-            cb = coboundary_matrix(r, k)
-            for _ in range(4):
-                f = rand_cochain(rng, a, k)
-                via_matrix = cb.matrix.apply(f.to_coeff_vector())
-                direct = d_apply(r, f, check=False)
-                assert list(via_matrix) == direct.to_coeff_vector()
+    a3, r3 = sl3
+    cases = [(a, P, flavor, k) for a, r in (sl2, sl3, sl3_conjugate)
+             for flavor, P in (("R", r), ("B", rb_from_r(r))) for k in (0, 1, 2)]
+    cases += [(a3, r3, "R", 3), (a3, rb_from_r(r3), "B", 3)]
+    cases += [(a3, r3.scale(3), "R", k) for k in (0, 1, 2)]
+    for a, P, flavor, k in cases:
+        cb = coboundary_matrix(cochain._complex(P, flavor, k, check=False), k, flavor=flavor)
+        tuples = basis_tuples(a.dim, k)
+        cochains = [Cochain.zero(a, k), rand_cochain(rng, a, k, support=1),
+                    Cochain(a, k, {tuples[-1]: a.basis_vector(rng.randrange(a.dim))}),
+                    rand_cochain(rng, a, k).scale(Fraction(-2, 3))]
+        cochains += [rand_cochain(rng, a, k) for _ in range(3)]
+        for f in cochains:
+            via_matrix = cb.matrix.apply(f.to_coeff_vector())
+            direct = d_apply(P, f, flavor=flavor, check=False)
+            assert list(via_matrix) == direct.to_coeff_vector()
 
 
 def test_complex_property_both_flavors(sl2, sl3, abelian3):

@@ -16,7 +16,7 @@ from mcybe.cochain import basis_tuples, insert_sorted
 from mcybe.graded import as_graded, d_graded, shuffles_three, shuffles_two
 from mcybe.liealg import vadd, vneg, vsub
 
-from conftest import input_error, rand_cochain, rand_endo, rand_rational
+from conftest import full_solve, input_error, rand_cochain, rand_endo, rand_rational
 
 
 def explicit_bracket_endos(a, f, g):
@@ -301,6 +301,39 @@ def test_kuranishi_builds_one_image_table(sl3, monkeypatch):
         assert kuranishi(r, f).is_cocycle
         assert seen == ["table", "d_apply", "d_apply", "coboundary_matrix"]
         seen.clear()
+
+
+def test_kuranishi_walks_the_matrix_once_and_else_the_supports(sl3, monkeypatch):
+    # the cocycle tests walk the source blocks of f and of [[f, f]] only;
+    # the preimage's matrix walks every arity-1 source block, once
+    a, r = sl3
+    f = next(w for w in cohomology(r, 2).degrees[2].cocycle_witnesses
+             if not graded_bracket(w, w).is_zero())
+    walked = []
+    terms = cochain._terms
+    monkeypatch.setattr(cochain, "_terms", lambda side, S: walked.append(S) or terms(side, S))
+    rep = kuranishi(r, f)
+    assert walked == [*f.coeffs, *rep.ff.coeffs, *basis_tuples(a.dim, 1)]
+
+
+def test_kuranishi_on_sums_of_witnesses_matches_the_full_matrices(sl3):
+    # on every sum of two Z^2 witnesses of sl(3), the verdicts and the
+    # primitive equal those read off the whole matrices of d: d on [[f, f]]
+    # by the arity-2 matrix, the primitive by eliminating all of [d | [[f, f]]]
+    a, r = sl3
+    witnesses = cohomology(r, 2).degrees[2].cocycle_witnesses
+    d1, d2 = (coboundary_matrix(r, k).matrix for k in (1, 2))
+    obstructed = 0
+    for f, g in combinations(witnesses, 2):
+        rep = kuranishi(r, f + g)
+        ff = rep.ff.to_coeff_vector()
+        assert rep.ff == graded_bracket(f + g, f + g)
+        assert rep.is_cocycle == (not any(d2.apply(ff)))
+        x = full_solve(d1, ff)
+        assert rep.witness == (None if x is None else Cochain.from_coeff_vector(a, 1, x))
+        assert rep.vanishes_in_H3 == (x is not None)
+        obstructed += x is None
+    assert (len(witnesses), obstructed) == (15, 34)
 
 
 def test_kuranishi_needs_modified_r_matrix(sl2):

@@ -13,7 +13,7 @@ from mcybe import (InputError, InternalError, Matrix, coboundary_matrix, cohomol
 from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json, rational_str,
                           rational_to_json, rationals_from_json)
 
-from conftest import input_error
+from conftest import full_solve, input_error
 
 
 def rand_matrix(rng, r, c, span=6, frac=False):
@@ -57,6 +57,77 @@ def test_solve_zero_matrix_nonzero_rhs():
 def test_solve_dimension_mismatch():
     with pytest.raises(InputError):
         Matrix.identity(3).solve((1, 2))
+
+
+def spy_eliminate(monkeypatch):
+    """The list that records the rows of every linalg.eliminate call."""
+    seen = []
+    true_eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus=0: seen.append(
+        list(rows)) or true_eliminate(rows, modulus))
+    return seen
+
+
+def test_solve_zero_rhs_eliminates_no_row(monkeypatch, rng=random.Random(112)):
+    seen = spy_eliminate(monkeypatch)
+    for r, c in [(1, 1), (4, 3), (3, 5)]:
+        assert rand_matrix(rng, r, c, frac=True).solve([0] * r) == (0,) * c
+    assert Matrix.zero(0, 2).solve([]) == (0, 0)
+    assert seen == [[]] * 4
+
+
+def block_diagonal(rng, shapes):
+    """(m, blocks): m has a random block of each (rows, cols) shape down its
+    diagonal, then its rows and its columns shuffled; blocks lists each
+    block's (rows, cols) as indices into m.  Every row of a block is nonzero
+    on the block's first column, so shared columns connect the whole block,
+    and a block of two or more rows ends with twice its first row."""
+    nrows, ncols = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    row_at, col_at = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    dense = [[0] * ncols for _ in range(nrows)]
+    blocks = []
+    for r, c in shapes:
+        rows, cols = row_at[:r], col_at[:c]
+        del row_at[:r], col_at[:c]
+        values = [[rng.choice((-2, -1, 1, Fraction(3, 2)))] + [rng.randint(-2, 2)
+                                                             for _ in range(c - 1)]
+                  for _ in range(r)]
+        if r > 1:
+            values[-1] = [2 * x for x in values[0]]
+        for i, row in zip(rows, values):
+            for j, x in zip(cols, row):
+                dense[i][j] = x
+        blocks.append((rows, cols))
+    return Matrix(dense), blocks
+
+
+def test_solve_eliminates_only_the_blocks_b_touches(monkeypatch, rng=random.Random(113)):
+    # the rows of the blocks that hold a nonzero of b are the only rows
+    # eliminated, and x is the one read off the whole augmented matrix, for
+    # b inside and outside the image
+    seen = spy_eliminate(monkeypatch)
+    for _ in range(40):
+        shapes = [(rng.randint(2, 4), rng.randint(1, 4))]
+        shapes += [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        m, blocks = block_diagonal(rng, shapes)
+        x0 = [0] * m.ncols
+        for _, cols in rng.sample(blocks, rng.randint(1, len(blocks))):
+            for j in cols:
+                x0[j] = rng.randint(-3, 3)
+        inside = m.apply(x0)
+        outside = list(inside)
+        outside[blocks[0][0][-1]] += 1       # its last row is twice its first
+        for b, consistent in ((inside, True), (outside, False)):
+            want = full_solve(m, b)
+            seen.clear()
+            x = m.solve(b)
+            assert x == want
+            assert (x is not None) == consistent
+            touched = [(rows, cols) for rows, cols in blocks if any(b[i] for i in rows)]
+            assert len(seen) == 1
+            assert len(seen[0]) == sum(len(rows) for rows, _ in touched)
+            reach = {j for _, cols in touched for j in cols} | {m.ncols}
+            assert all(row.keys() <= reach for row in seen[0])
 
 
 def test_rank_plus_nullity(rng=random.Random(101)):
@@ -144,7 +215,7 @@ def test_rational_json_roundtrip():
                         "2/4": Fraction(1, 2), "4/2": 2}.items():
         assert rational_from_json(text) == value
     for bad in ("not-a-number", 0.5, "0.5", "0.0", "1e3", "1_000", " 1/2", "1/2 ",
-                "1/2\n", "+1", "1/-2", "1/", "/2", "", "\u0661", "1/0"):
+                "1/2\n", "+1", "1/-2", "1/", "/2", "", "\u0661", "1/0", True, False):
         with pytest.raises(InputError):
             rational_from_json(bad)
 
@@ -163,6 +234,7 @@ def test_rational_str_is_the_json_text():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ratio(True), "booleans are not rationals"),
+    (lambda: ratio(False), "booleans are not rationals"),
     (lambda: rationals_from_json(json.loads("[0, true]"), "matrix row"), "not a rational: True"),
     (lambda: Matrix([[1, 2], [3]]), "ragged rows in matrix"),
     (lambda: Matrix.from_columns([[1, 2], [3]]), "ragged columns in matrix"),
@@ -170,7 +242,7 @@ def test_rational_str_is_the_json_text():
     (lambda: Matrix.zero(2, 3) @ Matrix.zero(2, 3), "shape mismatch (2, 3) @ (2, 3)"),
     (lambda: Matrix.identity(2).apply((1, 2, 3)), "vector length 3 != cols 2"),
     (lambda: Matrix.zero(2, 3).inverse(), "inverse of non-square (2, 3) matrix"),
-], ids=["ratio-bool", "json-true-entry", "ragged-rows", "ragged-columns", "add-shapes",
+], ids=["ratio-bool", "ratio-false", "json-true-entry", "ragged-rows", "ragged-columns", "add-shapes",
         "matmul-shapes", "apply-length", "inverse-non-square"])
 def test_input_errors(call, message):
     assert input_error(call) == message
