@@ -19,9 +19,8 @@ on the same form by two routes: the rows against the null space vectors,
 read off basis and leads over one common denominator with no product
 matrix (an upper bound), and the kept rows restricted to the pivot
 columns, an r x r minor eliminated modulo the prime 2^61 - 1 (a lower
-bound).  solve(b) does not read that form: it eliminates, with b as one
-more column, only the rows that a walk over shared columns reaches from
-the nonzeros of b, so a sparse b costs the blocks it touches.
+bound).  solve(b) eliminates, with b as one more column, only the rows
+that shared columns connect to a nonzero of b.
 """
 
 import re
@@ -466,11 +465,9 @@ class Matrix:
     def solve(self, b):
         """Some x with self @ x = b, or None when b is outside the image.
 
-        Only the rows that shared columns connect to a nonzero of b are
-        eliminated, with b as one more column: the reduced row echelon form
-        of a matrix is that of each such block of rows, and the other blocks
-        hold no entry of b, so x is the one read off the whole matrix.  The
-        certificate self @ x = b is checked on every row.
+        The rows that shared columns connect to a nonzero of b are the blocks
+        of the echelon form that hold b, so only they are eliminated; x is
+        the one the whole matrix gives, and self @ x = b is checked on every row.
         """
         b = [ratio(x) for x in b]
         if len(b) != self.nrows:
