@@ -31,6 +31,13 @@ Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
 S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
 refuse the first pair where their own axiom fails.
 
+Values are checked once, where they enter: Cochain(...) (so from_json_dict)
+checks every key and entry, from_sparse every index.  What the package
+computes itself (d_apply, graded_bracket, scale, +, from_endo, the defect
+and bracket tables) takes Cochain._trusted, which only makes entries
+exact; all three drop zero values in one place.  A zero f has the zero
+preimage once the arity and precondition are checked, with no matrix.
+
 A private complex object holds this side for one library call.  As it is
 made, it builds the image table, checks the precondition and reads every
 lambda_u off the table; mu, indexed by the basis vector e_s it reaches, is
@@ -50,7 +57,7 @@ from math import comb
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, _identity_pairs, _images, _induced,
-                     _lambdas, is_zero_vector, vadd, vector_from_json, vector_str,
+                     _lambdas, vadd, vector_from_json, vector_str,
                      vector_to_json, vzero)
 from .linalg import Matrix, _exact, certified_rank, json_array, json_object, ratio
 
@@ -101,9 +108,7 @@ class Cochain:
     def __init__(self, algebra: LieAlgebra, arity: int, coeffs=None):
         if arity < 0:
             raise InputError("negative cochain arity")
-        self.algebra = algebra
-        self.arity = arity
-        table = {}
+        checked = {}
         n = algebra.dim
         for key, value in (coeffs or {}).items():
             key = tuple(key)
@@ -112,12 +117,22 @@ class Cochain:
             if any(not 0 <= t < n for t in key) or any(
                     key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise InputError(f"tuple {key} is not strictly increasing in range")
-            vec = tuple(ratio(x) for x in value)
+            checked[key] = vec = tuple(map(ratio, value))
             if len(vec) != n:
                 raise InputError(f"value for {key} has length {len(vec)} != dim {n}")
-            if not is_zero_vector(vec):
-                table[key] = vec
-        self.coeffs = table
+        self._fill(algebra, arity, checked)
+
+    def _fill(self, algebra, arity, coeffs):
+        """self with the exact values coeffs, each as a tuple; zero ones are dropped."""
+        self.algebra, self.arity = algebra, arity
+        self.coeffs = {key: tuple(vec) for key, vec in coeffs.items() if any(vec)}
+        return self
+
+    @classmethod
+    def _trusted(cls, algebra, arity, coeffs):
+        """coeffs unchecked: keys sorted arity-tuples in range, values dim rationals."""
+        return cls.__new__(cls)._fill(algebra, arity, {key: tuple(map(_exact, value))
+                                                       for key, value in coeffs.items()})
 
     # -- constructors / converters -------------------------------------
 
@@ -132,7 +147,7 @@ class Cochain:
     @classmethod
     def from_endo(cls, endo: Endo):
         columns = endo.matrix.transpose()
-        return cls(endo.algebra, 1, {(j,): columns.row(j) for j in range(columns.nrows)})
+        return cls._trusted(endo.algebra, 1, {(j,): columns.row(j) for j in range(columns.nrows)})
 
     def to_endo(self) -> Endo:
         if self.arity != 1:
@@ -163,16 +178,16 @@ class Cochain:
     def __add__(self, other):
         self._conform(other)
         keys = set(self.coeffs) | set(other.coeffs)
-        return Cochain(self.algebra, self.arity,
-                       {k: vadd(self.get(k), other.get(k)) for k in keys})
+        return Cochain._trusted(self.algebra, self.arity,
+                                {k: vadd(self.get(k), other.get(k)) for k in keys})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = ratio(c)
-        return Cochain(self.algebra, self.arity,
-                       {k: tuple(c * x for x in v) for k, v in self.coeffs.items()})
+        return Cochain._trusted(self.algebra, self.arity,
+                                {k: [c * x for x in v] for k, v in self.coeffs.items()})
 
     def _conform(self, other):
         if not isinstance(other, Cochain) or other.arity != self.arity \
@@ -200,10 +215,7 @@ class Cochain:
             if not 0 <= i < len(tuples) * n:
                 raise InputError(f"coefficient index {i} out of range")
             blocks.setdefault(tuples[i // n], [0] * n)[i % n] = ratio(x)
-        f = cls.__new__(cls)
-        f.algebra, f.arity = algebra, arity
-        f.coeffs = {key: tuple(vec) for key, vec in blocks.items() if any(vec)}
-        return f
+        return cls.__new__(cls)._fill(algebra, arity, blocks)
 
     @classmethod
     def from_coeff_vector(cls, algebra, arity, values):
@@ -245,7 +257,7 @@ class Cochain:
 
 def pi_cochain(algebra: LieAlgebra) -> Cochain:
     """The Lie bracket of the algebra as an arity-2 cochain."""
-    return Cochain(algebra, 2, dict(algebra.structure))
+    return Cochain._trusted(algebra, 2, algebra.structure)
 
 
 # -- coboundary operators ----------------------------------------------------
@@ -427,7 +439,7 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
             for m, x in enumerate(value):
                 if x:
                     acc[m] += c * x
-    return Cochain(P.algebra, f.arity + 1, coeffs)
+    return Cochain._trusted(P.algebra, f.arity + 1, coeffs)
 
 
 def is_cocycle(P: Endo, f: Cochain, flavor="R") -> bool:
@@ -441,8 +453,10 @@ def coboundary_preimage(P: Endo, f: Cochain, flavor="R"):
         raise InputError("the coboundary needs a cochain over the operator's algebra")
     if f.arity == 0:
         raise InputError("degree-1 cochains have no preimage space (C^0 = 0)")
-    cb = coboundary_matrix(P, f.arity - 1, flavor=flavor)
-    x = cb.matrix.solve(f.to_coeff_vector())
+    side = _complex(P, flavor, f.arity - 1)
+    if f.is_zero():
+        return Cochain.zero(P.algebra, f.arity - 1)
+    x = coboundary_matrix(side, f.arity - 1, flavor=flavor).matrix.solve(f.to_coeff_vector())
     if x is None:
         return None
     return Cochain.from_coeff_vector(P.algebra, f.arity - 1, x)

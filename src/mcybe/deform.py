@@ -34,7 +34,7 @@ from .rmatrix import induced_bracket, mcybe_defect, require_modified
 
 def weight0_defect_cochain(B: Endo) -> Cochain:
     """[Bx, By] - B([Bx, y] + [x, By]) on basis pairs, as an arity-2 cochain."""
-    return Cochain(B.algebra, 2, dict(operator_identity(B)))
+    return Cochain._trusted(B.algebra, 2, dict(operator_identity(B)))
 
 
 def defect_polynomial(R: Endo, Rhat: Endo, s0: Cochain):
@@ -269,7 +269,7 @@ def induced_bracket_deformation(R: Endo, Rhat: Endo) -> InducedDeformationReport
     some t-coefficient of the Jacobiator is nonzero.
     """
     require_deformation(R, Rhat, "induced_bracket_deformation")
-    omega = Cochain(R.algebra, 2, induced_bracket_table(Rhat))
+    omega = Cochain._trusted(R.algebra, 2, induced_bracket_table(Rhat))
     jacobi = [induced_bracket(R + Rhat.scale(t), force=True).verify_jacobi()
               for t in (0, 1, -1)]
     failing = [jac.triple for jac in jacobi if not jac.ok]
@@ -295,7 +295,7 @@ def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketRe
     a = R.algebra
 
     def bracket_cochain(P):
-        return Cochain(a, 2, induced_bracket_table(P))
+        return Cochain._trusted(a, 2, induced_bracket_table(P))
 
     summed = bracket_cochain(R + Rhat.scale(t1)) + bracket_cochain(R + Rhat.scale(t2))
     candidate = LieAlgebra(a.dim, summed.coeffs, basis_names=a.basis_names, check=False)

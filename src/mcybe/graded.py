@@ -14,7 +14,7 @@ shuffles enumerated once per call.  Each value of f and g is read once as
 its nonzero (index, value) pairs, the brackets [g(e..), e_m] and
 [f(e..), g(e..)] come from liealg._sparse_bracket off the structure table,
 an inserted vector is expanded over its support only, and every term of
-one tuple is summed into one dense list that the Cochain makes exact once.
+one tuple is summed into one dense list that Cochain._trusted makes exact.
 
 Modified r-matrices are exactly the degree-1 solutions of [[R,R]] = 2 pi,
 weight-0 Rota-Baxter operators exactly the Maurer-Cartan elements
@@ -110,8 +110,8 @@ def graded_bracket(f, g) -> Cochain:
                     acc[k] += sign * v
         if any(acc):
             coeffs[T] = acc
-    # Cochain makes each entry exact, once
-    return Cochain(a, total, coeffs)
+    # the trusted path makes each entry exact, once, and checks nothing
+    return Cochain._trusted(a, total, coeffs)
 
 
 def d_graded(R, f) -> Cochain:

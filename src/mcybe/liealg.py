@@ -6,7 +6,8 @@ cannot be represented.  The Jacobi identity is verified eagerly on
 construction unless explicitly deferred.
 
 Every bracket, the Jacobi check included, is read off the structure table
-_table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders.
+_table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders, filled in
+the pass that decodes each structure value; rows without a bracket share one.
 _sparse_bracket sums [x, y] over the nonzero (index, value) pairs of x and
 y, for the graded bracket and the Nijenhuis witnesses.  The read-only
 mapping structure keeps the validated input for equality, is_abelian, JSON,
@@ -89,28 +90,33 @@ class LieAlgebra:
         basis_names = [str(s) for s in basis_names]
         if len(basis_names) != dim:
             raise InputError(f"{len(basis_names)} basis names for dimension {dim}")
-        repeated = next((s for i, s in enumerate(basis_names) if s in basis_names[:i]), None)
-        if repeated is not None:
-            raise InputError(f"repeated basis name {repeated!r}")
+        seen = set()
+        for name in basis_names:
+            if name in seen:
+                raise InputError(f"repeated basis name {name!r}")
+            seen.add(name)
         self.basis_names = tuple(basis_names)
+        # rows of _table without a bracket share one immutable empty row
+        empty = ((),) * dim
+        rows = [empty] * dim
         table = {}
         for key, value in structure.items():
             i, j = key
             if not (0 <= i < j < dim):
                 raise InputError(f"structure key {key}: need 0 <= i < j < dim")
-            vec = tuple(ratio(x) for x in value)
+            vec = tuple(map(ratio, value))
             if len(vec) != dim:
                 raise InputError(f"structure value for {key} has length {len(vec)}")
-            if not is_zero_vector(vec):
+            if terms := [(k, c) for k, c in enumerate(vec) if c]:
                 table[(i, j)] = vec
-        # read-only, so the support table below can never drift from it
+                for r in (i, j):
+                    if rows[r] is empty:
+                        rows[r] = list(empty)
+                rows[i][j] = tuple(terms)
+                rows[j][i] = tuple([(k, -c) for k, c in terms])
+        # read-only, so the table above can never drift from it
         self.structure = MappingProxyType(table)
-        # _table[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k, both orders
-        self._table = [[()] * dim for _ in range(dim)]
-        for (i, j), vec in table.items():
-            terms = tuple((k, c) for k, c in enumerate(vec) if c)
-            self._table[i][j] = terms
-            self._table[j][i] = tuple((k, -c) for k, c in terms)
+        self._table = rows
         if check:
             jac = self.verify_jacobi()
             if not jac.ok:
@@ -180,7 +186,7 @@ class LieAlgebra:
         are visited, still in lexicographic order.
         """
         table, dim = self._table, self.dim
-        live = [i for i, row in enumerate(table) if any(row)]     # not central
+        live = sorted({i for pair in self.structure for i in pair})     # not central
         for p, i in enumerate(live):
             ti = table[i]
             for q in range(p + 1, len(live)):

@@ -40,7 +40,7 @@ def mcybe_defect(R: Endo) -> DefectReport:
     """Evaluate S(R) on every basis pair; zero iff R is a modified r-matrix."""
     coeffs = dict(operator_identity(R, Endo.identity(R.algebra)))
     worst = next(iter(coeffs), None)
-    return DefectReport(worst is None, worst, Cochain(R.algebra, 2, coeffs))
+    return DefectReport(worst is None, worst, Cochain._trusted(R.algebra, 2, coeffs))
 
 
 def require_modified(R: Endo, what="this operation"):

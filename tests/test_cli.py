@@ -84,6 +84,13 @@ def test_check_lie_large_sparse_algebra(tmp_path, capsys, brackets, code):
         assert witnesses["jacobiator"] == _unit(1500, 1499, -1)
 
 
+def test_check_lie_dimension_only(tmp_path, capsys):
+    # a file that only names a dimension builds no dim x dim table
+    path = write_json(tmp_path / "dim.json", {"dim": 3000})
+    assert run(["check", "lie", "--algebra", path]) == 0
+    assert capsys.readouterr().out == "== check lie\njacobi: pass\n"
+
+
 def test_cohomology_report(sl2_files, capsys):
     algebra, borel = sl2_files
     assert run(["cohomology", "--algebra", str(algebra), "--map", str(borel),

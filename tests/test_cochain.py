@@ -13,8 +13,8 @@ import sympy
 
 from mcybe import (Cochain, Endo, InputError, InternalError, Matrix, PreconditionError,
                    catalog, cochain, coboundary_matrix, coboundary_preimage, cohomology,
-                   d_apply, is_cocycle, is_rota_baxter, kuranishi, liealg, linalg,
-                   pi_cochain, rb_from_r)
+                   d_apply, graded_bracket, is_cocycle, is_rota_baxter, kuranishi, liealg,
+                   linalg, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
@@ -687,9 +687,39 @@ def test_cochain_json_roundtrip(sl3, rng=random.Random(27)):
      "cochain entry must be a JSON object, got [[0], [1, 0, 0]]"),
     (lambda a, r: Cochain.from_json_dict({"degree": 1, "entries": [{"value": [1, 0, 0]}]}, a),
      "missing key 'tuple' in cochain entry"),
+    (lambda a, r: Cochain(a, 1, {(0,): (0.5, 0, 0)}), "not an exact rational: 0.5 of type float"),
+    (lambda a, r: Cochain(a, 1, {(0,): (0.0, 0, 0)}), "not an exact rational: 0.0 of type float"),
+    (lambda a, r: Cochain(a, 1, {(0,): (True, 0, 0)}), "booleans are not rationals"),
+    (lambda a, r: Cochain(a, 1, {(0,): (0, 0, False)}), "booleans are not rationals"),
+    (lambda a, r: Cochain(a, 2, {(1, 0): (1, 0, 0)}),
+     "tuple (1, 0) is not strictly increasing in range"),
+    (lambda a, r: Cochain(a, 2, {(0, 0): (1, 0, 0)}),
+     "tuple (0, 0) is not strictly increasing in range"),
+    (lambda a, r: Cochain(a, 2, {(0, 3): (1, 0, 0)}),
+     "tuple (0, 3) is not strictly increasing in range"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 1, "entries": [{"tuple": [0], "value": [0.5, 0, 0]}]}, a),
+     "not a rational: 0.5 (use an int or a 'p/q' string)"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 1, "entries": [{"tuple": [0], "value": [True, 0, 0]}]}, a),
+     "not a rational: True"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 2, "entries": [{"tuple": [1, 0], "value": [1, 0, 0]}]}, a),
+     "tuple (1, 0) is not strictly increasing in range"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 2, "entries": [{"tuple": [0, 1.0], "value": [1, 0, 0]}]}, a),
+     "cochain tuple [0, 1.0] needs integer indices"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 1, "entries": [{"tuple": [0], "value": [1, 0]}]}, a),
+     "vector length 2 != dim 3"),
+    (lambda a, r: Cochain.from_json_dict(
+        {"degree": 2, "entries": [{"tuple": [0], "value": [1, 0, 0]}]}, a),
+     "tuple (0,) has length != arity 2"),
 ], ids=["flavor", "negative-arity", "tuple-length", "value-length", "to-endo-arity", "conform",
         "coeff-vector-length", "preimage-degree-1", "json-not-object", "json-no-degree",
-        "entry-not-object", "entry-no-tuple"])
+        "entry-not-object", "entry-no-tuple", "float", "float-zero", "bool", "bool-false",
+        "unsorted", "repeated", "index-range", "json-float", "json-bool", "json-unsorted",
+        "json-float-index", "json-value-length", "json-tuple-length"])
 def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
 
@@ -724,3 +754,66 @@ def test_endo_vector_conversions(sl2, rng=random.Random(29)):
     assert Cochain.from_endo(m).to_endo() == m
     x = rand_vector(rng, a.dim)
     assert to_vector(Cochain.from_vector(a, x)) == x
+
+
+def _typed(f):
+    """f's values entry by entry, each with its type."""
+    return {key: [(type(x), x) for x in vec] for key, vec in f.coeffs.items()}
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3_conjugate"])
+def test_trusted_path_equals_the_checking_constructor(name, flavor, request, monkeypatch,
+                                                      rng=random.Random(41)):
+    # d_apply, graded_bracket, scale, + and - hand their dicts to the trusted
+    # path, which checks nothing; each result equals Cochain(a, k, coeffs) of
+    # the same dict, entry by entry and type by type: every Fraction of
+    # denominator 1 an int, and no zero value kept
+    a, r = request.getfixturevalue(name)
+    P = r if flavor == "R" else rb_from_r(r)
+    built = []
+    trusted = Cochain._trusted.__func__
+
+    def spy(cls, algebra, arity, coeffs):
+        f = trusted(cls, algebra, arity, coeffs)
+        built.append((dict(coeffs), f))
+        return f
+    monkeypatch.setattr(Cochain, "_trusted", classmethod(spy))
+    for k in (0, 1, 2):
+        f = Cochain(a, k, rand_cochain(rng, a, k, support=3).coeffs).scale(Fraction(1, 2))
+        g = Cochain(a, k, rand_cochain(rng, a, k, support=3).coeffs).scale(Fraction(-2, 3))
+        results = [d_apply(P, f, flavor=flavor), d_apply(P, g, flavor=flavor),
+                   f + g, f - g, f - f, (f + g) - g, f.scale(2), g.scale(Fraction(3, 2)),
+                   f.scale(0)]
+        if k:
+            results += [graded_bracket(f, g), graded_bracket(f, f), graded_bracket(g, f)]
+        assert (f + g) - g == f and (f - f).is_zero()
+    assert len(built) > 20
+    rewritten = dropped = 0
+    for coeffs, f in built:
+        assert _typed(f) == _typed(Cochain(a, f.arity, coeffs))
+        for vec in f.coeffs.values():
+            assert any(vec) and not any(type(x) is Fraction and x.denominator == 1 for x in vec)
+        rewritten += any(type(x) is Fraction and x.denominator == 1
+                         for vec in coeffs.values() for x in vec)
+        dropped += any(not any(vec) for vec in coeffs.values())
+    assert rewritten and dropped
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+def test_zero_preimage_builds_no_matrix(sl3, flavor, monkeypatch):
+    # d 0 = 0, so the preimage of the zero cochain is the zero cochain: once
+    # the arity and the precondition are checked, no matrix is built
+    a, r = sl3
+    P = r if flavor == "R" else rb_from_r(r)
+    monkeypatch.setattr(cochain, "coboundary_matrix",
+                        lambda *args, **kwargs: pytest.fail("a matrix was built"))
+    for k in range(1, a.dim + 2):
+        g = coboundary_preimage(P, Cochain.zero(a, k), flavor=flavor)
+        assert g.arity == k - 1 and g.is_zero()
+    for bad in (P.scale(c) for c in (2, -3, Fraction(1, 2))):
+        with pytest.raises(PreconditionError) as exc:
+            coboundary_preimage(bad, Cochain.zero(a, 2), flavor=flavor)
+        assert str(exc.value) == _old_route_message(bad, flavor)
+    with pytest.raises(InputError, match="out of range"):
+        coboundary_preimage(P, Cochain.zero(a, a.dim + 2), flavor=flavor)

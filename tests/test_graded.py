@@ -264,10 +264,10 @@ def test_kuranishi_on_z2_basis(sl2):
 
 
 def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
-    # the two cocycle tests go through d_apply; only the preimage of
-    # [[f, f]] needs the arity-1 matrix
+    # the two cocycle tests go through d_apply; only the preimage of a
+    # nonzero [[f, f]] needs the arity-1 matrix, and a zero one none
     a, r = sl3
-    f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
+    witnesses = cohomology(r, 2).degrees[2].cocycle_witnesses
     arities = []
     assemble = cochain.coboundary_matrix
 
@@ -275,16 +275,20 @@ def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
         arities.append(k)
         return assemble(P, k, *args, **kwargs)
     monkeypatch.setattr(cochain, "coboundary_matrix", counted)
-    assert kuranishi(r, f).is_cocycle
-    assert arities == [1]
+    for f, expected in ((witnesses[0], []), (witnesses[10], [1])):
+        rep = kuranishi(r, f)
+        assert rep.is_cocycle and rep.ff.is_zero() == (not expected)
+        assert arities == expected
+        arities.clear()
 
 
 def test_kuranishi_builds_one_image_table(sl3, monkeypatch):
     # kuranishi builds one complex, checking S(R) off its image table, and
     # hands it to both cocycle tests and the preimage: one table per call
-    # and no separate defect table
+    # and no separate defect table; [[f, f]] = 0 here, so no matrix either
     a, r = sl3
     f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
+    assert graded_bracket(f, f).is_zero()
     seen = []
 
     def spy(module, name, tag):
@@ -299,7 +303,7 @@ def test_kuranishi_builds_one_image_table(sl3, monkeypatch):
         spy(rmatrix, name, "defect")
     for _ in range(2):
         assert kuranishi(r, f).is_cocycle
-        assert seen == ["table", "d_apply", "d_apply", "coboundary_matrix"]
+        assert seen == ["table", "d_apply", "d_apply"]
         seen.clear()
 
 

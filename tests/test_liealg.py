@@ -1,6 +1,7 @@
 """Lie algebra construction, bracket, Jacobi, adjoints, and the catalog."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -248,6 +249,30 @@ def test_repeated_basis_names_rejected():
         LieAlgebra(3, {}, basis_names=["a", "b", "a"])
     with pytest.raises(InputError, match="repeated basis name 'e'"):
         LieAlgebra.from_json_dict({"dim": 2, "basis": ["e", "e"], "brackets": []})
+
+
+@pytest.mark.parametrize("names, first", [(["a", "b", "b", "a"], "b"), (["a", "b", "a", "b"], "a"),
+                                          ([str(i) for i in range(20000)] + ["7"], "7")])
+def test_first_repeated_basis_name_reported(names, first):
+    # the first name that occurs earlier, as a scan of every prefix finds it
+    assert input_error(lambda: LieAlgebra(len(names), {}, basis_names=names)) == \
+        f"repeated basis name {first!r}"
+
+
+def test_dimension_only_algebra_costs_no_square_table():
+    # every row of the structure table without a bracket is the one shared
+    # immutable empty row: naming a dimension costs memory linear in it
+    tracemalloc.start()
+    try:
+        a = LieAlgebra(3000, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert a.bracket_basis(0, 2999) == a.zero() and a.verify_jacobi().ok
+    b = LieAlgebra(4, {(1, 2): (0, 0, 0, 1)})
+    assert b.bracket_basis(2, 1) == (0, 0, 0, -1) and b.bracket_basis(0, 3) == b.zero()
+    assert b._table[0] is b._table[3] and b._table[1] is not b._table[0]
 
 
 # -- the support-indexed structure table against the all-pairs loop ----
