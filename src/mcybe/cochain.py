@@ -10,26 +10,26 @@ of a modified r-matrix R is built from
     lambda_u(v) = [Ru, v] - R([u, v])        (single-argument terms, rho(R, u))
     mu(u, w)    = [Ru, w] + [u, Rw]          (pair terms, the bracket [.,.]_R)
 
-both read off one image table [Re_i, e_j] built by liealg, and the B-complex
-of a weight-1 Rota-Baxter operator B is half the R-complex of Id + 2B (its
-terms put B for R and add [u, w] to mu).  It is built as that and halved:
-lambda once, as the complex is made, and each sum of mu terms once, which
-keeps mu integral for B = (R - Id)/2 with R integral; B + Id/2 would put
-fractions into every mu.
+lambda by liealg from R alone, mu off the image table [Re_i, e_j].  The
+B-complex of a weight-1 Rota-Baxter operator B is half the R-complex of
+Id + 2B (its terms put B for R and add [u, w] to mu).  It is built as that
+and halved: lambda once, as the complex is made, and each sum of mu terms
+once, which keeps mu integral for B = (R - Id)/2 with R integral; B + Id/2
+would put fractions into every mu.
 
-lambda_u is stored as the rows of rho(R, e_u).  The coboundary is walked
-by source: one sorted k-tuple S at a time, it yields every term of d that
-reads f(e_S).  A face term sends f(e_S) through lambda_u to T = S + {u}, one
-T per u, so in the matrix the rows of T on S's column block are a copy of
-lambda_u's rows; a mu term reaches each T = (S - {s}) + {u, w} where
-mu(u, w) has a nonzero e_s component, and these are summed per T and added
-once on the diagonal of that block.  d_apply walks only the support of its
+lambda_u is stored as the nonzero rows of rho(R, e_u).  The coboundary
+is walked by source: one sorted k-tuple S at a time, it yields every term
+of d that reads f(e_S).  A face term sends f(e_S) through lambda_u to
+T = S + {u}, one T per u, so in the matrix the rows of T on S's column
+block are a copy of lambda_u's nonzero rows; a mu term reaches each
+T = (S - {s}) + {u, w} where mu(u, w) has a nonzero e_s component, and
+these are summed per T and added once on the diagonal of that block.  d_apply walks only the support of its
 cochain, coboundary_matrix every source block.
 
-The precondition is read off the same image table: S(R), the modified
-Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
-S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
-refuse the first pair where their own axiom fails.
+The precondition is read off lambda: S(R), the modified Yang-Baxter
+defect, must vanish on every basis pair.  For R = Id + 2B, S(R) is 4
+times the weight-1 Rota-Baxter defect of B, so both flavors refuse the
+first pair where their own axiom fails.
 
 Values are checked once, where they enter: Cochain(...) (so from_json_dict)
 checks every key and entry, from_sparse every index.  What the package
@@ -39,13 +39,13 @@ exact; all three drop zero values in one place.  A zero f has the zero
 preimage once the arity and precondition are checked, with no matrix.
 
 A private complex object holds this side for one library call.  As it is
-made, it builds the image table, checks the precondition and reads every
-lambda_u off the table; mu, indexed by the basis vector e_s it reaches, is
-built only when a source of arity >= 1 first reads it.  cohomology and
-graded.kuranishi each make one and pass it to coboundary_matrix, d_apply,
-is_cocycle and coboundary_preimage in place of P, so one call builds one
-side.  Nothing of it outlives the call: no operator, algebra or matrix
-keeps a reference to it.
+made, it builds every lambda_u and checks the precondition off them; the
+image table and mu, indexed by the basis vector e_s it reaches, are built
+only when a source of arity >= 1 first reads mu, so an arity-0 coboundary
+builds no image table.  cohomology and graded.kuranishi each make one and
+pass it to coboundary_matrix, d_apply, is_cocycle and coboundary_preimage
+in place of P, so one call builds one side.  Nothing of it outlives the
+call: no operator, algebra or matrix keeps a reference to it.
 """
 
 from bisect import bisect_left
@@ -56,8 +56,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import (Endo, LieAlgebra, Vector, _identity_pairs, _images, _induced,
-                     _lambdas, vadd, vector_from_json, vector_str,
+from .liealg import (Endo, LieAlgebra, Vector, _images, _induced, _lambdas,
+                     _modified_defect, vadd, vector_from_json, vector_str,
                      vector_to_json, vzero)
 from .linalg import Matrix, _exact, certified_rank, json_array, json_object, ratio
 
@@ -281,34 +281,33 @@ class _Complex(Endo):
     """P with the operator side of its coboundary complex, built for one
     library call and dropped with it.
 
-    It holds the image table of R = P, or of Id + 2P in the B-complex, and
-    lambdas[u][m], row m of rho(R, e_u) as a dict {j: nonzero exact value},
-    halved in the B-complex.  mu_index, mu_index[s] = [(u, w, x)] over the
-    pairs u < w whose [e_u, e_w]_R has e_s component x != 0, is made the
-    first time it is read, which no arity-0 coboundary does; it is never
-    halved.  With check set, the first basis pair where S(R) != 0 is
+    It holds the operator R = P, or Id + 2P in the B-complex, and
+    lambdas[u], the nonzero rows of rho(R, e_u) as {m: {j: nonzero exact
+    value}}, halved in the B-complex.  mu_index, mu_index[s] = [(u, w, x)]
+    over the pairs u < w whose [e_u, e_w]_R has e_s component x != 0, is
+    made off R's image table the first time it is read, which no arity-0
+    coboundary does; it is never halved.  With check set, the first basis
+    pair where S(R) != 0, read off the lambdas before they are halved, is
     refused as the complex is built.  As an Endo it is P itself, so it
     stands wherever P does.
     """
 
-    __slots__ = ("flavor", "images", "lambdas", "_mu_index")
+    __slots__ = ("flavor", "operator", "lambdas", "_mu_index")
 
     def __init__(self, P: Endo, flavor, check):
         super().__init__(P.matrix, P.algebra)
         a = P.algebra
         self.flavor = flavor
-        R = Endo.identity(a) + P.scale(2) if flavor == FLAVOR_B else P
-        cols, self.images = _images(R, a)
-        if check and (failing := next(_identity_pairs(a, cols, self.images,
-                                                      [{m: 1} for m in range(a.dim)]), None)):
+        self.operator = R = Endo.identity(a) + P.scale(2) if flavor == FLAVOR_B else P
+        lambdas = _lambdas(a, R)
+        if check and (failing := _modified_defect(R, lambdas)):
             if flavor == FLAVOR_R:
                 raise _not_modified(a, *failing, "the R-complex coboundary")
             x, y = (a.basis_names[i] for i in failing[0])
             raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
                                     f"operator; axiom fails on ({x}, {y})")
-        lambdas = _lambdas(a, cols, self.images, range(a.dim))
         if flavor == FLAVOR_B:
-            lambdas = [[{j: _half(x) for j, x in row.items()} for row in lam]
+            lambdas = [{m: {j: _half(x) for j, x in row.items()} for m, row in lam.items()}
                        for lam in lambdas]
         self.lambdas = lambdas
         self._mu_index = None
@@ -317,7 +316,7 @@ class _Complex(Endo):
     def mu_index(self):
         if self._mu_index is None:
             index = {}
-            for (u, w), mu in _induced(self.images).items():
+            for (u, w), mu in _induced(_images(self.operator, self.algebra)[1]).items():
                 for s, x in mu.items():
                     index.setdefault(s, []).append((u, w, x))
             self._mu_index = index
@@ -400,11 +399,10 @@ def coboundary_matrix(P: Endo, k: int, flavor="R") -> CoboundaryMatrix:
         # S reaches each T through one face, so its lambda copies never overlap
         for sgn, u, T in faces:
             start = row_base[T]
-            for m, lam in enumerate(lambdas[u]):
-                if lam:
-                    out = rows[start + m]
-                    for j, x in lam.items():
-                        out[base + j] = sgn * x
+            for m, lam in lambdas[u].items():
+                out = rows[start + m]
+                for j, x in lam.items():
+                    out[base + j] = sgn * x
         for T, c in diagonal.items():
             start = row_base[T]
             for j, out in enumerate(rows[start:start + n], base):
@@ -429,11 +427,10 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
         faces, diagonal = _terms(side, S)
         for sgn, u, T in faces:
             acc = coeffs.get(T) or coeffs.setdefault(T, [0] * n)
-            for m, lam in enumerate(lambdas[u]):
-                if lam:
-                    for j, x in lam.items():
-                        if value[j]:
-                            acc[m] += sgn * x * value[j]
+            for m, lam in lambdas[u].items():
+                for j, x in lam.items():
+                    if value[j]:
+                        acc[m] += sgn * x * value[j]
         for T, c in diagonal.items():
             acc = coeffs.get(T) or coeffs.setdefault(T, [0] * n)
             for m, x in enumerate(value):

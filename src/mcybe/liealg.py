@@ -13,11 +13,11 @@ y, for the graded bracket and the Nijenhuis witnesses.  The read-only
 mapping structure keeps the validated input for equality, is_abelian, JSON,
 pi_cochain and build_double.
 
-The operator-identity kernel (operator_identity, induced_bracket_table,
-rho, and lambda and mu of the coboundary) reads everything off one sparse
-image table [Pe_i, e_j] per call, the one place where P meets _table.
-rho(P, e_u) is built as its rows {j: nonzero exact value}, which the
-coboundary copies and rho(P, x) combines.
+The operator-identity kernel (operator_identity, induced_bracket_table and
+mu of the coboundary) reads off one sparse image table [Pe_i, e_j] per
+call.  _lambdas builds rho(P, e_u) with no such table, from P's columns and
+_table, as its nonzero rows {m: {j: exact value}}: the coboundary copies
+them, rho(P, x) combines them and _modified_defect reads S(R) off them.
 """
 
 from dataclasses import dataclass
@@ -327,8 +327,8 @@ class Endo:
     @classmethod
     def from_json_dict(cls, data, algebra):
         rows, = json_object(data, "endomorphism JSON", ("matrix",))
-        return cls(Matrix([rationals_from_json(row, "matrix row")
-                           for row in json_array(rows, "matrix")]), algebra)
+        return cls(Matrix._exact_rows([rationals_from_json(row, "matrix row")
+                                       for row in json_array(rows, "matrix")]), algebra)
 
 
 def subspace_closure(algebra: LieAlgebra, basis_vectors):
@@ -396,22 +396,65 @@ def _induced(images):
     return table
 
 
-def _lambdas(a: LieAlgebra, cols, images, us):
-    """For each u of us, the rows of rho(P, e_u) as dicts {j: nonzero exact
-    value}: column j is images[u][j] - P([e_u, e_j]), from _images(P, a)."""
+def _lambdas(a: LieAlgebra, P: Endo, us=None):
+    """For each u of us (default every index), the nonzero rows of rho(P, e_u)
+    as {m: {j: nonzero exact value}}: column j is [Pe_u, e_j] - P([e_u, e_j]),
+    summed off P's columns and the nonzero brackets of a's structure table."""
+    n, cols, table = a.dim, _columns(P), a._table
     lambdas = []
-    for u in us:
-        rows = [{} for _ in range(a.dim)]
-        for j, (terms, image) in enumerate(zip(a._table[u], images[u])):
-            column = dict(image)
+    for u in range(n) if us is None else us:
+        acc = {}                                    # {m * n + j: entry}
+        get = acc.get
+        for k, c in cols[u].items():                # [Pe_u, e_j]
+            for j, terms in enumerate(table[k]):
+                for m, w in terms:
+                    acc[m * n + j] = get(m * n + j, 0) + c * w
+        for j, terms in enumerate(table[u]):        # - P([e_u, e_j])
             for k, c in terms:
                 for m, w in cols[k].items():
-                    column[m] = column.get(m, 0) - c * w
-            for m, x in column.items():
-                if x:
-                    rows[m][j] = _exact(x)
+                    acc[m * n + j] = get(m * n + j, 0) - c * w
+        rows = {}
+        for key, x in acc.items():
+            if x:
+                m, j = divmod(key, n)
+                rows.setdefault(m, {})[j] = _exact(x)
         lambdas.append(rows)
     return lambdas
+
+
+def _modified_defect(R: Endo, lambdas):
+    """next(operator_identity(R, Id), None) read off lambdas = _lambdas(a, R):
+    S(R)(e_i, .) = lambda_i o R + lambda_(Re_i) + ad((Id - R^2) e_i), summed
+    over nonzeros for j > i, one i at a time; the first pair (i, j) where it
+    is nonzero, with its value as a dense exact tuple, or None."""
+    n, table, cols = R.algebra.dim, R.algebra._table, _columns(R)
+    rows = [R.matrix.nonzeros(k) for k in range(n)]
+    for i in range(n):
+        acc = {}                                    # {j * n + m: S(R)(e_i, e_j)_m}
+        get = acc.get
+        for m, row in lambdas[i].items():           # lambda_i o R
+            for k, x in row.items():
+                for j, r in rows[k].items():
+                    if j > i:
+                        acc[j * n + m] = get(j * n + m, 0) + x * r
+        square = {i: 1}                             # (Id - R^2) e_i
+        for k, c in cols[i].items():
+            for t, w in cols[k].items():
+                square[t] = square.get(t, 0) - c * w
+            for m, row in lambdas[k].items():       # lambda_(Re_i)
+                for j, x in row.items():
+                    if j > i:
+                        acc[j * n + m] = get(j * n + m, 0) + c * x
+        for t, c in square.items():                 # ad((Id - R^2) e_i)
+            if c:
+                for j in range(i + 1, n):
+                    for m, w in table[t][j]:
+                        acc[j * n + m] = get(j * n + m, 0) + c * w
+        first = min((key for key, x in acc.items() if x), default=None)
+        if first is not None:
+            j = first // n
+            return (i, j), tuple(_exact(get(j * n + m, 0)) for m in range(n))
+    return None
 
 
 def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None = None):
@@ -425,12 +468,8 @@ def operator_identity(P: Endo, S: Endo | None = None, algebra: LieAlgebra | None
     Nijenhuis torsion of P.
     """
     a = P.algebra if algebra is None else algebra
-    yield from _identity_pairs(a, *_images(P, a), None if S is None else _columns(S))
-
-
-def _identity_pairs(a: LieAlgebra, cols, images, scols):
-    """operator_identity off (cols, images) = _images(P, a) and the columns
-    scols of S (None for the zero map)."""
+    cols, images = _images(P, a)
+    scols = None if S is None else _columns(S)
     for i, j in combinations(range(a.dim), 2):
         # [Pe_i, Pe_j] = sum_k (Pe_j)_k [Pe_i, e_k]; P is applied once to
         # [Pe_i, e_j] + [e_i, Pe_j] = images[i][j] - images[j][i]
@@ -472,8 +511,9 @@ def rho(P: Endo, x) -> Endo:
         raise InputError(f"vector length {len(x)} != dim {a.dim}")
     support = [u for u, c in enumerate(x) if c]
     rows = [{} for _ in range(a.dim)]
-    for u, lam in zip(support, _lambdas(a, *_images(P, a), support)):
-        for row, part in zip(rows, lam):
+    for u, lam in zip(support, _lambdas(a, P, support)):
+        for m, part in lam.items():
+            row = rows[m]
             for j, w in part.items():
                 row[j] = row.get(j, 0) + x[u] * w
     return Endo(Matrix.from_sparse([_nonzero(row) for row in rows], a.dim), a)

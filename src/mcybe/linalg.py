@@ -274,7 +274,14 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "_rows", "_echelon")
 
     def __init__(self, rows):
-        rows = [[ratio(x) for x in row] for row in rows]
+        self._fill([[ratio(x) for x in row] for row in rows])
+
+    @classmethod
+    def _exact_rows(cls, rows):
+        """Matrix(rows) for rows already exact, as a JSON decoder returns them."""
+        return cls.__new__(cls)._fill(rows)
+
+    def _fill(self, rows):
         width = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != width:
@@ -283,6 +290,7 @@ class Matrix:
         self.ncols = width
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         self._echelon = None
+        return self
 
     # -- constructors -------------------------------------------------
 

@@ -80,6 +80,16 @@ def node_lines(source, match):
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if match(node))
 
 
+def definition(source, name):
+    """The node of the top-level function or class method name ('Class.method')."""
+    body = ast.parse(source).body
+    for part in name.split("."):
+        node = next(node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name == part)
+        body = node.body
+    return node
+
+
 def input_error(call):
     """The message of the InputError that call() raises."""
     with pytest.raises(InputError) as err:
@@ -144,6 +154,23 @@ def rand_involution(rng, algebra, k=None):
     p, pinv = rand_invertible(rng, n)
     d = Matrix.diagonal([1] * k + [-1] * (n - k))
     return Endo(p @ d @ pinv, algebra)
+
+
+def borel_with_cartan(n, C):
+    """The sl(n) Borel r-matrix with its Cartan block replaced by the
+    (n - 1) x (n - 1) matrix C, entry C[p][q] at (H_p, H_q).
+
+    Every such R is a modified r-matrix: h is abelian and R acts on the
+    root vectors as the Borel one does.  It is an involution only where
+    C^2 = Id.
+    """
+    algebra, R = catalog("sl-borel", n)
+    rows = R.matrix.rows_list()
+    off = algebra.dim - (n - 1)
+    for p, row in enumerate(C):
+        for q, c in enumerate(row):
+            rows[off + p][off + q] = c
+    return algebra, Endo(Matrix(rows), algebra)
 
 
 def nilpotent_exp(algebra, x):

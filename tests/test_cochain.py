@@ -96,22 +96,26 @@ def test_abelian_coboundary_is_zero(abelian3):
 
 
 def test_each_coboundary_builds_one_image_table(sl3, monkeypatch):
-    # lambda and mu of every arity are read off one image table, with no rho call
-    tables, rhos = [], []
-    real_images, real_rho = liealg._images, liealg.rho
+    # every coboundary builds lambda once, with no rho call; mu is read off
+    # one image table, which arity 0 never reads and so never builds
+    tables, lambdas, rhos = [], [], []
+    real_images, real_lambdas, real_rho = liealg._images, liealg._lambdas, liealg.rho
     spy = lambda P, a: tables.append(P) or real_images(P, a)
-    monkeypatch.setattr(liealg, "_images", spy)
-    monkeypatch.setattr(cochain, "_images", spy)
+    lambda_spy = lambda a, P, us=None: lambdas.append(P) or real_lambdas(a, P, us)
+    for module in (liealg, cochain):
+        monkeypatch.setattr(module, "_images", spy)
+        monkeypatch.setattr(module, "_lambdas", lambda_spy)
     monkeypatch.setattr(liealg, "rho", lambda P, x: rhos.append(P) or real_rho(P, x))
     a, r = sl3
     for flavor, op in (("R", r), ("B", rb_from_r(r))):
         for k in (0, 1, 2):
             coboundary_matrix(op, k, flavor=flavor)
-            assert len(tables) == 1
+            assert (len(lambdas), len(tables)) == (1, int(k > 0))
             d_apply(op, Cochain(a, k, {tuple(range(k)): a.basis_vector(k)}),
                     flavor=flavor, check=False)
-            assert len(tables) == 2
+            assert (len(lambdas), len(tables)) == (2, 2 * (k > 0))
             tables.clear()
+            lambdas.clear()
     assert rhos == []
     assert "rho" not in vars(cochain) and "induced_bracket_table" not in vars(cochain)
 
@@ -442,9 +446,10 @@ def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
 # -- one complex per library call ---------------------------------------------
 
 def _spy_side(monkeypatch, seen):
-    """Log "table" for each image table and "mu" for each induced bracket
-    built, through liealg and through cochain's own names for them."""
-    for name, tag in (("_images", "table"), ("_induced", "mu")):
+    """Log "lambda" for each lambda build, "table" for each image table and
+    "mu" for each induced bracket built, through liealg and through
+    cochain's own names for them."""
+    for name, tag in (("_lambdas", "lambda"), ("_images", "table"), ("_induced", "mu")):
         real = getattr(liealg, name)
         spy = lambda *args, real=real, tag=tag: seen.append(tag) or real(*args)
         monkeypatch.setattr(liealg, name, spy)
@@ -461,8 +466,9 @@ def _attributes(obj):
 
 @pytest.mark.parametrize("flavor", ["R", "B"])
 def test_cohomology_builds_one_side_per_call(sl3, flavor, monkeypatch):
-    # one image table per call at every max_degree, mu only from arity 1 up,
-    # and nothing left behind on the operator, its matrix or its algebra
+    # one lambda build per call at every max_degree, the image table and mu
+    # only from arity 1 up, and nothing left behind on the operator, its
+    # matrix or its algebra
     a, r = sl3
     P = r if flavor == "R" else rb_from_r(r)
     before = [_attributes(x) for x in (P, P.matrix, a)]
@@ -470,11 +476,11 @@ def test_cohomology_builds_one_side_per_call(sl3, flavor, monkeypatch):
     _spy_side(monkeypatch, seen)
     for max_degree in (1, 2, 3, 4):
         cohomology(P, max_degree, flavor=flavor, witnesses=False)
-        assert seen == ["table"] + ["mu"] * (max_degree > 1), max_degree
+        assert seen == ["lambda"] + ["table", "mu"] * (max_degree > 1), max_degree
         seen.clear()
     for _ in range(2):
         cohomology(P, 2, flavor=flavor)
-    assert seen == ["table", "mu"] * 2
+    assert seen == ["lambda", "table", "mu"] * 2
     assert [_attributes(x) for x in (P, P.matrix, a)] == before
     assert not hasattr(P, "__dict__") and not hasattr(P.matrix, "__dict__")
 

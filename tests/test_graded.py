@@ -283,9 +283,10 @@ def test_kuranishi_assembles_one_coboundary_matrix(sl3, monkeypatch):
 
 
 def test_kuranishi_builds_one_image_table(sl3, monkeypatch):
-    # kuranishi builds one complex, checking S(R) off its image table, and
-    # hands it to both cocycle tests and the preimage: one table per call
-    # and no separate defect table; [[f, f]] = 0 here, so no matrix either
+    # kuranishi builds one complex, checking S(R) off its lambda, and hands
+    # it to both cocycle tests and the preimage: one lambda build per call,
+    # one image table when the test of f first reads mu, and no separate
+    # defect table; [[f, f]] = 0 here, so no matrix either
     a, r = sl3
     f = cohomology(r, 2).degrees[2].cocycle_witnesses[0]
     assert graded_bracket(f, f).is_zero()
@@ -298,12 +299,13 @@ def test_kuranishi_builds_one_image_table(sl3, monkeypatch):
     spy(cochain, "d_apply", "d_apply")
     spy(cochain, "coboundary_matrix", "coboundary_matrix")
     for module in (cochain, liealg):
+        spy(module, "_lambdas", "lambda")
         spy(module, "_images", "table")
     for name in ("mcybe_defect", "is_rota_baxter"):
         spy(rmatrix, name, "defect")
     for _ in range(2):
         assert kuranishi(r, f).is_cocycle
-        assert seen == ["table", "d_apply", "d_apply"]
+        assert seen == ["lambda", "d_apply", "table", "d_apply"]
         seen.clear()
 
 

@@ -8,13 +8,13 @@ from itertools import combinations
 import pytest
 
 from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cochain, cohomology,
-                   is_rota_baxter, mcybe_defect, operator_identity, rho)
+                   is_rota_baxter, liealg, mcybe_defect, operator_identity, rho)
 from mcybe.doubling import build_double
 from mcybe.liealg import (induced_bracket_table, is_zero_vector, sl_algebra, subspace_closure,
                           vadd, vector_from_json, vsub)
 from mcybe.linalg import _exact
 
-from conftest import input_error, rand_rational, rand_vector
+from conftest import borel_with_cartan, input_error, rand_rational, rand_vector
 
 
 def test_sl2_classic_brackets(sl2):
@@ -148,6 +148,12 @@ def test_endo_json_roundtrip(sl2):
     a, r = sl2
     again = Endo.from_json_dict(r.to_json_dict(), a)
     assert again == r
+    # the decoded entries are taken over as they are: exact, with no zero kept
+    data = {"matrix": [[1, "1/2", 0], ["-3/1", 0, "2/4"], [0, 0, "0/5"]]}
+    got = Endo.from_json_dict(data, a).matrix
+    assert got == Matrix([[1, Fraction(1, 2), 0], [-3, 0, Fraction(1, 2)], [0, 0, 0]])
+    assert [sorted((j, type(x)) for j, x in got.nonzeros(i).items()) for i in range(3)] == [
+        [(0, int), (1, Fraction)], [(0, int), (2, Fraction)], []]
     with pytest.raises(InputError, match="^unknown key 'basis' in endomorphism JSON$"):
         Endo.from_json_dict({**r.to_json_dict(), "basis": ["e", "f", "h"]}, a)
 
@@ -170,9 +176,16 @@ def test_endo_json_roundtrip(sl2):
      "missing key 'value' in bracket entry"),
     (lambda a, r: Endo.from_json_dict("1 0 0 1", a),
      "endomorphism JSON must be a JSON object, got '1 0 0 1'"),
+    (lambda a, r: Endo.from_json_dict({"matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}, a),
+     "ragged rows in matrix"),
+    (lambda a, r: Endo.from_json_dict({"matrix": [[1, 0], [0, "1/2"]]}, a),
+     "endomorphism matrix (2, 2) does not fit dim 3"),
+    (lambda a, r: Endo.from_json_dict({"matrix": []}, a),
+     "endomorphism matrix (0, 0) does not fit dim 3"),
 ], ids=["vector-length", "negative-dim", "basis-name-count", "structure-value-length",
         "basis-vector-range", "diagonal-length", "rho-length", "sl1", "algebra-not-object",
-        "algebra-no-dim", "bracket-not-object", "bracket-no-value", "endo-not-object"])
+        "algebra-no-dim", "bracket-not-object", "bracket-no-value", "endo-not-object",
+        "endo-ragged", "endo-shape", "endo-empty"])
 def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
 
@@ -495,11 +508,13 @@ def _assert_kernel_matches_dense(rng, a, other):
             got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
             assert got == want, x
             assert all(_same_exact(got.row(i), want.row(i)) for i in range(a.dim)), x
-        # the coboundary's lambdas[u][m] is row m of rho(P, e_u), its nonzeros only
+        # the coboundary's lambdas[u] holds the nonzero rows m of rho(P, e_u),
+        # each as its nonzeros: every dense nonzero row, and no other
         lambdas = cochain._Complex(P, cochain.FLAVOR_R, check=False).lambdas
         for u, e in enumerate(a.basis()):
             want = _dense_rho(P, e).matrix
-            for m, row in enumerate(lambdas[u]):
+            assert sorted(lambdas[u]) == [m for m in range(a.dim) if want.nonzeros(m)], u
+            for m, row in lambdas[u].items():
                 dense = want.nonzeros(m)
                 assert sorted(row) == sorted(dense), (u, m)
                 assert _same_exact([row[j] for j in dense], dense.values()), (u, m)
@@ -508,7 +523,8 @@ def _assert_kernel_matches_dense(rng, a, other):
         doubled = cochain._Complex(Endo.identity(a) + P.scale(2), cochain.FLAVOR_R,
                                    check=False).lambdas
         for u in range(a.dim):
-            for m, row in enumerate(doubled[u]):
+            assert sorted(halved[u]) == sorted(doubled[u]), u
+            for m, row in doubled[u].items():
                 assert sorted(halved[u][m]) == sorted(row), (u, m)
                 assert _same_exact([halved[u][m][j] for j in row],
                                    [_exact(Fraction(x, 2)) for x in row.values()]), (u, m)
@@ -532,6 +548,57 @@ def test_operator_identity_matches_dense_route_on_non_lie_tables():
         lie.append(a.verify_jacobi().ok)
         assert _assert_kernel_matches_dense(rng, a, other) > 0
     assert lie.count(False) >= 3
+
+
+def _defect_operators(rng, a, modified):
+    """Modified r-matrices, +-Id and those given; each one moved by a seeded
+    rational entry and rescaled by a seeded rational c != +-1, so that
+    (Id - R^2) != 0; then the maps of _kernel_operators."""
+    ident = Endo.identity(a)
+    ops = [ident, ident.scale(-1), *modified]
+    for R in list(ops):
+        i, j, x = rng.randrange(a.dim), rng.randrange(a.dim), rand_rational(rng) or 1
+        bump = Matrix([[x if (p, q) == (i, j) else 0 for q in range(a.dim)]
+                       for p in range(a.dim)])
+        c = rng.choice((2, -3, Fraction(1, 2), Fraction(-2, 3)))
+        ops += [R + Endo(bump, a), R.scale(c)]
+    return ops + _kernel_operators(rng, a)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3_conjugate", "affine2", "double-sl2",
+                                  "non-lie"])
+def test_lambda_route_to_the_defect_matches_operator_identity(name, request):
+    # S(R)(e_i, .) = lambda_i o R + lambda_(Re_i) + ad((Id - R^2) e_i), read
+    # off the lambdas, gives the first failing pair of operator_identity(R,
+    # Id) and its value, entry by entry and type by type; modified r-matrices,
+    # with R^2 = Id or not, give None on both routes
+    rng = random.Random(f"defect/{name}")
+    if name == "non-lie":
+        algebras = [LieAlgebra(dim, _random_table(rng, dim), check=False) for dim in (3, 4, 5)]
+        assert not all(a.verify_jacobi().ok for a in algebras)
+        cases = [(a, []) for a in algebras]
+    elif name == "double-sl2":
+        cases = [(build_double(request.getfixturevalue("sl2")[0]).algebra, [])]
+    else:
+        a, r = request.getfixturevalue(name)
+        cases = [(a, [r])]
+        if name in ("sl2", "sl3"):
+            n = int(name[-1])
+            cases[0][1].append(borel_with_cartan(n, [[Fraction(p + 2, q + 3) for q in range(n - 1)]
+                                                     for p in range(n - 1)])[1])
+    for a, modified in cases:
+        verdicts = []
+        for R in _defect_operators(rng, a, modified):
+            want = next(operator_identity(R, Endo.identity(a)), None)
+            got = liealg._modified_defect(R, liealg._lambdas(a, R))
+            if want is None:
+                assert got is None
+            else:
+                assert got[0] == want[0] and _same_exact(got[1], want[1]), want[0]
+            verdicts.append(want is None)
+        assert all(verdicts[:len(modified) + 2]) and not all(verdicts)
+    assert any(R.involution_defect() is not None for _, modified in cases for R in modified) \
+        == (name in ("sl2", "sl3"))
 
 
 @pytest.mark.parametrize("dim", [0, 1])

@@ -8,7 +8,9 @@ change of basis that is no automorphism: rescaling the basis by a
 diagonal D moves the structure constants to s_i s_j c_ij^k / s_k and the
 operator to D^-1 P D together.  Each check runs in both flavors, on full
 complexes or on sl(3) up to degree 3, and the sl(4) frontier up to
-degree 3 is pinned on the Borel operator and a conjugate.
+degree 3 is pinned on the Borel operator and a conjugate.  The Borel
+operators with another Cartan block are pinned too: they are the modified
+r-matrices with R^2 != Id, where S(R) has its ad((Id - R^2) x) term.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import pytest
 
 from mcybe import Endo, LieAlgebra, Matrix, catalog, cohomology, rb_from_r
 
-from conftest import conjugate, nilpotent_exp
+from conftest import borel_with_cartan, conjugate, nilpotent_exp
 
 # dim H^1.. of the Borel r-matrix on the full complex of sl(3)
 SL3_FULL = (2, 9, 16, 14, 6, 1, 0, 0, 0)
@@ -127,3 +129,24 @@ def test_sl4_frontier_to_degree_3(flavor):
     x = algebra.basis_vector(0)                 # E12
     for P in (R, conjugate(nilpotent_exp(algebra, x), R)):
         assert dims(flavored(P, flavor), 3, flavor)[0] == (3, 20, 60)
+
+
+@pytest.mark.parametrize("n, C, expected", [
+    (2, [[0]], (1, 1, 0)),
+    (2, [[Fraction(1, 2)]], (1, 1, 0)),
+    (2, [[1]], (1, 2, 1)),
+    (2, [[3]], (1, 1, 1)),
+    (3, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]], (2, 4, 2)),
+    (3, [[3, 0], [0, Fraction(-1, 3)]], (2, 4, 2)),
+    (3, [[0, 0], [0, 0]], (2, 4, 2)),
+    (3, [[1, 5], [0, -2]], (2, 4, 2)),
+], ids=["sl2-0", "sl2-half", "sl2-1", "sl2-3", "sl3-half", "sl3-3-third", "sl3-0", "sl3-upper"])
+def test_borel_with_other_cartan_block(n, C, expected):
+    # every Cartan block C keeps R a modified r-matrix, and C != 1 makes
+    # R^2 != Id; H^1..H^3 are pinned, in both flavors for the
+    # non-diagonal block
+    algebra, R = borel_with_cartan(n, C)
+    assert (R.involution_defect() is None) == (C == [[1]])
+    assert dims(R, 3, "R")[0] == expected
+    if C == [[1, 5], [0, -2]]:
+        assert dims(flavored(R, "B"), 3, "B")[0] == expected

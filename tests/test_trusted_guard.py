@@ -11,19 +11,9 @@ import ast
 
 import pytest
 
-from conftest import PACKAGE, node_lines
+from conftest import PACKAGE, definition, node_lines
 
 SOURCES = {name: (PACKAGE / name).read_text() for name in ("cochain.py", "graded.py")}
-
-
-def definition(source, name):
-    """The node of the top-level function or class method name ('Class.method')."""
-    body = ast.parse(source).body
-    for part in name.split("."):
-        node = next(node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                    and node.name == part)
-        body = node.body
-    return node
 
 
 def is_checking_call(node):
