@@ -12,24 +12,30 @@ of a modified r-matrix R is built from
 
 lambda by liealg from R alone, mu off the image table [Re_i, e_j].  The
 B-complex of a weight-1 Rota-Baxter operator B is half the R-complex of
-Id + 2B (its terms put B for R and add [u, w] to mu).  It is built as that
-and halved: lambda once, as the complex is made, and each sum of mu terms
-once, which keeps mu integral for B = (R - Id)/2 with R integral; B + Id/2
-would put fractions into every mu.
+Id + 2B (its terms put B for R and add [u, w] to mu).
 
-lambda_u is stored as the nonzero rows of rho(R, e_u).  The coboundary
+Both are linear in R, so t d is the coboundary built from t R, with d's
+ranks, kernels and pivots.  The complex is built from t R, t the lcm of
+R's denominators times the algebra's table denominator, so lambda, mu and
+the matrix hold ints, and the matrix is eliminated as it is assembled.
+scale = 1/t, or 1/(2t) in the B-complex, makes the true values only where
+they leave a call: CoboundaryMatrix.matrix, d_apply's output and the
+coboundary witness images.
+
+lambda_u is stored as the nonzero rows of rho(t R, e_u).  The coboundary
 is walked by source: one sorted k-tuple S at a time, it yields every term
 of d that reads f(e_S).  A face term sends f(e_S) through lambda_u to
 T = S + {u}, one T per u, so in the matrix the rows of T on S's column
-block are a copy of lambda_u's nonzero rows; a mu term reaches each
-T = (S - {s}) + {u, w} where mu(u, w) has a nonzero e_s component, and
-these are summed per T and added once on the diagonal of that block.  d_apply walks only the support of its
+block are a copy of lambda_u's nonzero rows (at arity 0, those rows
+themselves); a mu term reaches each T = (S - {s}) + {u, w} where mu(u, w)
+has a nonzero e_s component, and these are summed per T and added once
+on the diagonal of that block.  d_apply walks only the support of its
 cochain, coboundary_matrix every source block.
 
-The precondition is read off lambda: S(R), the modified Yang-Baxter
-defect, must vanish on every basis pair.  For R = Id + 2B, S(R) is 4
-times the weight-1 Rota-Baxter defect of B, so both flavors refuse the
-first pair where their own axiom fails.
+The precondition is read off lambda, as t^2 S(R): S(R), the modified
+Yang-Baxter defect, must vanish on every basis pair.  For R = Id + 2B,
+S(R) is 4 times the weight-1 Rota-Baxter defect of B, so both flavors
+refuse the first pair where their own axiom fails.
 
 Values are checked once, where they enter: Cochain(...) (so from_json_dict)
 checks every key and entry, from_sparse every index.  What the package
@@ -51,9 +57,9 @@ call: no operator, algebra or matrix keeps a reference to it.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, _images, _induced, _lambdas,
@@ -270,46 +276,41 @@ def _not_modified(a: LieAlgebra, pair, value, what) -> PreconditionError:
         f"{what} needs a modified r-matrix, but S(R)({x}, {y}) = {vector_str(value)}")
 
 
-def _half(x):
-    """x / 2 exactly, making no Fraction for an even int."""
-    if type(x) is int:
-        return Fraction(x, 2) if x & 1 else x >> 1
-    return _exact(x / 2)
-
-
 class _Complex(Endo):
     """P with the operator side of its coboundary complex, built for one
     library call and dropped with it.
 
-    It holds the operator R = P, or Id + 2P in the B-complex, and
-    lambdas[u], the nonzero rows of rho(R, e_u) as {m: {j: nonzero exact
-    value}}, halved in the B-complex.  mu_index, mu_index[s] = [(u, w, x)]
-    over the pairs u < w whose [e_u, e_w]_R has e_s component x != 0, is
-    made off R's image table the first time it is read, which no arity-0
-    coboundary does; it is never halved.  With check set, the first basis
-    pair where S(R) != 0, read off the lambdas before they are halved, is
-    refused as the complex is built.  As an Endo it is P itself, so it
-    stands wherever P does.
+    It holds operator = t R, for R = P, or Id + 2P in the B-complex, and t
+    the lcm of R's denominators times the table denominator of the algebra,
+    so that every entry of lambda and mu is an int; scale is 1/t, or 1/(2t)
+    in the B-complex, and the coboundary of P is scale times the one built
+    off them.  lambdas[u] holds the nonzero rows of rho(t R, e_u) as {m: {j:
+    nonzero int}}.  mu_index, mu_index[s] = [(u, w, x)] over the pairs u < w
+    whose [e_u, e_w]_(t R) has e_s component x != 0, is made off the image
+    table of t R the first time it is read, which no arity-0 coboundary
+    does.  With check set, the first basis pair where S(R) != 0, read off
+    the lambdas as t^2 S(R), is refused as the complex is built.  As an Endo
+    it is P itself, so it stands wherever P does.
     """
 
-    __slots__ = ("flavor", "operator", "lambdas", "_mu_index")
+    __slots__ = ("flavor", "operator", "scale", "lambdas", "_mu_index")
 
     def __init__(self, P: Endo, flavor, check):
         super().__init__(P.matrix, P.algebra)
         a = P.algebra
         self.flavor = flavor
-        self.operator = R = Endo.identity(a) + P.scale(2) if flavor == FLAVOR_B else P
-        lambdas = _lambdas(a, R)
-        if check and (failing := _modified_defect(R, lambdas)):
+        R = Endo.identity(a) + P.scale(2) if flavor == FLAVOR_B else P
+        t = a._denominator * lcm(*{x.denominator for i in range(a.dim)
+                                   for x in R.matrix.nonzeros(i).values()})
+        self.operator = R = R.scale(t) if t != 1 else R
+        self.scale = _exact(Fraction(1, 2 * t if flavor == FLAVOR_B else t))
+        self.lambdas = _lambdas(a, R)
+        if check and (failing := _modified_defect(R, self.lambdas, t)):
             if flavor == FLAVOR_R:
                 raise _not_modified(a, *failing, "the R-complex coboundary")
             x, y = (a.basis_names[i] for i in failing[0])
             raise PreconditionError(f"the B-complex coboundary needs a weight-1 Rota-Baxter "
                                     f"operator; axiom fails on ({x}, {y})")
-        if flavor == FLAVOR_B:
-            lambdas = [{m: {j: _half(x) for j, x in row.items()} for m, row in lam.items()}
-                       for lam in lambdas]
-        self.lambdas = lambdas
         self._mu_index = None
 
     @property
@@ -344,7 +345,7 @@ def _terms(side: _Complex, S):
     f(mu(e_u, e_w), e_rest) of (d f)(e_T) that read f(e_S), one for each s
     in S and each pair u < w outside rest = S - {s} with mu(e_u, e_w)_s != 0,
     where T = rest + {u, w}, are summed per T: diagonal maps each T to the
-    nonzero exact c of its term c f(e_S), halved once in the B-complex.
+    nonzero int c of its term c f(e_S), off the int mu of the complex.
     """
     faces = []
     pos = 0                     # the place of u in T, (-1)^pos the sign of its face
@@ -365,8 +366,7 @@ def _terms(side: _Complex, S):
             p, q = bisect_left(rest, u), bisect_left(rest, w)
             T = rest[:p] + (u,) + rest[p:q] + (w,) + rest[q:]
             sums[T] = sums.get(T, 0) + (x if (p + q + i) % 2 else -x)
-    exact = _half if side.flavor == FLAVOR_B else _exact
-    return faces, {T: exact(c) for T, c in sums.items() if c}
+    return faces, {T: c for T, c in sums.items() if c}
 
 
 @dataclass
@@ -374,25 +374,37 @@ class CoboundaryMatrix:
     """Matrix of the coboundary from cohomological degree k+1 to k+2.
 
     Rows and columns run over pairs (sorted tuple, target index), tuples in
-    lexicographic order, target index fastest.
+    lexicographic order, target index fastest.  It is assembled as integral,
+    a matrix of ints; matrix, the coboundary, is scale times it, built on
+    its first read, and integral itself when scale is 1.
     """
-    matrix: Matrix
+    integral: Matrix
+    scale: int | Fraction = 1
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return self.integral if self.scale == 1 else self.integral.scale(self.scale)
 
 
 def coboundary_matrix(P: Endo, k: int, flavor="R") -> CoboundaryMatrix:
     """Matrix of the coboundary on arity-k cochains (degree k+1 -> k+2).
 
     For k = 0 the domain is g itself and (d x)(y) = [Ry, x] - R([y, x]).
-    Rows are assembled as sparse dicts, one column block of n columns per
-    source k-tuple at a time; no dense rows x cols table is built.  P may be
-    a complex built earlier in the same call, which is then checked already.
+    Rows are assembled as sparse dicts of ints off the complex's lambda and
+    mu, one column block of n columns per source k-tuple at a time; no
+    dense rows x cols table is built.  At k = 0 the rows are lambda's own
+    row dicts.  P may be a complex built earlier in the same call, which is
+    then checked already.
     """
     side = _complex(P, flavor, k)
     lambdas = side.lambdas
     n = P.algebra.dim
+    sources = basis_tuples(n, k)
+    if not k:
+        rows = [lam.get(m, {}) for lam in lambdas for m in range(n)]
+        return CoboundaryMatrix(Matrix._int_rows(rows, n), side.scale)
     row_base = {T: i * n for i, T in enumerate(basis_tuples(n, k + 1))}
     rows = [{} for _ in range(len(row_base) * n)]
-    sources = basis_tuples(n, k)
     for i, S in enumerate(sources):
         base = i * n
         faces, diagonal = _terms(side, S)
@@ -406,17 +418,18 @@ def coboundary_matrix(P: Endo, k: int, flavor="R") -> CoboundaryMatrix:
         for T, c in diagonal.items():
             start = row_base[T]
             for j, out in enumerate(rows[start:start + n], base):
-                x = _exact(out.get(j, 0) + c)
+                x = out.get(j, 0) + c
                 if x:
                     out[j] = x
                 else:
                     del out[j]
-    return CoboundaryMatrix(Matrix.from_sparse(rows, len(sources) * n))
+    return CoboundaryMatrix(Matrix._int_rows(rows, len(sources) * n), side.scale)
 
 
 def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
     """Apply the coboundary to a single cochain without assembling the
-    matrix, walking only the terms that read a nonzero value of f."""
+    matrix, walking only the terms that read a nonzero value of f; the sums
+    are taken off the int lambda and mu and times the complex's scale."""
     if f.algebra != P.algebra:
         raise InputError("the coboundary needs a cochain over the operator's algebra")
     side = _complex(P, flavor, f.arity, check)
@@ -436,6 +449,8 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
             for m, x in enumerate(value):
                 if x:
                     acc[m] += c * x
+    if side.scale != 1:
+        coeffs = {T: [side.scale * x for x in acc] for T, acc in coeffs.items()}
     return Cochain._trusted(P.algebra, f.arity + 1, coeffs)
 
 
@@ -453,7 +468,11 @@ def coboundary_preimage(P: Endo, f: Cochain, flavor="R"):
     side = _complex(P, flavor, f.arity - 1)
     if f.is_zero():
         return Cochain.zero(P.algebra, f.arity - 1)
-    x = coboundary_matrix(side, f.arity - 1, flavor=flavor).matrix.solve(f.to_coeff_vector())
+    # the int matrix times the complex's scale is d, so solve it for f / scale
+    b = f.to_coeff_vector()
+    if side.scale != 1:
+        b = [x / side.scale for x in b]
+    x = coboundary_matrix(side, f.arity - 1, flavor=flavor).integral.solve(b)
     if x is None:
         return None
     return Cochain.from_coeff_vector(P.algebra, f.arity - 1, x)
@@ -526,10 +545,11 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     n = a.dim
 
     # one complex, checked as it is built, serves every degree; one walk
-    # over the degrees: the outgoing matrix of degree m (arity m-1) is
-    # eliminated once (Matrix caches it) and its rank certified; its
-    # certified kernel gives the cocycles at degree m, and as the incoming
-    # matrix of degree m+1 its pivots give the coboundaries there
+    # over the degrees: the outgoing matrix of degree m (arity m-1), as
+    # assembled in ints, 1/scale times d with the same ranks, kernels and
+    # pivots, is eliminated once (Matrix caches it) and its rank certified;
+    # its certified kernel gives the cocycles at degree m, and as the
+    # incoming matrix of degree m+1 its pivots give the coboundaries there
     side = _complex(P, flavor, 0)
     degrees = {}
     inc = None
@@ -539,7 +559,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
         if dim_c == 0:
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
-        out = coboundary_matrix(side, arity, flavor=flavor).matrix
+        out = coboundary_matrix(side, arity, flavor=flavor).integral
         rank, kernel = certified_rank(out)
         dim_z = kernel.nrows
         certify(rank + dim_z == dim_c, "rank + nullity != cochain dimension")
@@ -554,10 +574,10 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             pivots = inc.pivot_columns()
             dim_b = len(pivots)
             if witnesses:
-                images = inc.transpose()    # its row col is d of basis cochain col
-                b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}),
-                                Cochain.from_sparse(a, arity, images.nonzeros(col)))
-                               for col in pivots]
+                images = inc.transpose()    # its row col is d of basis cochain col, over scale
+                b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}), Cochain.from_sparse(
+                    a, arity, {i: side.scale * x for i, x in images.nonzeros(col).items()}))
+                    for col in pivots]
         dim_h = dim_z - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")
         degrees[degree] = DegreeReport(degree, arity, dim_c, dim_z, dim_b, dim_h,

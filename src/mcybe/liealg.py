@@ -8,6 +8,8 @@ construction unless explicitly deferred.
 Every bracket, the Jacobi check included, is read off the structure table
 _table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders, filled in
 the pass that decodes each structure value; rows without a bracket share one.
+The same pass reads _denominator, the lcm of the structure constants'
+denominators; from_json_dict hands it its decoded values as they are.
 _sparse_bracket sums [x, y] over the nonzero (index, value) pairs of x and
 y, for the graded bracket and the Nijenhuis witnesses.  The read-only
 mapping structure keeps the validated input for equality, is_abelian, JSON,
@@ -17,11 +19,13 @@ The operator-identity kernel (operator_identity, induced_bracket_table and
 mu of the coboundary) reads off one sparse image table [Pe_i, e_j] per
 call.  _lambdas builds rho(P, e_u) with no such table, from P's columns and
 _table, as its nonzero rows {m: {j: exact value}}: the coboundary copies
-them, rho(P, x) combines them and _modified_defect reads S(R) off them.
+them, rho(P, x) combines them and _modified_defect reads t^2 S(R) off t R's.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 from .errors import InputError
@@ -82,6 +86,11 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra given by rational structure constants."""
 
     def __init__(self, dim, structure, basis_names=None, check=True):
+        self._fill(dim, structure, basis_names, check, lambda value: tuple(map(ratio, value)))
+
+    def _fill(self, dim, structure, basis_names, check, vector):
+        """self as __init__ makes it; vector(value) is the exact tuple of a
+        structure value, through ratio or as it is once decoded."""
         if dim < 0:
             raise InputError("negative dimension")
         self.dim = dim
@@ -100,14 +109,16 @@ class LieAlgebra:
         empty = ((),) * dim
         rows = [empty] * dim
         table = {}
+        den = 1
         for key, value in structure.items():
             i, j = key
             if not (0 <= i < j < dim):
                 raise InputError(f"structure key {key}: need 0 <= i < j < dim")
-            vec = tuple(map(ratio, value))
+            vec = vector(value)
             if len(vec) != dim:
                 raise InputError(f"structure value for {key} has length {len(vec)}")
             if terms := [(k, c) for k, c in enumerate(vec) if c]:
+                den = lcm(den, *[c.denominator for _, c in terms])
                 table[(i, j)] = vec
                 for r in (i, j):
                     if rows[r] is empty:
@@ -116,7 +127,7 @@ class LieAlgebra:
                 rows[j][i] = tuple([(k, -c) for k, c in terms])
         # read-only, so the table above can never drift from it
         self.structure = MappingProxyType(table)
-        self._table = rows
+        self._table, self._denominator = rows, den
         if check:
             jac = self.verify_jacobi()
             if not jac.ok:
@@ -125,6 +136,7 @@ class LieAlgebra:
                 raise InputError(
                     f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]}): "
                     f"jacobiator = {vector_str(jac.value)}")
+        return self
 
     # -- basics -------------------------------------------------------
 
@@ -253,7 +265,8 @@ class LieAlgebra:
             if (i, j) in structure:
                 raise InputError(f"duplicate bracket entry for ({i}, {j})")
             structure[(i, j)] = rationals_from_json(value, f"bracket ({i}, {j}) value")
-        return cls(dim, structure, basis_names=names, check=check)
+        # the values are exact as decoded, so they skip ratio
+        return cls.__new__(cls)._fill(dim, structure, names, check, tuple)
 
 
 class Endo:
@@ -417,16 +430,17 @@ def _lambdas(a: LieAlgebra, P: Endo, us=None):
         for key, x in acc.items():
             if x:
                 m, j = divmod(key, n)
-                rows.setdefault(m, {})[j] = _exact(x)
+                rows.setdefault(m, {})[j] = x if type(x) is int else _exact(x)
         lambdas.append(rows)
     return lambdas
 
 
-def _modified_defect(R: Endo, lambdas):
-    """next(operator_identity(R, Id), None) read off lambdas = _lambdas(a, R):
-    S(R)(e_i, .) = lambda_i o R + lambda_(Re_i) + ad((Id - R^2) e_i), summed
-    over nonzeros for j > i, one i at a time; the first pair (i, j) where it
-    is nonzero, with its value as a dense exact tuple, or None."""
+def _modified_defect(R: Endo, lambdas, t=1):
+    """next(operator_identity(R / t, Id), None) read off lambdas = _lambdas(a, R)
+    for an int t != 0: t^2 S(R / t)(e_i, .) = lambda_i o R + lambda_(Re_i) +
+    ad((t^2 - R^2) e_i), summed over nonzeros for j > i, one i at a time; the
+    first pair (i, j) where it is nonzero, with the value of S(R / t) there
+    as a dense exact tuple, or None."""
     n, table, cols = R.algebra.dim, R.algebra._table, _columns(R)
     rows = [R.matrix.nonzeros(k) for k in range(n)]
     for i in range(n):
@@ -437,23 +451,23 @@ def _modified_defect(R: Endo, lambdas):
                 for j, r in rows[k].items():
                     if j > i:
                         acc[j * n + m] = get(j * n + m, 0) + x * r
-        square = {i: 1}                             # (Id - R^2) e_i
+        square = {i: t * t}                         # (t^2 - R^2) e_i
         for k, c in cols[i].items():
-            for t, w in cols[k].items():
-                square[t] = square.get(t, 0) - c * w
+            for p, w in cols[k].items():
+                square[p] = square.get(p, 0) - c * w
             for m, row in lambdas[k].items():       # lambda_(Re_i)
                 for j, x in row.items():
                     if j > i:
                         acc[j * n + m] = get(j * n + m, 0) + c * x
-        for t, c in square.items():                 # ad((Id - R^2) e_i)
+        for k, c in square.items():                 # ad((t^2 - R^2) e_i)
             if c:
                 for j in range(i + 1, n):
-                    for m, w in table[t][j]:
+                    for m, w in table[k][j]:
                         acc[j * n + m] = get(j * n + m, 0) + c * w
         first = min((key for key, x in acc.items() if x), default=None)
         if first is not None:
             j = first // n
-            return (i, j), tuple(_exact(get(j * n + m, 0)) for m in range(n))
+            return (i, j), tuple(_exact(Fraction(get(j * n + m, 0), t * t)) for m in range(n))
     return None
 
 

@@ -12,7 +12,8 @@ deterministic.  A matrix eliminates itself at most once and keeps the
 integral output as its one echelon form (basis, leads, kept, rows): the
 reduced row and leading entry of each pivot column, the indices of the rows
 kept, and the rows eliminated, which _integral scaled to integers without
-the empty rows (most rows of a coboundary matrix).  rank and pivot_columns
+the empty rows (most rows of a coboundary matrix), or, in a matrix of
+ints that Matrix._int_rows made, only dropped.  rank and pivot_columns
 read it as it is, and null_space divides by the leads.  certified_rank,
 which cochain.cohomology calls for every rank it reports, checks that rank
 on the same form by two routes: the rows against the null space vectors,
@@ -145,7 +146,7 @@ def eliminate(rows, modulus=0):
 
     rows is a list of dicts {column: nonzero int}, left unchanged; over
     GF(modulus) the entries lie in range(modulus).  The callers pass the
-    rows of _integral(), with the empty rows dropped.  Rows are taken
+    nonempty rows of _integral() or Matrix._int_rows.  Rows are taken
     shortest first, to keep fill-in low, and each is reduced by the rows
     kept so far.  A row left nonzero is kept, its first column becomes a
     pivot, and that column is cleared from the kept rows holding it, which
@@ -241,9 +242,11 @@ def certified_rank(m: "Matrix"):
     minor is invertible, since the reduced rows are an invertible
     combination of the kept rows and are diagonal on the pivots; a minor
     nonsingular modulo a prime is nonsingular over Q, so the rank over Q is
-    at least m.rank().  The route reads only the indices of the exact
-    elimination, none of its arithmetic: a wrong row or pivot can only make
-    the minor singular, and then the rank is refused.
+    at least m.rank().  A row whose pivot entries the prime all divide is
+    divided by it first, which keeps the rank over Q.  The route reads only
+    the indices of the exact elimination, none of its arithmetic: a wrong
+    row or pivot can only make the minor singular, and then the rank is
+    refused.
     """
     basis, leads, kept, rows = m._reduced()
     den = lcm(*leads.values())
@@ -262,6 +265,11 @@ def certified_rank(m: "Matrix"):
         certify(not any(acc.values()), "null space vector is not annihilated")
     minor = [{j: r for j, x in rows[i].items() if j in basis and (r := x % MODULUS)}
              for i in kept]
+    for p in [p for p, residues in enumerate(minor) if not residues]:
+        row = {j: x for j, x in rows[kept[p]].items() if j in basis}
+        while row and not minor[p]:     # the prime divides the row's pivot entries
+            row = {j: x // MODULUS for j, x in row.items()}
+            minor[p] = {j: r for j, x in row.items() if (r := x % MODULUS)}
     rank = m.rank()
     certify(len(eliminate(minor, MODULUS)[0]) == rank,
             "rank mod p and rank over Q disagree")
@@ -271,7 +279,7 @@ def certified_rank(m: "Matrix"):
 class Matrix:
     """Immutable sparse matrix over the rationals: one dict of nonzeros per row."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "_echelon")
+    __slots__ = ("nrows", "ncols", "_rows", "_echelon", "_ints")
 
     def __init__(self, rows):
         self._fill([[ratio(x) for x in row] for row in rows])
@@ -289,7 +297,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        self._echelon = None
+        self._echelon, self._ints = None, False
         return self
 
     # -- constructors -------------------------------------------------
@@ -302,7 +310,15 @@ class Matrix:
         over as they are, not copied or checked.
         """
         m = cls.__new__(cls)
-        m.nrows, m.ncols, m._rows, m._echelon = len(rows), ncols, rows, None
+        m.nrows, m.ncols, m._rows, m._echelon, m._ints = len(rows), ncols, rows, None, False
+        return m
+
+    @classmethod
+    def _int_rows(cls, rows, ncols):
+        """from_sparse for rows of nonzero ints, which are eliminated as they
+        are: only the empty rows are dropped, with no _integral scan."""
+        m = cls.from_sparse(rows, ncols)
+        m._ints = True
         return m
 
     @classmethod
@@ -370,9 +386,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     # -- arithmetic ---------------------------------------------------
 
     def _plus(self, other, sign, op):
@@ -436,9 +449,10 @@ class Matrix:
 
     def _reduced(self):
         """The one echelon form (basis, leads, kept, rows), computed once:
-        eliminate() on rows, self's nonempty rows scaled by _integral."""
+        eliminate() on rows, self's nonempty rows scaled by _integral, or
+        taken as they are in a matrix made by _int_rows."""
         if self._echelon is None:
-            rows = _integral(self._rows)
+            rows = list(filter(None, self._rows)) if self._ints else _integral(self._rows)
             self._echelon = (*eliminate(rows), rows)
         return self._echelon
 
@@ -505,7 +519,7 @@ class Matrix:
 
     def inverse(self):
         """Exact inverse, or None when singular; requires a square matrix."""
-        if not self.is_square():
+        if self.nrows != self.ncols:
             raise InputError(f"inverse of non-square {self.shape} matrix")
         n = self.nrows
         basis, leads, _ = eliminate(_integral([{**row, n + i: 1}

@@ -38,6 +38,20 @@ def sl3_conjugate(sl3):
 
 
 @pytest.fixture(scope="session")
+def sl3_rescaled(sl3_conjugate):
+    """The sl(3) conjugate in the basis c_i e_i: its structure constants
+    c_i c_j a_ij^k / c_k and its matrix D^(-1) R D, D = diag(c), are both
+    fractional."""
+    a, r = sl3_conjugate
+    c = [Fraction(x) for x in (1, "2/3", "3/2", 1, "5/4", 2, "1/3", 3)]
+    structure = {pair: tuple(c[pair[0]] * c[pair[1]] * x / c[k] for k, x in enumerate(value))
+                 for pair, value in a.structure.items()}
+    b = LieAlgebra(a.dim, structure, basis_names=a.basis_names)
+    D, D_inv = Matrix.diagonal(c), Matrix.diagonal([1 / x for x in c])
+    return b, Endo(D_inv @ r.matrix @ D, b)
+
+
+@pytest.fixture(scope="session")
 def abelian3():
     return catalog("abelian", 3)
 

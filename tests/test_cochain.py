@@ -11,10 +11,10 @@ from math import comb
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, InputError, InternalError, Matrix, PreconditionError,
-                   catalog, cochain, coboundary_matrix, coboundary_preimage, cohomology,
-                   d_apply, graded_bracket, is_cocycle, is_rota_baxter, kuranishi, liealg,
-                   linalg, pi_cochain, rb_from_r)
+from mcybe import (Cochain, Endo, InputError, InternalError, LieAlgebra, Matrix,
+                   PreconditionError, catalog, cochain, coboundary_matrix, coboundary_preimage,
+                   cohomology, d_apply, graded_bracket, is_cocycle, is_rota_baxter, kuranishi,
+                   liealg, linalg, pi_cochain, rb_from_r)
 from mcybe.cochain import basis_tuples, cochain_space_dim, insert_sorted
 from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
@@ -228,6 +228,147 @@ def test_b_complex_matches_direct_oracle(name, request, rng=random.Random(32)):
     assert nonzero >= 6
 
 
+# -- the complex in ints, the coboundary in exact rationals ------------------
+
+def _rational_coboundary(P, k, flavor):
+    """The coboundary matrix on arity-k cochains in exact rationals, entry by
+    entry off rho(R, e_u) and the induced table of R, R = P or Id + 2P,
+    halved in the B-complex, each entry made exact by ratio."""
+    a = P.algebra
+    n = a.dim
+    R = P if flavor == "R" else Endo.identity(a) + P.scale(2)
+    half = 1 if flavor == "R" else Fraction(1, 2)
+    lam = [liealg.rho(R, e).matrix for e in a.basis()]
+    mu = liealg.induced_bracket_table(R)
+    column = {S: i * n for i, S in enumerate(basis_tuples(n, k))}
+    rows = []
+    for T in basis_tuples(n, k + 1):
+        block = [{} for _ in range(n)]
+        for i, u in enumerate(T):
+            base = column[T[:i] + T[i + 1:]]
+            for m in range(n):
+                for j, x in lam[u].nonzeros(m).items():
+                    block[m][base + j] = block[m].get(base + j, 0) + (-1) ** i * half * x
+        for p, q in combinations(range(k + 1), 2):
+            rest = T[:p] + T[p + 1:q] + T[q + 1:]
+            for s, x in enumerate(mu.get((T[p], T[q]), ())):
+                if x and (placed := insert_sorted(rest, s)):
+                    sign, S = placed
+                    for m in range(n):
+                        c = column[S] + m
+                        block[m][c] = block[m].get(c, 0) + (-1) ** (p + q) * sign * half * x
+        rows += [{j: ratio(x) for j, x in row.items() if x} for row in block]
+    return Matrix.from_sparse(rows, len(column) * n)
+
+
+def _int_cases(sl3_conjugate, sl3_rescaled):
+    """(P, flavor, check): the sl(3) conjugate and the rescaled one in both
+    flavors, and 3/2 times the rescaled R, no modified r-matrix, unchecked."""
+    cases = [(r if flavor == "R" else rb_from_r(r), flavor, True)
+             for _, r in (sl3_conjugate, sl3_rescaled) for flavor in ("R", "B")]
+    return cases + [(sl3_rescaled[1].scale(Fraction(3, 2)), "R", False)]
+
+
+def test_coboundary_values_keep_their_types(sl3_conjugate, sl3_rescaled,
+                                            rng=random.Random(35)):
+    # the coboundary is assembled in ints and scaled only where it leaves:
+    # .matrix, read once, and d_apply equal the rational route entry for
+    # entry and type for type, and .matrix is the int matrix itself at scale 1
+    scales = []
+    for P, flavor, check in _int_cases(sl3_conjugate, sl3_rescaled):
+        a = P.algebra
+        for k in (0, 1, 2):
+            side = cochain._complex(P, flavor, k, check=check)
+            cb = coboundary_matrix(side, k, flavor=flavor)
+            assert cb.scale == side.scale
+            assert all(type(x) is int for i in range(cb.integral.nrows)
+                       for x in cb.integral.nonzeros(i).values())
+            want = _rational_coboundary(P, k, flavor)
+            assert _typed_rows(cb.matrix) == _typed_rows(want)
+            assert cb.matrix is cb.matrix and (cb.matrix is cb.integral) == (cb.scale == 1)
+            for c in (1, Fraction(-2, 3), Fraction(5, 7)):
+                f = rand_cochain(rng, a, k, support=3).scale(c)
+                got = d_apply(side, f, flavor=flavor, check=False)
+                expected = Cochain.from_coeff_vector(a, k + 1, want.apply(f.to_coeff_vector()))
+                assert _typed_coeffs(got) == _typed_coeffs(expected)
+                assert not got.is_zero() or k == 2
+        scales.append(side.scale)
+    assert scales == [1, Fraction(1, 2), Fraction(1, 4320), Fraction(1, 8640),
+                      Fraction(1, 2880)]
+
+
+def test_cohomology_hands_the_elimination_ints(sl3_conjugate, sl3_rescaled, monkeypatch):
+    # every row that cohomology eliminates, exactly or modulo the prime, is
+    # all ints, no _integral scan runs, and every coboundary witness image
+    # is d of its preimage, type for type
+    seen = []
+    true_eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "_integral", lambda rows: pytest.fail("_integral called"))
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, modulus=0: seen.append(
+        list(rows)) or true_eliminate(rows, modulus))
+    for P, flavor, _ in _int_cases(sl3_conjugate, sl3_rescaled)[:4]:
+        seen.clear()
+        rep = cohomology(P, 3, flavor=flavor)
+        assert [rep.dim_h(d) for d in (1, 2, 3)] == [2, 9, 16]
+        assert len(seen) == 6 and all(type(x) is int for rows in seen for row in rows
+                                      for x in row.values())
+        for d in rep.degrees.values():
+            for pre, img in d.coboundary_witnesses:
+                want = d_apply(P, pre, flavor=flavor, check=False)
+                assert _typed_coeffs(img) == _typed_coeffs(want)
+
+
+def test_arity_zero_rows_are_the_lambda_rows(sl3_rescaled):
+    # at arity 0 the matrix rows are lambda's own row dicts, and neither
+    # the elimination nor the scaled read changes them
+    a, r = sl3_rescaled
+    n = a.dim
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        side = cochain._complex(P, flavor, 0)
+        before = [{m: dict(row) for m, row in lam.items()} for lam in side.lambdas]
+        cb = coboundary_matrix(side, 0, flavor=flavor)
+        linalg.certified_rank(cb.integral)
+        cb.matrix
+        for u, lam in enumerate(side.lambdas):
+            for m in range(n):
+                if m in lam:
+                    assert cb.integral._rows[u * n + m] is lam[m]
+                else:
+                    assert not cb.integral._rows[u * n + m]
+        assert side.lambdas == before
+
+
+def test_unchecked_d_apply_reads_no_defect(sl3_rescaled, monkeypatch):
+    # check=False builds the int complex of an operator that is not modified
+    # without reading S(R), and still scales its output
+    a, r = sl3_rescaled
+    monkeypatch.setattr(cochain, "_modified_defect", lambda *args: pytest.fail("S(R) read"))
+    f = Cochain.from_vector(a, a.basis_vector(0))
+    for flavor, P in (("R", r.scale(Fraction(3, 2))), ("B", rb_from_r(r).scale(3))):
+        got = d_apply(P, f, flavor=flavor, check=False)
+        want = _rational_coboundary(P, 0, flavor).apply(f.to_coeff_vector())
+        assert got.to_coeff_vector() == list(want) and not got.is_zero()
+
+
+def test_prime_in_the_denominator_is_certified(affine2):
+    # [a, n] = p n for p = 2^61 - 1, the prime of the rank's lower bound,
+    # and R conjugated by exp(ad(n / p^2)), whose matrix has the denominator
+    # p: p d has every entry divisible by p, and certified_rank divides it
+    # out of the minor
+    a, r = affine2
+    p = linalg.MODULUS
+    b = LieAlgebra(2, {(0, 1): (0, p)}, basis_names=a.basis_names)
+    R = Endo(Matrix([[1, 0], [Fraction(-2, p), -1]]), b)
+    for flavor, P, Q in (("R", r, R), ("B", rb_from_r(r), rb_from_r(R))):
+        side = cochain._complex(Q, flavor, 0)
+        assert side.scale.denominator % p == 0
+        integral = coboundary_matrix(side, 0, flavor=flavor).integral
+        assert all(x % p == 0 for i in range(integral.nrows)
+                   for x in integral.nonzeros(i).values())
+        want, got = cohomology(P, 3, flavor=flavor), cohomology(Q, 3, flavor=flavor)
+        assert [got.dim_h(d) for d in (1, 2, 3)] == [want.dim_h(d) for d in (1, 2, 3)]
+
+
 def test_coboundary_requires_valid_operator(sl2):
     a, _ = sl2
     with pytest.raises(PreconditionError):
@@ -259,12 +400,14 @@ def _old_route_message(P, flavor):
 
 
 @pytest.mark.parametrize("flavor", ["R", "B"])
-@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3_conjugate"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3_conjugate", "sl3_rescaled"])
 def test_precondition_read_off_the_image_table(name, flavor, request, rng=random.Random(33)):
     # S(R) on the image table of the one complex a call builds (R = Id + 2P
     # in the B-complex, where S(R) is 4 times P's Rota-Baxter defect) refuses
     # exactly what the separate defect evaluation refuses, with the same
-    # message; an arity out of range is an input error before that
+    # message, also where it is read as t^2 S(R) off the int complex of t R
+    # (sl3_rescaled: R and its table fractional); an arity out of range is
+    # an input error before that
     a, r = request.getfixturevalue(name)
     valid = r if flavor == "R" else rb_from_r(r)
 
@@ -431,16 +574,30 @@ def test_cohomology_b_flavor_isomorphic(sl2, sl3):
 @pytest.mark.parametrize("flavor", ["R", "B"])
 @pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
 def test_cohomology_scales_each_matrix_once(name, flavor, request, monkeypatch):
-    # the rank certificate reads the integral rows of the exact elimination:
-    # one integral copy per coboundary matrix, and none of its kernel
+    # the rank certificate reads the int rows of the exact elimination: each
+    # coboundary matrix is assembled in ints and eliminated once, its
+    # nonempty rows as they are, with no integral copy of it or its kernel
     _, r = request.getfixturevalue(name)
-    calls = []
-    true_integral = linalg._integral
+    P = r if flavor == "R" else rb_from_r(r)
+    calls, exact = [], []
+    true_integral, true_eliminate = linalg._integral, linalg.eliminate
     monkeypatch.setattr(linalg, "_integral",
                         lambda rows: calls.append(rows) or true_integral(rows))
-    rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
+
+    def eliminate(rows, modulus=0):
+        if not modulus:
+            exact.append(rows)
+        return true_eliminate(rows, modulus)
+    monkeypatch.setattr(linalg, "eliminate", eliminate)
+    rep = cohomology(P, 3, flavor=flavor)
     assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
-    assert len(calls) == 3
+    assert calls == [] and len(exact) == 3
+    monkeypatch.undo()
+    for k, rows in enumerate(exact):
+        integral = coboundary_matrix(P, k, flavor=flavor).integral
+        assert [list(row.items()) for row in rows] == \
+            [list(integral.nonzeros(i).items()) for i in range(integral.nrows)
+             if integral.nonzeros(i)]
 
 
 # -- one complex per library call ---------------------------------------------
@@ -507,7 +664,7 @@ def test_shared_complex_matches_standalone(name, flavor, request, monkeypatch,
 
     def recorded(Q, k, **kwargs):
         cb = assemble(Q, k, **kwargs)
-        inside.append((Q, k, cb.matrix))
+        inside.append((Q, k, cb))
         return cb
     monkeypatch.setattr(cochain, "coboundary_matrix", recorded)
     cohomology(P, 4, flavor=flavor, witnesses=False)
@@ -515,8 +672,11 @@ def test_shared_complex_matches_standalone(name, flavor, request, monkeypatch,
     assert [k for _, k, _ in inside] == [0, 1, 2, 3]
     side = inside[0][0]
     assert isinstance(side, cochain._Complex) and all(Q is side for Q, _, _ in inside)
-    for _, k, m in inside:
-        assert _typed_rows(m) == _typed_rows(coboundary_matrix(P, k, flavor=flavor).matrix)
+    for _, k, cb in inside:
+        alone = coboundary_matrix(P, k, flavor=flavor)
+        assert cb.scale == alone.scale == side.scale
+        assert _typed_rows(cb.integral) == _typed_rows(alone.integral)
+        assert _typed_rows(cb.matrix) == _typed_rows(alone.matrix)
         for _ in range(3):
             f = rand_cochain(rng, a, k).scale(rng.choice((1, Fraction(-2, 3))))
             got, want = d_apply(side, f, flavor=flavor), d_apply(P, f, flavor=flavor)

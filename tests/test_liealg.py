@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -156,6 +157,29 @@ def test_endo_json_roundtrip(sl2):
         [(0, int), (1, Fraction)], [(0, int), (2, Fraction)], []]
     with pytest.raises(InputError, match="^unknown key 'basis' in endomorphism JSON$"):
         Endo.from_json_dict({**r.to_json_dict(), "basis": ["e", "f", "h"]}, a)
+
+
+def test_json_algebra_decodes_each_value_once(sl3_rescaled, monkeypatch):
+    # from_json_dict builds the table from its decoded values as they are,
+    # with no ratio pass, and reads the table denominator in the same pass
+    a, _ = sl3_rescaled
+    assert a._denominator == lcm(*[x.denominator for v in a.structure.values() for x in v])
+    assert a._denominator == 360 and catalog("sl-borel", 3)[0]._denominator == 1
+    monkeypatch.setattr(liealg, "ratio", lambda x: pytest.fail(f"ratio({x!r})"))
+    b = LieAlgebra.from_json_dict(a.to_json_dict())
+    monkeypatch.undo()
+    assert b == a and b.basis_names == a.basis_names and b._denominator == a._denominator
+    assert all(_same_exact(b.structure[pair], value) for pair, value in a.structure.items())
+    assert b._table == a._table
+    # the decoded path keeps the range, length and Jacobi checks
+    data = a.to_json_dict()
+    for edit, message in ((lambda d: d["brackets"][0].update(j=8), "need 0 <= i < j < dim"),
+                          (lambda d: d["brackets"][0]["value"].pop(), "has length 7"),
+                          (lambda d: d["brackets"][0]["value"].__setitem__(0, "1/7"),
+                           "Jacobi identity fails")):
+        broken = {**data, "brackets": [dict(e, value=list(e["value"])) for e in data["brackets"]]}
+        edit(broken)
+        assert message in input_error(lambda: LieAlgebra.from_json_dict(broken))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -508,26 +532,34 @@ def _assert_kernel_matches_dense(rng, a, other):
             got, want = rho(P, x).matrix, _dense_rho(P, x).matrix
             assert got == want, x
             assert all(_same_exact(got.row(i), want.row(i)) for i in range(a.dim)), x
-        # the coboundary's lambdas[u] holds the nonzero rows m of rho(P, e_u),
-        # each as its nonzeros: every dense nonzero row, and no other
-        lambdas = cochain._Complex(P, cochain.FLAVOR_R, check=False).lambdas
+        # the coboundary's lambdas[u] holds the nonzero rows m of rho(t P, e_u)
+        # in ints, t the lcm of P's denominators times the table's, and scale
+        # = 1/t: every dense nonzero row, and no other, is scale times one
+        side = cochain._Complex(P, cochain.FLAVOR_R, check=False)
+        t = lcm(*[x.denominator for row in P.matrix.rows_list() for x in row]) * lcm(
+            *[x.denominator for value in a.structure.values() for x in value])
+        assert _same_exact([side.scale], [_exact(Fraction(1, t))])
         for u, e in enumerate(a.basis()):
             want = _dense_rho(P, e).matrix
-            assert sorted(lambdas[u]) == [m for m in range(a.dim) if want.nonzeros(m)], u
-            for m, row in lambdas[u].items():
+            lam = side.lambdas[u]
+            assert sorted(lam) == [m for m in range(a.dim) if want.nonzeros(m)], u
+            for m, row in lam.items():
                 dense = want.nonzeros(m)
                 assert sorted(row) == sorted(dense), (u, m)
-                assert _same_exact([row[j] for j in dense], dense.values()), (u, m)
-        # the B-complex stores half of each lambda entry of Id + 2P, made exact
-        halved = cochain._Complex(P, cochain.FLAVOR_B, check=False).lambdas
+                assert all(type(x) is int for x in row.values()), (u, m)
+                assert _same_exact([_exact(side.scale * row[j]) for j in dense],
+                                   dense.values()), (u, m)
+        # the B-complex stores the int lambdas of the R-complex of Id + 2P,
+        # entry for entry, and half its scale
+        halved = cochain._Complex(P, cochain.FLAVOR_B, check=False)
         doubled = cochain._Complex(Endo.identity(a) + P.scale(2), cochain.FLAVOR_R,
-                                   check=False).lambdas
+                                   check=False)
+        assert halved.scale == doubled.scale / 2
         for u in range(a.dim):
-            assert sorted(halved[u]) == sorted(doubled[u]), u
-            for m, row in doubled[u].items():
-                assert sorted(halved[u][m]) == sorted(row), (u, m)
-                assert _same_exact([halved[u][m][j] for j in row],
-                                   [_exact(Fraction(x, 2)) for x in row.values()]), (u, m)
+            assert sorted(halved.lambdas[u]) == sorted(doubled.lambdas[u]), u
+            for m, row in doubled.lambdas[u].items():
+                assert sorted(halved.lambdas[u][m]) == sorted(row), (u, m)
+                assert _same_exact([halved.lambdas[u][m][j] for j in row], row.values()), (u, m)
     return failing
 
 

@@ -456,7 +456,7 @@ def test_zero_rows_change_no_answer(rng=random.Random(111)):
 def test_cohomology_eliminates_no_empty_row(sl3, flavor, monkeypatch):
     _, r = sl3
     P = r if flavor == "R" else rb_from_r(r)
-    m = coboundary_matrix(P, 1, flavor=flavor).matrix
+    m = coboundary_matrix(P, 1, flavor=flavor).integral
     assert any(not m.nonzeros(i) for i in range(m.nrows))     # empty rows to drop
     seen = []
     true_eliminate = linalg.eliminate
@@ -465,9 +465,11 @@ def test_cohomology_eliminates_no_empty_row(sl3, flavor, monkeypatch):
     cohomology(P, 3, flavor=flavor)
     assert [modulus for _, modulus in seen] == [0, MODULUS] * 3   # exact, then the minor
     assert all(row for rows, _ in seen for row in rows)
-    # each modular call gets the rank's worth of rows, inside the pivot columns
+    # each exact call gets the int matrix's nonempty rows as they are, and
+    # each modular call the rank's worth of rows, inside the pivot columns
     for arity in range(3):
-        m = coboundary_matrix(P, arity, flavor=flavor).matrix
+        m = coboundary_matrix(P, arity, flavor=flavor).integral
+        assert seen[2 * arity][0] == [m.nonzeros(i) for i in range(m.nrows) if m.nonzeros(i)]
         minor = seen[2 * arity + 1][0]
         assert len(minor) == m.rank()
         assert all(row.keys() <= set(m.pivot_columns()) for row in minor)
