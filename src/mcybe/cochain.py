@@ -65,7 +65,8 @@ from .errors import InputError, PreconditionError, certify
 from .liealg import (Endo, LieAlgebra, Vector, _images, _induced, _lambdas,
                      _modified_defect, vadd, vector_from_json, vector_str,
                      vector_to_json, vzero)
-from .linalg import Matrix, _exact, certified_rank, json_array, json_object, ratio
+from .linalg import (Matrix, _exact, _quotient, certified_rank, json_array, json_object,
+                     ratio)
 
 FLAVOR_R = "R-complex"
 FLAVOR_B = "B-complex"
@@ -449,8 +450,8 @@ def d_apply(P: Endo, f: Cochain, flavor="R", check=True) -> Cochain:
             for m, x in enumerate(value):
                 if x:
                     acc[m] += c * x
-    if side.scale != 1:
-        coeffs = {T: [side.scale * x for x in acc] for T, acc in coeffs.items()}
+    if (den := side.scale.denominator) != 1:          # scale is 1/den
+        coeffs = {T: [_quotient(x, den) for x in acc] for T, acc in coeffs.items()}
     return Cochain._trusted(P.algebra, f.arity + 1, coeffs)
 
 
@@ -468,10 +469,9 @@ def coboundary_preimage(P: Endo, f: Cochain, flavor="R"):
     side = _complex(P, flavor, f.arity - 1)
     if f.is_zero():
         return Cochain.zero(P.algebra, f.arity - 1)
-    # the int matrix times the complex's scale is d, so solve it for f / scale
-    b = f.to_coeff_vector()
-    if side.scale != 1:
-        b = [x / side.scale for x in b]
+    # the int matrix times the complex's scale, 1/den, is d: solve it for den f
+    den = side.scale.denominator
+    b = [den * x for x in f.to_coeff_vector()]
     x = coboundary_matrix(side, f.arity - 1, flavor=flavor).integral.solve(b)
     if x is None:
         return None
@@ -551,6 +551,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     # its certified kernel gives the cocycles at degree m, and as the
     # incoming matrix of degree m+1 its pivots give the coboundaries there
     side = _complex(P, flavor, 0)
+    den = side.scale.denominator        # scale is 1/den
     degrees = {}
     inc = None
     for degree in range(1, max_degree + 1):
@@ -574,9 +575,9 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             pivots = inc.pivot_columns()
             dim_b = len(pivots)
             if witnesses:
-                images = inc.transpose()    # its row col is d of basis cochain col, over scale
+                images = inc.transpose()    # its row col is den times d of basis cochain col
                 b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}), Cochain.from_sparse(
-                    a, arity, {i: side.scale * x for i, x in images.nonzeros(col).items()}))
+                    a, arity, {i: _quotient(x, den) for i, x in images.nonzeros(col).items()}))
                     for col in pivots]
         dim_h = dim_z - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")

@@ -126,7 +126,8 @@ def _nonzero(acc) -> dict:
     return {j: _exact(x) for j, x in acc.items() if x}
 
 
-def _quotient(x: int, d: int) -> Rational:
+def _quotient(x: Rational, d: int) -> Rational:
+    """x / d exactly, an int where it is one."""
     return x // d if x % d == 0 else Fraction(x, d)
 
 

@@ -20,8 +20,8 @@ from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
 from mcybe.rmatrix import require_modified
 
-from conftest import (conjugate, input_error, nilpotent_exp, rand_cochain, rand_endo,
-                      rand_vector)
+from conftest import (conjugate, full_solve, input_error, nilpotent_exp, rand_cochain,
+                      rand_endo, rand_vector)
 
 
 def vscale(c, u):
@@ -272,8 +272,9 @@ def _int_cases(sl3_conjugate, sl3_rescaled):
 def test_coboundary_values_keep_their_types(sl3_conjugate, sl3_rescaled,
                                             rng=random.Random(35)):
     # the coboundary is assembled in ints and scaled only where it leaves:
-    # .matrix, read once, and d_apply equal the rational route entry for
-    # entry and type for type, and .matrix is the int matrix itself at scale 1
+    # .matrix, read once, d_apply and coboundary_preimage equal the rational
+    # route entry for entry and type for type, and .matrix is the int
+    # matrix itself at scale 1
     scales = []
     for P, flavor, check in _int_cases(sl3_conjugate, sl3_rescaled):
         a = P.algebra
@@ -292,6 +293,10 @@ def test_coboundary_values_keep_their_types(sl3_conjugate, sl3_rescaled,
                 expected = Cochain.from_coeff_vector(a, k + 1, want.apply(f.to_coeff_vector()))
                 assert _typed_coeffs(got) == _typed_coeffs(expected)
                 assert not got.is_zero() or k == 2
+            # the preimage the whole rational matrix gives, free columns at 0
+            pre = coboundary_preimage(side, got, flavor=flavor)
+            x = full_solve(want, got.to_coeff_vector())
+            assert _typed_coeffs(pre) == _typed_coeffs(Cochain.from_coeff_vector(a, k, x))
         scales.append(side.scale)
     assert scales == [1, Fraction(1, 2), Fraction(1, 4320), Fraction(1, 8640),
                       Fraction(1, 2880)]

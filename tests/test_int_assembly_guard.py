@@ -18,9 +18,9 @@ NAMES = {"Fraction", "_half"}
 
 
 def rational_uses(source, name):
-    """Line numbers, from the first line of the top-level function name, of
-    every Fraction or _half in it, by name or as an attribute, and of every
-    true division."""
+    """Line numbers, from the first line of the top-level definition name,
+    of every Fraction or _half in it, by name or as an attribute, and of
+    every true division."""
     segment = ast.get_source_segment(source, definition(source, name))
     return node_lines(segment, lambda n: isinstance(n, ast.Name) and n.id in NAMES
                       or isinstance(n, ast.Attribute) and n.attr in NAMES
@@ -40,4 +40,4 @@ def test_guard_flags_rational_uses():
               '    x /= 3\n'
               '    return Fraction\n')
     assert rational_uses(source, "_terms") == [2, 4, 4, 5, 6]
-    assert rational_uses(COCHAIN, "coboundary_preimage")
+    assert rational_uses(COCHAIN, "_Complex")          # its scale is a Fraction
