@@ -1,9 +1,10 @@
 """Golden CLI reports: exit code and sha256 of stdout and stderr per run.
 
 golden_digests.json pins the bytes of every subcommand's ``--json`` report
-on sl(2) and sl(3) with the Borel operator R, and of failing runs whose
-witnesses come from the MCYBE, Rota-Baxter, Nijenhuis and induced-bracket
-checks or from an algebra that fails the Jacobi identity.  Each case runs
+on sl(2) and sl(3) with the Borel operator R, of ``catalog sl`` on sl(4)
+and sl(5), and of failing runs whose witnesses come from the MCYBE,
+Rota-Baxter, Nijenhuis and induced-bracket checks or from an algebra that
+fails the Jacobi identity.  Each case runs
 once more without ``--json`` (its name ends in ``-text``), so the order and
 wording of the text report lines are pinned too.  All runs share one
 process.  Inputs are written to one temporary directory and named by
@@ -124,6 +125,8 @@ def _cases():
             "--t1", "1/2", "--t2", "-3")
         add("compatible-R", "compatible", "", "--rhat", f"{p}-R.json",
             "--t1", "1", "--t2", "2")
+    for n in (4, 5):
+        cases[f"sl{n}-catalog"] = ["catalog", "sl", "--n", str(n)]
     cases["sl2-cohomology-default"] = ["cohomology", "--algebra", "sl2.json",
                                        "--map", "sl2-R.json"]
     cases["sl2-check-mcybe-diag11m1"] = ["check", "mcybe", "--algebra", "sl2.json",
