@@ -12,9 +12,9 @@ valid exactly when Rhat is a 2-cocycle (t coefficient) and a weight-0
 Rota-Baxter operator (t^2 coefficient).  S2, the Nijenhuis torsion and the
 deformation omega of the induced bracket all come from the kernel
 liealg.operator_identity and its induced_bracket_table.  The Nijenhuis
-element equations make no dense bracket call: [[x, e_j], [x, e_k]] comes
-from liealg._sparse_bracket, and [x, [x, Re_j]] - [x, R[x, e_j]] is
-column j of A(AR - RA) for A = ad_x.
+element equations make no dense bracket call and build ad_x once:
+[[x, e_j], [x, e_k]] is liealg._sparse_bracket of its columns j and k, and
+[x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA) for A = ad_x.
 
 Each public entry point checks once that R is a modified r-matrix:
 nijenhuis_scan before all its candidates, not once per candidate, and
@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
-from .liealg import (Endo, LieAlgebra, Vector, _sparse_bracket, induced_bracket_table,
-                     operator_identity, vadd)
+from .liealg import (Endo, LieAlgebra, Vector, _columns, _sparse_bracket,
+                     induced_bracket_table, operator_identity, vadd)
 from .cochain import Cochain, d_apply
 from .rmatrix import induced_bracket, mcybe_defect, require_modified
 
@@ -109,13 +109,12 @@ class EquivalenceVerdict:
         return self.ok
 
 
-def _commutator_witness(a: LieAlgebra, x):
-    """First basis pair (j, k), j < k, with [[x, e_j], [x, e_k]] != 0, or None."""
-    xs = [(i, c) for i, c in enumerate(x) if c]
-    images = [[(m, w) for m, w in _sparse_bracket(a, xs, ((j, 1),)).items() if w]
-              for j in range(a.dim)]
-    return next(((j, k) for j, k in combinations(range(a.dim), 2)
-                 if any(_sparse_bracket(a, images[j], images[k]).values())), None)
+def _commutator_witness(ad_x: Endo):
+    """First basis pair (j, k), j < k, with [[x, e_j], [x, e_k]] != 0, or None;
+    [x, e_j] is column j of ad_x."""
+    images = [list(col.items()) for col in _columns(ad_x)]
+    return next(((j, k) for j, k in combinations(range(len(images)), 2)
+                 if any(_sparse_bracket(ad_x.algebra, images[j], images[k]).values())), None)
 
 
 def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
@@ -135,13 +134,13 @@ def _equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
 
-    failing = _commutator_witness(a, x)
+    ad_x = a.ad(x)
+    failing = _commutator_witness(ad_x)
     hom_ok = failing is None
 
     dx = d_apply(R, Cochain.from_vector(a, x), check=False).to_endo()
     linear_ok = (Rhat1 - Rhat2) == dx
 
-    ad_x = a.ad(x)
     quadratic_ok = Rhat2.compose(ad_x) == ad_x.compose(Rhat1)
 
     ok = hom_ok and linear_ok and quadratic_ok
@@ -176,11 +175,11 @@ def _nijenhuis_verdict(R: Endo, x) -> NijenhuisVerdict:
     x = tuple(x)
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
-    eq1_witness = _commutator_witness(a, x)
+    ad_x = a.ad(x)
+    eq1_witness = _commutator_witness(ad_x)
     eq1_ok = eq1_witness is None
     # [x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA), A = ad_x
-    ad_x = a.ad(x).matrix
-    gap = ad_x @ (ad_x @ R.matrix - R.matrix @ ad_x)
+    gap = ad_x.compose(ad_x.compose(R) - R.compose(ad_x)).matrix
     eq2_witness = min((j for i in range(a.dim) for j in gap.nonzeros(i)), default=None)
     eq2_ok = eq2_witness is None
     return NijenhuisVerdict(eq1_ok, eq2_ok, eq1_ok and eq2_ok,

@@ -9,11 +9,13 @@ Every bracket, the Jacobi check included, is read off the structure table
 _table[i][j], the nonzero (k, c) of [e_i, e_j] in both orders, filled in
 the pass that decodes each structure value; rows without a bracket share one.
 The same pass reads _denominator, the lcm of the structure constants'
-denominators; from_json_dict hands it its decoded values as they are.
-_sparse_bracket sums [x, y] over the nonzero (index, value) pairs of x and
-y, for the graded bracket and the Nijenhuis witnesses.  The read-only
-mapping structure keeps the validated input for equality, is_abelian, JSON,
-pi_cochain and build_double.
+denominators.  LieAlgebra(...) passes every value through ratio;
+_from_exact takes values exact as they are: from_json_dict's decoded ones
+and sl_algebra's table.  _sparse_bracket sums [x, y]
+over the nonzero (index, value) pairs of x and y; bracket reads a dense
+vector off it, and the graded bracket and the Nijenhuis witnesses use it as
+it is.  The read-only mapping structure keeps the validated input for
+equality, is_abelian, JSON, pi_cochain and build_double.
 
 The operator-identity kernel (operator_identity, induced_bracket_table and
 mu of the coboundary) reads off one sparse image table [Pe_i, e_j] per
@@ -176,19 +178,14 @@ class LieAlgebra:
         return tuple(vec)
 
     def bracket(self, x, y) -> Vector:
-        """Bilinear extension of the structure table over supp(x) x supp(y)."""
+        """[x, y] as a dense vector, read off _sparse_bracket over the nonzeros of x and y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError(f"bracket arguments must have length {self.dim}")
-        acc = [0] * self.dim
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                row = self._table[i]
-                for j, b in ys:
-                    c = a * b
-                    for k, v in row[j]:
-                        acc[k] += c * v
-        return tuple(_exact(a) for a in acc)
+        vec = [0] * self.dim
+        for k, c in _sparse_bracket(self, [(i, a) for i, a in enumerate(x) if a],
+                                    [(j, b) for j, b in enumerate(y) if b]).items():
+            vec[k] = _exact(c)
+        return tuple(vec)
 
     def verify_jacobi(self) -> JacobiResult:
         """Check [[e_i,e_j],e_k] + cyclic = 0 on all i<j<k; first violation wins.
@@ -266,7 +263,13 @@ class LieAlgebra:
                 raise InputError(f"duplicate bracket entry for ({i}, {j})")
             structure[(i, j)] = rationals_from_json(value, f"bracket ({i}, {j}) value")
         # the values are exact as decoded, so they skip ratio
-        return cls.__new__(cls)._fill(dim, structure, names, check, tuple)
+        return cls._from_exact(dim, structure, names, check)
+
+    @classmethod
+    def _from_exact(cls, dim, structure, basis_names=None, check=False):
+        """LieAlgebra(...) for a structure whose values are exact as they are:
+        decoded JSON, or a table the package computed itself."""
+        return cls.__new__(cls)._fill(dim, structure, basis_names, check, tuple)
 
 
 class Endo:
@@ -535,61 +538,37 @@ def rho(P: Endo, x) -> Endo:
 
 # -- catalog ----------------------------------------------------------
 
-def _sl_basis(n):
-    """Basis order: upper E_ij row-major, lower E_ij row-major, Cartan H_i."""
-    upper = [(i, j) for i in range(n) for j in range(n) if i < j]
-    lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-    return upper, lower
+def _sl_offdiag(n):
+    """Basis order: upper E_ij row-major, lower E_ij row-major, then Cartan H_i."""
+    return ([(i, j) for i in range(n) for j in range(n) if i < j]
+            + [(i, j) for i in range(n) for j in range(n) if i > j])
 
 
 def _sl_names(n):
     if n == 2:
         return ["e", "f", "h"]
-    upper, lower = _sl_basis(n)
-    names = [f"E{i + 1}{j + 1}" for i, j in upper]
-    names += [f"E{i + 1}{j + 1}" for i, j in lower]
-    names += [f"H{i + 1}" for i in range(n - 1)]
-    return names
+    return [f"E{i + 1}{j + 1}" for i, j in _sl_offdiag(n)] + [f"H{i + 1}" for i in range(n - 1)]
 
 
 def _sl_structure(n):
-    upper, lower = _sl_basis(n)
-    offdiag = upper + lower
-    dim = n * n - 1
-
-    def elementary(i, j):
-        m = [[0] * n for _ in range(n)]
-        m[i][j] = 1
-        return m
-
-    def cartan(i):
-        m = [[0] * n for _ in range(n)]
-        m[i][i] = 1
-        m[i + 1][i + 1] = -1
-        return m
-
-    mats = [elementary(i, j) for i, j in offdiag] + [cartan(i) for i in range(n - 1)]
-
-    def commutator(a, b):
-        return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-
-    def decompose(m):
-        coeffs = [0] * dim
-        for idx, (i, j) in enumerate(offdiag):
-            coeffs[idx] = m[i][j]
-        diag = [m[i][i] for i in range(n)]
-        running = 0
-        for i in range(n - 1):
-            running += diag[i]
-            coeffs[len(offdiag) + i] = running
-        return tuple(coeffs)
-
-    structure = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            structure[(a, b)] = decompose(commutator(mats[a], mats[b]))
-    return dim, structure
+    """(dim, the nonzero brackets of sl(n) as dense int tuples in lexicographic
+    order of the pairs), by [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    offdiag = _sl_offdiag(n)
+    dim, h = n * n - 1, len(offdiag)
+    index = {e: a for a, e in enumerate(offdiag)}
+    sparse = {}
+    for a, (i, j) in enumerate(offdiag):
+        for b in range(a + 1, h):
+            k, l = offdiag[b]
+            if j == k and l == i:       # E_ii - E_jj = +-(H_m over m in [i, j))
+                sparse[a, b] = {h + m: 1 if i < j else -1 for m in range(min(i, j), max(i, j))}
+            elif j == k or l == i:      # E_il or -E_kj
+                sparse[a, b] = {index[i, l]: 1} if j == k else {index[k, j]: -1}
+        for m in range(n - 1):          # [E_ij, H_m] = (d_mj - d_(m+1)j - d_mi + d_(m+1)i) E_ij
+            if c := (m == j) - (m + 1 == j) - (m == i) + (m + 1 == i):
+                sparse[a, h + m] = {a: c}
+    return dim, {pair: tuple(terms.get(k, 0) for k in range(dim))
+                 for pair, terms in sparse.items()}
 
 
 def sl_algebra(n) -> LieAlgebra:
@@ -597,7 +576,7 @@ def sl_algebra(n) -> LieAlgebra:
     if n < 2:
         raise InputError("sl(n) needs n >= 2")
     dim, structure = _sl_structure(n)
-    return LieAlgebra(dim, structure, basis_names=_sl_names(n), check=False)
+    return LieAlgebra._from_exact(dim, structure, _sl_names(n))
 
 
 def borel_r_matrix(algebra: LieAlgebra, n) -> Endo:
@@ -613,7 +592,8 @@ CATALOG_NAMES = ("sl-borel", "abelian")
 def catalog(name, n):
     """Named example algebras with a distinguished operator.
 
-    sl-borel: sl(n, Q) with the involutive Borel r-matrix; abelian: the
+    sl-borel: sl(n, Q) with the involutive Borel r-matrix, its table built
+    from the matrix-unit brackets with no matrix product; abelian: the
     n-dimensional abelian algebra with the identity operator.
     """
     if n < 2:

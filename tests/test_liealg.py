@@ -111,6 +111,46 @@ def test_catalog_involution(sl2, sl3, sl4):
         assert r.involution_defect() is None
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sl_table_matches_matrix_commutators(n):
+    # each basis element as an n x n Matrix in the documented order (upper
+    # E_ij row-major, lower E_ij row-major, H_m = E_mm - E_(m+1)(m+1)); XY - YX,
+    # decoded in that order, is bracket_basis on every pair
+    a = sl_algebra(n)
+    offdiag = ([(i, j) for i in range(n) for j in range(n) if i < j]
+               + [(i, j) for i in range(n) for j in range(n) if i > j])
+
+    def matrix(entries):
+        rows = [[0] * n for _ in range(n)]
+        for i, j, c in entries:
+            rows[i][j] = c
+        return Matrix(rows)
+
+    basis = ([matrix([(i, j, 1)]) for i, j in offdiag]
+             + [matrix([(m, m, 1), (m + 1, m + 1, -1)]) for m in range(n - 1)])
+    assert a.dim == len(basis) == n * n - 1
+
+    def decode(Z):
+        # H_m's coefficient is the sum of the first m + 1 diagonal entries
+        diag = [Z.entry(i, i) for i in range(n)]
+        coeffs = ([Z.entry(i, j) for i, j in offdiag]
+                  + [sum(diag[:m + 1]) for m in range(n - 1)])
+        total = Matrix.zero(n, n)
+        for c, X in zip(coeffs, basis):
+            total = total + X.scale(c)
+        assert total == Z                   # Z lies in sl(n) and decodes exactly
+        return tuple(coeffs)
+
+    for p, X in enumerate(basis):
+        for q, Y in enumerate(basis):
+            assert _same_exact(a.bracket_basis(p, q), decode(X @ Y - Y @ X)), (p, q)
+
+
+def test_sl7_table_is_a_lie_algebra():
+    a = sl_algebra(7)
+    assert a.dim == 48 and a.verify_jacobi().ok
+
+
 def test_catalog_errors():
     with pytest.raises(InputError):
         catalog("nope", 3)
