@@ -15,6 +15,7 @@ liealg.operator_identity and its induced_bracket_table.  The Nijenhuis
 element equations make no dense bracket call and build ad_x once:
 [[x, e_j], [x, e_k]] is liealg._sparse_bracket of its columns j and k, and
 [x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA) for A = ad_x.
+nijenhuis_check and trivial_deformation refuse a non-rational entry of x.
 
 Each public entry point checks once that R is a modified r-matrix:
 nijenhuis_scan before all its candidates, not once per candidate, and
@@ -26,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
+from .linalg import ratio
 from .liealg import (Endo, LieAlgebra, Vector, _columns, _sparse_bracket,
                      induced_bracket_table, operator_identity, vadd)
 from .cochain import Cochain, d_apply
@@ -165,14 +167,14 @@ class NijenhuisVerdict:
 
 
 def nijenhuis_check(R: Endo, x) -> NijenhuisVerdict:
+    x = tuple(map(ratio, x))
     require_modified(R, "nijenhuis_check")
     return _nijenhuis_verdict(R, x)
 
 
 def _nijenhuis_verdict(R: Endo, x) -> NijenhuisVerdict:
-    """The Nijenhuis equations for x, R not checked."""
+    """The Nijenhuis equations for an exact tuple x, R not checked."""
     a = R.algebra
-    x = tuple(x)
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
     ad_x = a.ad(x)
@@ -204,6 +206,7 @@ def trivial_deformation(R: Endo, x):
     equivalence of R + t Rhat with the zero deformation via Id + t ad_x is
     re-verified, both guaranteed by the Nijenhuis equations.
     """
+    x = tuple(map(ratio, x))
     verdict = _nijenhuis_verdict(R, x)
     if not verdict:
         a = R.algebra
@@ -217,7 +220,7 @@ def trivial_deformation(R: Endo, x):
             f"{a.basis_names[verdict.eq2_witness]}]] != [x, R([x, "
             f"{a.basis_names[verdict.eq2_witness]}])]")
     # check_linear_deformation checks R, so d_apply need not
-    rhat = d_apply(R, Cochain.from_vector(R.algebra, tuple(x)), check=False).to_endo()
+    rhat = d_apply(R, Cochain.from_vector(R.algebra, x), check=False).to_endo()
     dv = check_linear_deformation(R, rhat)
     certify(dv.valid, "trivial deformation failed the validity check")
     certify(_equivalence(R, rhat, Endo.zero(R.algebra), x).ok,
@@ -297,7 +300,7 @@ def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketRe
         return Cochain._trusted(a, 2, induced_bracket_table(P))
 
     summed = bracket_cochain(R + Rhat.scale(t1)) + bracket_cochain(R + Rhat.scale(t2))
-    candidate = LieAlgebra(a.dim, summed.coeffs, basis_names=a.basis_names, check=False)
+    candidate = LieAlgebra._from_exact(a.dim, summed.coeffs, a.basis_names)
     jac = candidate.verify_jacobi()
 
     mid = R + Rhat.scale(Fraction(t1 + t2, 2))

@@ -48,7 +48,7 @@ def build_double(a: LieAlgebra) -> DoubledAlgebra:
         structure[(i, j)] = tuple(vec) + (0,) * n
         structure[(n + i, n + j)] = (0,) * n + tuple(vec)
     names = [f"{s}|0" for s in a.basis_names] + [f"0|{s}" for s in a.basis_names]
-    double = LieAlgebra(2 * n, structure, basis_names=names, check=False)
+    double = LieAlgebra._from_exact(2 * n, structure, names)
 
     diag = tuple(tuple(1 if k in (i, n + i) else 0 for k in range(2 * n))
                  for i in range(n))

@@ -11,7 +11,8 @@ the pass that decodes each structure value; rows without a bracket share one.
 The same pass reads _denominator, the lcm of the structure constants'
 denominators.  LieAlgebra(...) passes every value through ratio;
 _from_exact takes values exact as they are: from_json_dict's decoded ones
-and sl_algebra's table.  _sparse_bracket sums [x, y]
+and the tables the package computes (sl_algebra, induced_bracket,
+build_double, the compatible-bracket sum).  _sparse_bracket sums [x, y]
 over the nonzero (index, value) pairs of x and y; bracket reads a dense
 vector off it, and the graded bracket and the Nijenhuis witnesses use it as
 it is.  The read-only mapping structure keeps the validated input for
@@ -560,8 +561,8 @@ def _sl_structure(n):
     for a, (i, j) in enumerate(offdiag):
         for b in range(a + 1, h):
             k, l = offdiag[b]
-            if j == k and l == i:       # E_ii - E_jj = +-(H_m over m in [i, j))
-                sparse[a, b] = {h + m: 1 if i < j else -1 for m in range(min(i, j), max(i, j))}
+            if j == k and l == i:       # i < j as a < b: E_ii - E_jj = sum of H_m, i <= m < j
+                sparse[a, b] = dict.fromkeys(range(h + i, h + j), 1)
             elif j == k or l == i:      # E_il or -E_kj
                 sparse[a, b] = {index[i, l]: 1} if j == k else {index[k, j]: -1}
         for m in range(n - 1):          # [E_ij, H_m] = (d_mj - d_(m+1)j - d_mi + d_(m+1)i) E_ij

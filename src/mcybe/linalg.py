@@ -132,13 +132,14 @@ def _quotient(x: Rational, d: int) -> Rational:
 
 
 def _integral(rows):
-    """Each nonzero row dict times the lcm of its denominators; empty rows
-    are dropped, so no elimination, residue copy or kernel check sees them."""
+    """Each nonzero row dict times the lcm of its denominators, all ints, so
+    a Fraction of denominator 1 becomes one too; empty rows are dropped, so
+    no elimination, residue copy or kernel check sees them."""
     scaled = []
     for row in filter(None, rows):
-        mult = lcm(*[x.denominator for x in row.values() if type(x) is Fraction])
-        scaled.append(row if mult == 1 else
-                      {j: x.numerator * (mult // x.denominator) for j, x in row.items()})
+        dens = [x.denominator for x in row.values() if type(x) is Fraction]
+        scaled.append({j: x.numerator * (lcm(*dens) // x.denominator) for j, x in row.items()}
+                      if dens else row)
     return scaled
 
 

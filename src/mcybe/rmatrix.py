@@ -87,8 +87,7 @@ def induced_bracket(R: Endo, force=False) -> LieAlgebra:
     """
     if not force:
         require_modified(R, "induced_bracket")
-    return LieAlgebra(R.algebra.dim, induced_bracket_table(R),
-                      basis_names=R.algebra.basis_names, check=False)
+    return LieAlgebra._from_exact(R.algebra.dim, induced_bracket_table(R), R.algebra.basis_names)
 
 
 @dataclass

@@ -191,6 +191,28 @@ def test_nijenhuis_e_fails_eq1(sl2):
     assert v.eq1_witness == (1, 2)
 
 
+@pytest.mark.parametrize("bad, message", [(0.5, "not an exact rational: 0.5 of type float"),
+                                          (True, "booleans are not rationals")],
+                         ids=["float", "bool"])
+def test_nijenhuis_element_must_be_rational(sl2, monkeypatch, bad, message):
+    # refused before R is checked or any bracket of x is taken
+    a, r = sl2
+    for name in ("require_modified", "_nijenhuis_verdict"):
+        monkeypatch.setattr(deform, name, lambda *args, name=name: pytest.fail(name))
+    for call in (nijenhuis_check, trivial_deformation):
+        assert input_error(lambda: call(r, (bad, 0, 0))) == message
+        assert input_error(lambda: call(r, (0, 0, bad))) == message
+
+
+def test_nijenhuis_fraction_one_matches_int(sl2, affine2):
+    for a, r in (sl2, affine2):
+        for x in a.basis() + [a.zero()]:
+            assert nijenhuis_check(r, tuple(map(Fraction, x))) == nijenhuis_check(r, x)
+    aff, raff = affine2
+    x = aff.basis_vector(1)
+    assert trivial_deformation(raff, tuple(map(Fraction, x))) == trivial_deformation(raff, x)
+
+
 def test_nijenhuis_abelian_everything(abelian3, rng=random.Random(44)):
     a, r = abelian3
     for _ in range(6):

@@ -9,7 +9,8 @@ from math import lcm
 import pytest
 
 from mcybe import (Endo, InputError, LieAlgebra, Matrix, catalog, cochain, cohomology,
-                   is_rota_baxter, liealg, mcybe_defect, operator_identity, rho)
+                   compatible_bracket_check, induced_bracket, is_rota_baxter, liealg,
+                   mcybe_defect, operator_identity, rho)
 from mcybe.doubling import build_double
 from mcybe.liealg import (induced_bracket_table, is_zero_vector, sl_algebra, subspace_closure,
                           vadd, vector_from_json, vsub)
@@ -149,6 +150,32 @@ def test_sl_table_matches_matrix_commutators(n):
 def test_sl7_table_is_a_lie_algebra():
     a = sl_algebra(7)
     assert a.dim == 48 and a.verify_jacobi().ok
+
+
+def test_package_tables_skip_ratio(sl2, affine2, monkeypatch):
+    # sl_algebra, induced_bracket, build_double and the compatible-bracket sum
+    # hand LieAlgebra values exact by construction; each table equals the one
+    # LieAlgebra(...) builds through ratio, type for type
+    tables = []
+    real = LieAlgebra._from_exact.__func__
+
+    def spy(cls, dim, structure, basis_names=None, check=False):
+        tables.append(dict(structure))
+        return real(cls, dim, structure, basis_names, check)
+
+    a, r = sl2
+    rhat = Endo(Matrix.from_sparse([{}, {}, {1: 2}], 3), a)
+    monkeypatch.setattr(LieAlgebra, "_from_exact", classmethod(spy))
+    monkeypatch.setattr(liealg, "ratio", lambda x: pytest.fail(f"ratio({x!r})"))
+    built = [sl_algebra(3), induced_bracket(r), build_double(a).algebra]
+    assert compatible_bracket_check(r, rhat, Fraction(1, 2), -3).ok
+    monkeypatch.undo()
+    assert len(tables) == 4
+    for algebra, structure in zip(built, tables):
+        checked = LieAlgebra(algebra.dim, structure, basis_names=algebra.basis_names)
+        assert algebra == checked and algebra._table == checked._table
+        assert all(_same_exact(algebra.structure[pair], value)
+                   for pair, value in checked.structure.items())
 
 
 def test_catalog_errors():

@@ -205,6 +205,25 @@ def test_no_floats_accepted():
         ratio(1.25)
 
 
+def test_unnormalized_fractions_eliminate_like_ints():
+    # from_sparse and _exact_rows take their rows as they are, so a Fraction
+    # of denominator 1 reaches _integral, which turns it into an int
+    plain = Matrix([[2, 4]])
+    for m in (Matrix.from_sparse([{0: Fraction(2, 1), 1: Fraction(4, 1)}], 2),
+              Matrix._exact_rows([[Fraction(2, 1), Fraction(4, 1)]])):
+        assert m.rank() == plain.rank() == 1
+        assert m.null_space() == plain.null_space() == Matrix([[-2, 1]])
+        for b in ((6,), (Fraction(1, 3),), (0,)):
+            got, want = m.solve(b), plain.solve(b)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+        assert certified_rank(m) == certified_rank(plain)
+        assert input_error(m.inverse) == input_error(plain.inverse)
+    square = Matrix.from_sparse([{0: Fraction(2, 1), 1: Fraction(4, 1)}, {0: Fraction(1, 1)}],
+                                2)
+    assert square.inverse() == Matrix([[2, 4], [1, 0]]).inverse() == Matrix(
+        [[0, 1], [Fraction(1, 4), Fraction(-1, 2)]])
+
+
 def test_rational_json_roundtrip():
     for v in (3, -7, Fraction(2, 3), Fraction(-9, 4), 0):
         assert rational_from_json(rational_to_json(v)) == v
