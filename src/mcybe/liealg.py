@@ -563,8 +563,10 @@ def _sl_structure(n):
             k, l = offdiag[b]
             if j == k and l == i:       # i < j as a < b: E_ii - E_jj = sum of H_m, i <= m < j
                 sparse[a, b] = dict.fromkeys(range(h + i, h + j), 1)
-            elif j == k or l == i:      # E_il or -E_kj
-                sparse[a, b] = {index[i, l]: 1} if j == k else {index[k, j]: -1}
+            elif j == k:                # E_il
+                sparse[a, b] = {index[i, l]: 1}
+            elif l == i:                # -E_kj
+                sparse[a, b] = {index[k, j]: -1}
         for m in range(n - 1):          # [E_ij, H_m] = (d_mj - d_(m+1)j - d_mi + d_(m+1)i) E_ij
             if c := (m == j) - (m + 1 == j) - (m == i) + (m + 1 == i):
                 sparse[a, h + m] = {a: c}

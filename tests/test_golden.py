@@ -4,12 +4,11 @@ golden_digests.json pins the bytes of every subcommand's ``--json`` report
 on sl(2) and sl(3) with the Borel operator R, of ``catalog sl`` on sl(4)
 and sl(5), and of failing runs whose witnesses come from the MCYBE,
 Rota-Baxter, Nijenhuis and induced-bracket checks or from an algebra that
-fails the Jacobi identity.  Each case runs
-once more without ``--json`` (its name ends in ``-text``), so the order and
-wording of the text report lines are pinned too.  All runs share one
-process.  Inputs are written to one temporary directory and named by
-relative paths, so the input paths inside the reports do not depend on
-where the suite runs.
+fails the Jacobi identity.  Each case runs once more without ``--json``
+(its name ends in ``-text``), so the order and wording of the text report
+lines are pinned too.  All runs share one process.  Inputs are written to
+one temporary directory and named by relative paths, so the input paths
+inside the reports do not depend on where the suite runs.
 """
 
 import hashlib

@@ -152,7 +152,7 @@ def test_sl7_table_is_a_lie_algebra():
     assert a.dim == 48 and a.verify_jacobi().ok
 
 
-def test_package_tables_skip_ratio(sl2, affine2, monkeypatch):
+def test_package_tables_skip_ratio(sl2, monkeypatch):
     # sl_algebra, induced_bracket, build_double and the compatible-bracket sum
     # hand LieAlgebra values exact by construction; each table equals the one
     # LieAlgebra(...) builds through ratio, type for type
