@@ -15,7 +15,8 @@ liealg.operator_identity and its induced_bracket_table.  The Nijenhuis
 element equations make no dense bracket call and build ad_x once:
 [[x, e_j], [x, e_k]] is liealg._sparse_bracket of its columns j and k, and
 [x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA) for A = ad_x.
-nijenhuis_check and trivial_deformation refuse a non-rational entry of x.
+nijenhuis_check, trivial_deformation and check_equivalence refuse a
+non-rational entry of x first.
 
 Each public entry point checks once that R is a modified r-matrix:
 nijenhuis_scan before all its candidates, not once per candidate, and
@@ -125,6 +126,7 @@ def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdic
     Both defining conditions are polynomial identities in t and are checked
     coefficient by coefficient.
     """
+    x = tuple(map(ratio, x))
     require_modified(R, "check_equivalence")
     return _equivalence(R, Rhat1, Rhat2, x)
 
@@ -132,7 +134,6 @@ def check_equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdic
 def _equivalence(R: Endo, Rhat1: Endo, Rhat2: Endo, x) -> EquivalenceVerdict:
     """check_equivalence for an R already known to be a modified r-matrix."""
     a = R.algebra
-    x = tuple(x)
     if len(x) != a.dim:
         raise InputError(f"element length {len(x)} != dim {a.dim}")
 

@@ -22,7 +22,8 @@ The operator-identity kernel (operator_identity, induced_bracket_table and
 mu of the coboundary) reads off one sparse image table [Pe_i, e_j] per
 call.  _lambdas builds rho(P, e_u) with no such table, from P's columns and
 _table, as its nonzero rows {m: {j: exact value}}: the coboundary copies
-them, rho(P, x) combines them and _modified_defect reads t^2 S(R) off t R's.
+them and _modified_defect reads t^2 S(R) off t R's.  rho(P, x) itself is
+ad(Px) - P o ad(x), built from ad, apply and compose with no kernel call.
 """
 
 from dataclasses import dataclass
@@ -413,13 +414,13 @@ def _induced(images):
     return table
 
 
-def _lambdas(a: LieAlgebra, P: Endo, us=None):
-    """For each u of us (default every index), the nonzero rows of rho(P, e_u)
-    as {m: {j: nonzero exact value}}: column j is [Pe_u, e_j] - P([e_u, e_j]),
-    summed off P's columns and the nonzero brackets of a's structure table."""
+def _lambdas(a: LieAlgebra, P: Endo):
+    """For each index u, the nonzero rows of rho(P, e_u) as {m: {j: nonzero
+    exact value}}: column j is [Pe_u, e_j] - P([e_u, e_j]), summed off P's
+    columns and the nonzero brackets of a's structure table."""
     n, cols, table = a.dim, _columns(P), a._table
     lambdas = []
-    for u in range(n) if us is None else us:
+    for u in range(n):
         acc = {}                                    # {m * n + j: entry}
         get = acc.get
         for k, c in cols[u].items():                # [Pe_u, e_j]
@@ -524,17 +525,9 @@ def rho(P: Endo, x) -> Endo:
     For a modified r-matrix this is a representation of (g, [.,.]_P) on g;
     the formula itself is evaluated for any conforming P.
     """
-    a = P.algebra
-    if len(x) != a.dim:
-        raise InputError(f"vector length {len(x)} != dim {a.dim}")
-    support = [u for u, c in enumerate(x) if c]
-    rows = [{} for _ in range(a.dim)]
-    for u, lam in zip(support, _lambdas(a, P, support)):
-        for m, part in lam.items():
-            row = rows[m]
-            for j, w in part.items():
-                row[j] = row.get(j, 0) + x[u] * w
-    return Endo(Matrix.from_sparse([_nonzero(row) for row in rows], a.dim), a)
+    x = tuple(map(ratio, x))
+    ad_x = P.algebra.ad(x)         # before apply: ad's length check names dim
+    return P.algebra.ad(P.apply(x)) - P.compose(ad_x)
 
 
 # -- catalog ----------------------------------------------------------

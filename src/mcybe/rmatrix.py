@@ -11,8 +11,8 @@ the induced bracket [x, y]_R comes from the same module; all of them are
 read off one image table [Re_i, e_j] per call.  Here also: the
 correspondence R = Id + 2B and the involutive-case equivalence analyzer.
 Under it S(Id + 2B) is 4 times the weight-1 Rota-Baxter defect of B, so
-the coboundaries of cochain check either flavor's precondition as S(R)
-off their own image table, calling nothing here.
+the coboundaries of cochain check either flavor's precondition as t^2
+S(R) off their lambda rows (liealg._modified_defect), calling nothing here.
 """
 
 from dataclasses import dataclass

@@ -111,6 +111,12 @@ def input_error(call):
     return str(err.value)
 
 
+# a float and a boolean entry, each with the InputError message ratio gives it
+NON_RATIONAL = pytest.mark.parametrize(
+    "bad, message", [(0.5, "not an exact rational: 0.5 of type float"),
+                     (True, "booleans are not rationals")], ids=["float", "bool"])
+
+
 def rand_rational(rng, span=4):
     num = rng.randint(-span, span)
     den = rng.randint(1, 3)

@@ -101,7 +101,7 @@ def test_each_coboundary_builds_one_image_table(sl3, monkeypatch):
     tables, lambdas, rhos = [], [], []
     real_images, real_lambdas, real_rho = liealg._images, liealg._lambdas, liealg.rho
     spy = lambda P, a: tables.append(P) or real_images(P, a)
-    lambda_spy = lambda a, P, us=None: lambdas.append(P) or real_lambdas(a, P, us)
+    lambda_spy = lambda a, P: lambdas.append(P) or real_lambdas(a, P)
     for module in (liealg, cochain):
         monkeypatch.setattr(module, "_images", spy)
         monkeypatch.setattr(module, "_lambdas", lambda_spy)

@@ -7,16 +7,17 @@ from itertools import combinations
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, Matrix, PreconditionError, catalog, check_equivalence,
-                   check_linear_deformation, coboundary_matrix, coboundary_preimage,
-                   compatible_bracket_check, d_apply, deformed_complements,
-                   induced_bracket, induced_bracket_deformation, nijenhuis_check,
-                   nijenhuis_operator_check, nijenhuis_scan, trivial_deformation)
+from mcybe import (Cochain, Endo, LieAlgebra, Matrix, PreconditionError, catalog,
+                   check_equivalence, check_linear_deformation, coboundary_matrix,
+                   coboundary_preimage, compatible_bracket_check, d_apply,
+                   deformed_complements, induced_bracket, induced_bracket_deformation,
+                   nijenhuis_check, nijenhuis_operator_check, nijenhuis_scan,
+                   trivial_deformation)
 from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
 from mcybe.rmatrix import induced_bracket_table
 
-from conftest import input_error, rand_endo, rand_vector
+from conftest import NON_RATIONAL, input_error, rand_endo, rand_vector
 
 
 def d_endo(r, x):
@@ -167,6 +168,31 @@ def test_equivalence_requires_modified_r(sl2):
         check_equivalence(r.scale(3), zero, zero, a.zero())
 
 
+@NON_RATIONAL
+def test_equivalence_element_must_be_rational(sl2, monkeypatch, bad, message):
+    # refused before R is checked or ad_x is built, so an R that is not a
+    # modified r-matrix gives the same InputError
+    a, r = sl2
+    monkeypatch.setattr(LieAlgebra, "ad", lambda *args: pytest.fail("ad"))
+    zero = Endo.zero(a)
+    for op in (r, r.scale(3)):
+        for x in ((bad, 0, 0), (0, 0, bad)):
+            assert input_error(lambda: check_equivalence(op, zero, zero, x)) == message
+
+
+def test_equivalence_fraction_one_matches_int(sl2, affine2):
+    a, r = sl2
+    rhat = d_endo(r, (1, 0, 0))
+    for rhat2 in (rhat, Endo.zero(a)):
+        assert (check_equivalence(r, rhat, rhat2, (Fraction(1, 1), 0, 0))
+                == check_equivalence(r, rhat, rhat2, (1, 0, 0)))
+    aff, raff = affine2
+    for x in aff.basis():
+        rhat = d_endo(raff, x)
+        assert (check_equivalence(raff, rhat, Endo.zero(aff), tuple(map(Fraction, x)))
+                == check_equivalence(raff, rhat, Endo.zero(aff), x))
+
+
 def test_class_invariance(affine2):
     # equivalent deformations differ by an exact cochain
     aff, raff = affine2
@@ -191,9 +217,7 @@ def test_nijenhuis_e_fails_eq1(sl2):
     assert v.eq1_witness == (1, 2)
 
 
-@pytest.mark.parametrize("bad, message", [(0.5, "not an exact rational: 0.5 of type float"),
-                                          (True, "booleans are not rationals")],
-                         ids=["float", "bool"])
+@NON_RATIONAL
 def test_nijenhuis_element_must_be_rational(sl2, monkeypatch, bad, message):
     # refused before R is checked or any bracket of x is taken
     a, r = sl2

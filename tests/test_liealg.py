@@ -520,9 +520,12 @@ def test_ad_and_rho_make_no_bracket_call(sl3, monkeypatch):
             list(operator_identity(P, S))
             list(operator_identity(P, S, algebra=a))
         induced_bracket_table(P)
+    assert calls == []
+    # rho is ad(Px) - P o ad(x): ad, apply and @, but still no bracket call
+    for P in ops:
         for e in a.basis() + [x]:
             rho(P, e)
-    assert calls == []
+    assert calls and not {"bracket", "bracket_basis"} & set(calls)
 
 
 # -- the operator-identity kernel against a dense route ------------------

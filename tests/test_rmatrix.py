@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from mcybe import (Cochain, Endo, InputError, Matrix, PreconditionError, catalog,
-                   induced_bracket, involutive_analyze, is_rota_baxter, mcybe_defect,
-                   nijenhuis_operator_check, operator_identity, r_from_rb, rb_from_r,
-                   rho)
+from mcybe import (Cochain, Endo, InputError, LieAlgebra, Matrix, PreconditionError,
+                   catalog, induced_bracket, involutive_analyze, is_rota_baxter,
+                   mcybe_defect, nijenhuis_operator_check, operator_identity, r_from_rb,
+                   rb_from_r, rho)
 from mcybe.deform import weight0_defect_cochain
 from mcybe.liealg import vadd
 
-from conftest import rand_endo, rand_involution, rand_vector
+from conftest import NON_RATIONAL, input_error, rand_endo, rand_involution, rand_vector
 
 
 def test_identity_is_modified_r_matrix(sl2, sl3, abelian3):
@@ -174,6 +174,15 @@ def test_rho_zero_cases(sl2, abelian3, rng=random.Random(15)):
     ab, rid = abelian3
     for _ in range(5):
         assert rho(rid, rand_vector(rng, ab.dim)).is_zero()
+
+
+@NON_RATIONAL
+def test_rho_element_must_be_rational(sl2, monkeypatch, bad, message):
+    # refused before ad_x is built
+    _, r = sl2
+    monkeypatch.setattr(LieAlgebra, "ad", lambda *args: pytest.fail("ad"))
+    for x in ((bad, 0, 0), (0, 0, bad)):
+        assert input_error(lambda: rho(r, x)) == message
 
 
 def test_rho_borel_sl2_values(sl2):
