@@ -5,6 +5,10 @@ names witnesses), 2 input or usage error, 3 internal error (two independent
 routes disagreed, or a certificate failed).  Output is deterministic: the
 same inputs and flags produce byte-identical reports.  All rationals print
 as p/q (or a bare integer); no floating point appears on any output path.
+A --json report, and each file catalog writes, is written by _json_text,
+one recursive string join with the bytes of json.dumps(sort_keys=True,
+indent=2, default=_jsonable), whose indented form would otherwise run
+json's pure-Python encoder.
 """
 
 import argparse
@@ -15,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, InternalError, PreconditionError, too_long_to_print
 from .linalg import rational_from_json, rational_str, rational_to_json, rationals_from_json
@@ -44,6 +49,41 @@ def _jsonable(obj):
     if isinstance(obj, (Cochain, Endo, LieAlgebra)):
         return obj.to_json_dict()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+_KEYWORDS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(obj, markers, indent="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) for a
+    report, whose dict keys are strings, joined from the texts of obj's
+    parts; indent is the newline and indentation of obj's own level, and
+    markers holds the ids of the objects being written, as json's own check
+    for a circular reference does."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _KEYWORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple, dict)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    if id(obj) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(obj))
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        text = "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(value, markers, inner)
+             for key, value in sorted(obj.items())]) + indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        text = "[" + inner + ("," + inner).join(
+            [int.__repr__(x) if type(x) is int else _json_text(x, markers, inner)
+             for x in obj]) + indent + "]"
+    else:
+        text = _json_text(_jsonable(obj), markers, indent)
+    markers.remove(id(obj))
+    return text
 
 
 class Report:
@@ -83,8 +123,8 @@ class Report:
     def emit(self, as_json):
         if as_json:
             try:
-                print(json.dumps(self.data, sort_keys=True, indent=2, default=_jsonable))
-            except ValueError as exc:    # json.dumps fails before print writes
+                print(_json_text(self.data, set()))
+            except ValueError as exc:    # the text fails before print writes
                 raise too_long_to_print(exc) from exc
         else:
             print(f"== {self.data['command']}")
@@ -123,8 +163,7 @@ def _write_json_files(outputs):
                 raise InputError(f"{outputs[0][2]} and {label} outputs are one file: {path}")
             for fh, (path, payload, label) in zip(files, outputs):
                 fh.truncate(0)
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(_json_text(payload, set()) + "\n")
     except (OSError, InputError) as exc:
         for done in created:
             if os.path.exists(done):

@@ -159,9 +159,14 @@ class Cochain:
     def to_endo(self) -> Endo:
         if self.arity != 1:
             raise InputError(f"arity-{self.arity} cochain is not an endomorphism")
+        # the values are exact, so column j's entries go into the rows as they are
         n = self.algebra.dim
-        cols = [self.coeffs.get((j,), vzero(n)) for j in range(n)]
-        return Endo(Matrix.from_columns(cols), self.algebra)
+        rows = [{} for _ in range(n)]
+        for j in range(n):
+            for row, x in zip(rows, self.coeffs.get((j,), ())):
+                if x:
+                    row[j] = x
+        return Endo(Matrix.from_sparse(rows, n), self.algebra)
 
     # -- basic structure -------------------------------------------------
 

@@ -9,9 +9,14 @@ defect of R + t Rhat is quadratic in t:
 
 where S2 is the weight-0 Rota-Baxter defect of Rhat, so a deformation is
 valid exactly when Rhat is a 2-cocycle (t coefficient) and a weight-0
-Rota-Baxter operator (t^2 coefficient).  S2, the Nijenhuis torsion and the
-deformation omega of the induced bracket all come from the kernel
-liealg.operator_identity and its induced_bracket_table.  The Nijenhuis
+Rota-Baxter operator (t^2 coefficient).  The interpolation cross-check
+compares plus - minus with 2 S1 and plus + minus with 2 (S0 + S2), plus
+and minus the defects at t = 1 and -1, and compatible_bracket_check
+compares the sum of two deformed brackets with the bracket of
+2R + (t1 + t2) Rhat, so on integral inputs neither halves a value.  S2,
+the Nijenhuis torsion and the deformation omega of the induced bracket
+all come from the kernel liealg.operator_identity and its
+induced_bracket_table.  The Nijenhuis
 element equations make no dense bracket call and build ad_x once:
 [[x, e_j], [x, e_k]] is liealg._sparse_bracket of its columns j and k, and
 [x, [x, Re_j]] - [x, R[x, e_j]] is column j of A(AR - RA) for A = ad_x.
@@ -24,7 +29,6 @@ trivial_deformation through check_linear_deformation alone.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
@@ -46,14 +50,15 @@ def defect_polynomial(R: Endo, Rhat: Endo, s0: Cochain):
     s0 is the defect of R, the value at t = 0.  S1 is the coboundary of
     Rhat in the R-complex and S2 the weight-0 defect of Rhat; both are
     cross-checked against an independent exact interpolation of the
-    defect at t = 0, 1, -1.
+    defect at t = 0, 1, -1: with plus and minus the defects at t = 1 and
+    -1, plus - minus = 2 S1 and plus + minus = 2 (S0 + S2), so integral
+    operators need no fraction.
     """
     s1 = d_apply(R, Cochain.from_endo(Rhat), check=False)
     s2 = weight0_defect_cochain(Rhat)
     plus = mcybe_defect(R + Rhat).defect_cochain
     minus = mcybe_defect(R - Rhat).defect_cochain
-    half = Fraction(1, 2)
-    certify((plus - minus).scale(half) == s1 and (plus + minus).scale(half) - s0 == s2,
+    certify(plus - minus == s1.scale(2) and plus + minus == (s0 + s2).scale(2),
             "polynomial defect coefficients disagree with interpolated defect values")
     return s0, s1, s2
 
@@ -293,7 +298,12 @@ class CompatibleBracketReport:
 
 def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketReport:
     """[.,.]_{R_{t1}} + [.,.]_{R_{t2}} is a Lie bracket equal to twice the
-    bracket of the midpoint operator R + ((t1+t2)/2) Rhat."""
+    bracket of the midpoint operator R + ((t1+t2)/2) Rhat.
+
+    The induced bracket is linear in the operator, so twice the midpoint's
+    bracket is the bracket of 2R + (t1 + t2) Rhat, which is compared with
+    the sum: integral R, Rhat, t1 and t2 need no fraction.
+    """
     require_deformation(R, Rhat, "compatible_bracket_check")
     a = R.algebra
 
@@ -304,8 +314,7 @@ def compatible_bracket_check(R: Endo, Rhat: Endo, t1, t2) -> CompatibleBracketRe
     candidate = LieAlgebra._from_exact(a.dim, summed.coeffs, a.basis_names)
     jac = candidate.verify_jacobi()
 
-    mid = R + Rhat.scale(Fraction(t1 + t2, 2))
-    midpoint_ok = bracket_cochain(mid).scale(2) == summed
+    midpoint_ok = bracket_cochain(R.scale(2) + Rhat.scale(t1 + t2)) == summed
 
     ok = jac.ok and midpoint_ok
     return CompatibleBracketReport(jac.ok, midpoint_ok, ok,

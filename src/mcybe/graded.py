@@ -15,10 +15,18 @@ its nonzero (index, value) pairs, the brackets [g(e..), e_m] and
 [f(e..), g(e..)] come from liealg._sparse_bracket off the structure table,
 an inserted vector is expanded over its support only, and every term of
 one tuple is summed into one dense list that Cochain._trusted makes exact.
+For equal operands at odd arity p, graded antisymmetry makes the two
+insertion sums of [[f, f]] one, and a product shuffle and its swap give one
+term, so one insertion list and the product shuffles whose first block
+holds position 0 are read, each term twice; at even p the general path
+runs.  kuranishi, mc_deformation_check and the graded-bracket command with
+one file twice all read [[f, f]] so.
 
 Modified r-matrices are exactly the degree-1 solutions of [[R,R]] = 2 pi,
 weight-0 Rota-Baxter operators exactly the Maurer-Cartan elements
-[[B,B]] = 0, and d_R = [[R, .]] squares to zero.
+[[B,B]] = 0, and d_R = [[R, .]] squares to zero.  R + R' is again a
+modified r-matrix exactly when 2 [[R, R']] + [[R', R']] = 0, which
+mc_deformation_check tests with no halving.
 
 Sign conventions, validated by the test suite and printed in reports:
 graded antisymmetry [[f,g]] = -(-1)^{pq} [[g,f]] and graded Jacobi
@@ -26,7 +34,6 @@ graded antisymmetry [[f,g]] = -(-1)^{pq} [[g,f]] and graded Jacobi
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, PreconditionError, certify
@@ -82,10 +89,18 @@ def graded_bracket(f, g) -> Cochain:
     # each value read once, as its nonzero (index, value) pairs
     fs, gs = ({key: tuple((k, x) for k, x in enumerate(vec) if x)
                for key, vec in h.coeffs.items()} for h in (f, g))
-    # outer([inner(x..), x_mid], x..) over the (arity inner, 1, arity outer - 1)-shuffles
-    insertions = [(fs, gs, 1, list(shuffles_three(total, q, p - 1))),
-                  (gs, fs, -sign_pq, list(shuffles_three(total, p, q - 1)))]
-    products = [(first, second, sign_pq * sgn) for first, second, sgn in shuffles_two(total, p)]
+    if p % 2 and p == q and f.coeffs == g.coeffs:
+        # [[f, f]] at odd p: its two insertion sums are one, and a product
+        # shuffle and its swap give one term, so each is taken twice
+        insertions = [(fs, fs, 2, list(shuffles_three(total, p, p - 1)))]
+        products = [(first, second, -2 * sgn)
+                    for first, second, sgn in shuffles_two(total, p) if first[0] == 0]
+    else:
+        # outer([inner(x..), x_mid], x..) over the (arity inner, 1, arity outer - 1)-shuffles
+        insertions = [(fs, gs, 1, list(shuffles_three(total, q, p - 1))),
+                      (gs, fs, -sign_pq, list(shuffles_three(total, p, q - 1)))]
+        products = [(first, second, sign_pq * sgn)
+                    for first, second, sgn in shuffles_two(total, p)]
 
     coeffs = {}
     for T in basis_tuples(a.dim, total):
@@ -134,13 +149,13 @@ def satisfies_mc_modified(R) -> bool:
 def mc_deformation_check(R: Endo, Rp: Endo) -> bool:
     """Whether R + Rp is again a modified r-matrix, as a Maurer-Cartan test.
 
-    Tests d_R Rp + (1/2)[[Rp, Rp]] = 0 and cross-validates against the
-    direct defect of R + Rp; the two routes must agree.
+    Tests 2 d_R Rp + [[Rp, Rp]] = 0, twice d_R Rp + (1/2)[[Rp, Rp]] = 0, so
+    an integral Rp needs no fraction, and cross-validates against the direct
+    defect of R + Rp; the two routes must agree.
     """
     require_modified(R, "mc_deformation_check")
     rp = as_graded(Rp)
-    mc = graded_bracket(as_graded(R), rp) + graded_bracket(rp, rp).scale(Fraction(1, 2))
-    via_mc = mc.is_zero()
+    via_mc = (graded_bracket(as_graded(R), rp).scale(2) + graded_bracket(rp, rp)).is_zero()
     via_defect = mcybe_defect(R + Rp).is_zero
     certify(via_mc == via_defect, "Maurer-Cartan and defect routes disagree")
     return via_mc

@@ -263,7 +263,9 @@ class LieAlgebra:
                 raise InputError(f"bracket entry needs integer i < j, got i={i!r} j={j!r}")
             if (i, j) in structure:
                 raise InputError(f"duplicate bracket entry for ({i}, {j})")
-            structure[(i, j)] = rationals_from_json(value, f"bracket ({i}, {j}) value")
+            if not isinstance(value, list):     # the label is formatted only to raise
+                json_array(value, f"bracket ({i}, {j}) value")
+            structure[(i, j)] = rationals_from_json(value, "bracket value")
         # the values are exact as decoded, so they skip ratio
         return cls._from_exact(dim, structure, names, check)
 

@@ -98,8 +98,8 @@ def json_object(data, what, required, optional={}) -> list:
 
 
 def rationals_from_json(data, what) -> list:
-    """Decode a JSON array of rationals."""
-    return [rational_from_json(v) for v in json_array(data, what)]
+    """Decode a JSON array of rationals; an int entry is taken as it is."""
+    return [v if type(v) is int else rational_from_json(v) for v in json_array(data, what)]
 
 
 def rational_to_json(x: Rational):

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mcybe
-from mcybe.cli import Report, run
+from mcybe import Cochain
+from mcybe.cli import Report, _jsonable, run
 from mcybe.rmatrix import DefectReport
 
 
@@ -348,8 +350,8 @@ def test_catalog_writes_both_outputs(tmp_path, capsys):
     assert run(["catalog", "sl", "--n", "2", "--algebra-out", str(paths[0]),
                 "--map-out", str(paths[1])]) == 0
     algebra, r = mcybe.catalog("sl-borel", 2)
-    assert json.loads(paths[0].read_text()) == algebra.to_json_dict()
-    assert json.loads(paths[1].read_text()) == r.to_json_dict()
+    for path, payload in zip(paths, (algebra.to_json_dict(), r.to_json_dict())):
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out.count("written to") == 2
 
 
@@ -549,6 +551,65 @@ def test_emit_raises_other_value_errors():
     report.data["witnesses"]["self"] = report.data
     with pytest.raises(ValueError, match="Circular reference"):
         report.emit(True)
+
+
+def test_emit_writes_the_bytes_of_json_dumps(capsys):
+    # every kind of value a report holds, written as json.dumps writes it
+    algebra, borel = mcybe.catalog("sl-borel", 2)
+    report = Report("crafted \u00e9")
+    report.verdict("empty", {"dict": {}, "list": [], "tuple": ()})
+    report.verdict("nested", ((1, (2, [3, ()])), [{"b": (True,), "a": [False, None]}]))
+    report.verdict("text", "caf\u00e9 \u2603 \U0001f600 \x00\x1f\t\n\"\\/ \x7f")
+    report.verdict("\u00fc key", [True, False, None], "a line")
+    report.verdict("digits", [int("7" * 4000), -int("3" * 4000)])
+    report.witness("fractions", [Fraction(-7, 3), Fraction(1, 10 ** 50), 0, -1])
+    report.witness("cochain", Cochain(algebra, 1, {(0,): (Fraction(1, 2), 0, -3)}))
+    report.witness("pi", mcybe.pi_cochain(algebra))
+    report.witness("endo", borel.scale(Fraction(2, 3)))
+    report.witness("algebra", algebra)
+    report.emit(True)
+    assert capsys.readouterr().out == json.dumps(report.data, sort_keys=True, indent=2,
+                                                 default=_jsonable) + "\n"
+
+
+_ROUTE_SCRIPT = """
+import sys
+import mcybe.deform
+import mcybe.graded
+from mcybe import DefectReport, mcybe_defect, pi_cochain
+from mcybe.cli import run
+assert sys.argv[-1] == ("optimized" if not __debug__ else "plain")
+
+
+def wrong_defect(R):
+    # the defect route of mc-check flips its verdict; that of deform check
+    # is off by [x, y] at t = 1 and at t = -1
+    report = mcybe_defect(R)
+    return DefectReport(not report.is_zero, report.worst_pair,
+                        report.defect_cochain + pi_cochain(R.algebra))
+
+
+mcybe.graded.mcybe_defect = mcybe.deform.mcybe_defect = wrong_defect
+sys.exit(run(sys.argv[1:-1]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("command, option, message", [
+    (["mc-check"], "--prime", "Maurer-Cartan and defect routes disagree"),
+    (["deform", "check"], "--rhat",
+     "polynomial defect coefficients disagree with interpolated defect values"),
+], ids=["mc-check", "deform-check"])
+def test_defect_route_disagreement_exit_3(sl2_files, tmp_path, flags, command, option, message):
+    algebra, borel = sl2_files
+    zero = write_json(tmp_path / "zero.json", {"matrix": [[0] * 3] * 3})
+    proc = subprocess.run([sys.executable, *flags, "-c", _ROUTE_SCRIPT, *command,
+                           "--algebra", str(algebra), "--map", str(borel), option, zero,
+                           "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"internal error: {message}\n"
+    assert not proc.stdout
 
 
 def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):

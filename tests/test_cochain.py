@@ -927,6 +927,22 @@ def test_endo_vector_conversions(sl2, rng=random.Random(29)):
     assert to_vector(Cochain.from_vector(a, x)) == x
 
 
+def test_to_endo_keeps_the_exact_values(sl2, monkeypatch):
+    # the cochain's values are exact already, so to_endo takes them with no
+    # ratio pass: a Fraction stays one, an integral Fraction(k, 1) has become
+    # the int k, and a zero is no stored entry
+    a, _ = sl2
+    f = Cochain(a, 1, {(0,): (Fraction(1, 2), Fraction(4, 2), 0),
+                       (2,): (0, Fraction(-3, 1), Fraction(-5, 7))})
+    monkeypatch.setattr(linalg, "ratio", lambda x: pytest.fail("ratio called"))
+    m = f.to_endo().matrix
+    rows = [m.nonzeros(i) for i in range(a.dim)]
+    assert rows == [{0: Fraction(1, 2)}, {0: 2, 2: -3}, {2: Fraction(-5, 7)}]
+    assert [[type(x) for x in row.values()] for row in rows] == [[Fraction], [int, int],
+                                                                 [Fraction]]
+    assert Cochain.from_endo(f.to_endo()) == f
+
+
 def _typed(f):
     """f's values entry by entry, each with its type."""
     return {key: [(type(x), x) for x in vec] for key, vec in f.coeffs.items()}

@@ -7,11 +7,11 @@ from itertools import combinations
 import pytest
 import sympy
 
-from mcybe import (Cochain, Endo, LieAlgebra, Matrix, PreconditionError, catalog,
-                   check_equivalence, check_linear_deformation, coboundary_matrix,
+from mcybe import (Cochain, Endo, InternalError, LieAlgebra, Matrix, PreconditionError,
+                   catalog, check_equivalence, check_linear_deformation, coboundary_matrix,
                    coboundary_preimage, compatible_bracket_check, d_apply,
                    deformed_complements, induced_bracket, induced_bracket_deformation,
-                   nijenhuis_check, nijenhuis_operator_check, nijenhuis_scan,
+                   nijenhuis_check, nijenhuis_operator_check, nijenhuis_scan, pi_cochain,
                    trivial_deformation)
 from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
@@ -122,6 +122,29 @@ def test_linear_deformation_evaluates_three_defects(sl2, monkeypatch):
     seen = _count_defects(monkeypatch)
     assert check_linear_deformation(r, rhat).valid
     assert seen == [r, r + rhat, r - rhat]
+
+
+@pytest.mark.parametrize("at", ["plus", "minus"])
+def test_linear_deformation_routes_must_agree(sl2, monkeypatch, at):
+    # the interpolated defect is off by [x, y] at t = 1 or at t = -1 only
+    a, r = sl2
+    rhat = d_endo(r, a.basis_vector(0))
+    wrong = r + rhat if at == "plus" else r - rhat
+    true_defect = rmatrix.mcybe_defect
+
+    def defect(R):
+        report = true_defect(R)
+        if R == wrong:
+            report = rmatrix.DefectReport(False, (0, 1),
+                                          report.defect_cochain + pi_cochain(a))
+        return report
+    monkeypatch.setattr(deform, "mcybe_defect", defect)
+    for call in (lambda: check_linear_deformation(r, rhat),
+                 lambda: compatible_bracket_check(r, rhat, 1, 2)):
+        with pytest.raises(InternalError) as info:
+            call()
+        assert str(info.value) == ("polynomial defect coefficients disagree with "
+                                   "interpolated defect values")
 
 
 def test_invalid_deformation_fails_in_the_weight0_term(sl2):

@@ -6,12 +6,13 @@ from math import comb
 
 import pytest
 
+import mcybe.graded
 from mcybe import liealg, rmatrix
-from mcybe import (Cochain, Endo, InputError, LieAlgebra, Matrix, PreconditionError, cochain,
-                   coboundary_matrix, cohomology, d_apply, graded_bracket,
-                   is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
-                   mc_deformation_check, mcybe_defect, pi_cochain,
-                   satisfies_mc_modified)
+from mcybe import (Cochain, DefectReport, Endo, InputError, InternalError, LieAlgebra, Matrix,
+                   PreconditionError, cochain, coboundary_matrix, cohomology, d_apply,
+                   graded_bracket, is_maurer_cartan_weight0, is_rota_baxter, kuranishi,
+                   mc_deformation_check, mcybe_defect, pi_cochain, satisfies_mc_modified)
+from mcybe.cli import run
 from mcybe.cochain import basis_tuples, insert_sorted
 from mcybe.graded import as_graded, d_graded, shuffles_three, shuffles_two
 from mcybe.liealg import vadd, vneg, vsub
@@ -118,11 +119,25 @@ def test_graded_bracket_matches_dense_oracle(name, request):
             if p + q > a.dim:
                 continue
             f, g = _fraction_cochain(rng, a, p), _fraction_cochain(rng, a, q)
-            got, want = graded_bracket(f, g), dense_graded_bracket(f, g)
-            assert got == want
-            assert got.to_json_dict() == want.to_json_dict()
-            assert {T: [type(x) for x in v] for T, v in got.coeffs.items()} == \
-                {T: [type(x) for x in v] for T, v in want.coeffs.items()}
+            _assert_matches_dense(f, g)
+    # [[f, f]] at odd p, for f itself and for an equal copy, and the
+    # polarization [[f + g, f + g]] = [[f, f]] + 2 [[f, g]] + [[g, g]]
+    for p in (1, 3):
+        if 2 * p > a.dim:
+            continue
+        f, g = _fraction_cochain(rng, a, p), _fraction_cochain(rng, a, p)
+        for h in (f, Cochain(a, p, f.coeffs)):
+            _assert_matches_dense(f, h)
+        assert graded_bracket(f + g, f + g) == (graded_bracket(f, f) + graded_bracket(g, g)
+                                                + graded_bracket(f, g).scale(2))
+
+
+def _assert_matches_dense(f, g):
+    got, want = graded_bracket(f, g), dense_graded_bracket(f, g)
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()
+    assert {T: [type(x) for x in v] for T, v in got.coeffs.items()} == \
+        {T: [type(x) for x in v] for T, v in want.coeffs.items()}
 
 
 def test_identity_bracket_is_two_pi(sl2, sl3, abelian3, affine2):
@@ -242,6 +257,47 @@ def test_mc_deformation_check(sl2):
     ident = Endo.identity(a)
     assert mc_deformation_check(ident, r - ident)
     assert not mc_deformation_check(r, r)      # defect of 2R is -3 pi
+
+
+def test_mc_deformation_check_routes_must_agree(sl2, monkeypatch):
+    # the defect of R + R' says the opposite of the Maurer-Cartan route
+    a, r = sl2
+    true_defect = rmatrix.mcybe_defect
+    monkeypatch.setattr(mcybe.graded, "mcybe_defect",
+                        lambda R: DefectReport(not true_defect(R).is_zero, None, None))
+    for rp in (Endo.zero(a), r):
+        with pytest.raises(InternalError) as info:
+            mc_deformation_check(r, rp)
+        assert str(info.value) == "Maurer-Cartan and defect routes disagree"
+
+
+def test_equal_operands_take_the_symmetric_branch(sl3, tmp_path, monkeypatch):
+    # [[f, f]] at odd arity reads one list of insertion shuffles, where
+    # unequal operands or an even arity read two
+    a, r = sl3
+    calls = []
+    true_shuffles = mcybe.graded.shuffles_three
+    monkeypatch.setattr(mcybe.graded, "shuffles_three",
+                        lambda *args: calls.append(args) or true_shuffles(*args))
+
+    def lists(call):
+        calls.clear()
+        call()
+        return len(calls)
+    rhat = d_apply(r, Cochain.from_vector(a, a.basis_vector(0)), check=False).to_endo()
+    f = Cochain.from_coeff_vector(a, 1, coboundary_matrix(r, 1).matrix.kernel_basis()[0])
+    pi = pi_cochain(a)
+    assert lists(lambda: graded_bracket(r, r)) == 1
+    assert lists(lambda: graded_bracket(f, Cochain(a, 1, f.coeffs))) == 1
+    assert lists(lambda: graded_bracket(r, rhat)) == 2
+    assert lists(lambda: graded_bracket(pi, pi)) == 2
+    assert lists(lambda: mc_deformation_check(r, rhat)) == 3
+    assert lists(lambda: kuranishi(r, f)) == 1
+    files = [str(tmp_path / name) for name in ("sl3.json", "borel.json")]
+    assert run(["catalog", "sl", "--n", "3", "--algebra-out", files[0],
+                "--map-out", files[1]]) == 0
+    assert lists(lambda: run(["graded-bracket", "--algebra", files[0], "--left", files[1],
+                              "--right", files[1]])) == 1
 
 
 def test_kuranishi_on_z2_basis(sl2):

@@ -265,6 +265,15 @@ def test_json_algebra_decodes_each_value_once(sl3_rescaled, monkeypatch):
      "bracket entry must be a JSON object, got [0, 1]"),
     (lambda a, r: LieAlgebra.from_json_dict({"dim": 2, "brackets": [{"i": 0, "j": 1}]}),
      "missing key 'value' in bracket entry"),
+    (lambda a, r: LieAlgebra.from_json_dict(
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": "1 0"}]}),
+     "bracket (0, 1) value must be a JSON array, got '1 0'"),
+    (lambda a, r: LieAlgebra.from_json_dict(
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [0, True]}]}),
+     "not a rational: True"),
+    (lambda a, r: LieAlgebra.from_json_dict(
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "value": [0, 0]}] * 2}),
+     "duplicate bracket entry for (0, 1)"),
     (lambda a, r: Endo.from_json_dict("1 0 0 1", a),
      "endomorphism JSON must be a JSON object, got '1 0 0 1'"),
     (lambda a, r: Endo.from_json_dict({"matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}, a),
@@ -275,7 +284,8 @@ def test_json_algebra_decodes_each_value_once(sl3_rescaled, monkeypatch):
      "endomorphism matrix (0, 0) does not fit dim 3"),
 ], ids=["vector-length", "negative-dim", "basis-name-count", "structure-value-length",
         "basis-vector-range", "diagonal-length", "rho-length", "sl1", "algebra-not-object",
-        "algebra-no-dim", "bracket-not-object", "bracket-no-value", "endo-not-object",
+        "algebra-no-dim", "bracket-not-object", "bracket-no-value", "bracket-value-not-array",
+        "bracket-value-boolean", "bracket-duplicate", "endo-not-object",
         "endo-ragged", "endo-shape", "endo-empty"])
 def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
