@@ -97,17 +97,16 @@ class Report:
         }
         self.lines = []
 
-    def add_input(self, label, path, raw):
-        self.data["inputs"][label] = {
-            "path": path,
-            "sha256": hashlib.sha256(raw).hexdigest(),
-        }
-
     def verdict(self, key, value, line=None):
         """Record value as it is; only a JSON report converts it, in emit."""
         self.data["verdicts"][key] = value
         if line is not None:
             self.lines.append(line)
+
+    def fields(self, rep, *keys):
+        """Record each named attribute of rep as the verdict of that name."""
+        for key in keys:
+            self.verdict(key, getattr(rep, key))
 
     def check(self, key, ok, label, detail=""):
         """Record a pass/FAIL verdict with its report line; return its exit code."""
@@ -138,7 +137,7 @@ def _read_json(path, report, label):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"{label} file {path}: {exc}") from exc
-    report.add_input(label, path, raw)
+    report.data["inputs"][label] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -262,13 +261,8 @@ def cmd_cohomology(args, report):
                      witnesses=args.witnesses)
     degrees = {}
     for d, dr in sorted(rep.degrees.items()):
-        degrees[str(d)] = {
-            "arity": dr.arity,
-            "dim_cochains": dr.dim_cochains,
-            "dim_cocycles": dr.dim_cocycles,
-            "dim_coboundaries": dr.dim_coboundaries,
-            "dim_cohomology": dr.dim_cohomology,
-        }
+        degrees[str(d)] = {key: getattr(dr, key) for key in (
+            "arity", "dim_cochains", "dim_cocycles", "dim_coboundaries", "dim_cohomology")}
         report.note(f"H^{d}: dim {dr.dim_cohomology}   "
                     f"(C={dr.dim_cochains} Z={dr.dim_cocycles} B={dr.dim_coboundaries}, "
                     f"arity {dr.arity})")
@@ -327,8 +321,7 @@ def cmd_deform_check(args, report):
     algebra, R = _load_operator(args, report)
     rhat = _load_endo(args.rhat, algebra, report, "rhat")
     dv = deform.check_linear_deformation(R, rhat)
-    report.verdict("cocycle_ok", dv.cocycle_ok)
-    report.verdict("weight0_ok", dv.weight0_ok)
+    report.fields(dv, "cocycle_ok", "weight0_ok")
     code = report.check("valid", dv.valid, "linear deformation valid",
                         f" (cocycle {dv.cocycle_ok}, weight-0 {dv.weight0_ok})")
     if not dv.valid:
@@ -353,9 +346,7 @@ def cmd_deform_equivalence(args, report):
     rhat2 = _load_endo(args.rhat2, algebra, report, "rhat2")
     x = _parse_element(args.element, algebra)
     eq = deform.check_equivalence(R, rhat1, rhat2, x)
-    report.verdict("homomorphism_ok", eq.homomorphism_ok)
-    report.verdict("intertwine_linear_ok", eq.intertwine_linear_ok)
-    report.verdict("intertwine_quadratic_ok", eq.intertwine_quadratic_ok)
+    report.fields(eq, "homomorphism_ok", "intertwine_linear_ok", "intertwine_quadratic_ok")
     code = report.check("equivalent", eq.ok, "equivalence via Id + t ad_x")
     if not eq.ok and eq.failing_pair is not None:
         report.witness("failing_pair", _pair_names(algebra, eq.failing_pair))
@@ -366,8 +357,7 @@ def cmd_nijenhuis_check(args, report):
     algebra, R = _load_operator(args, report)
     x = _parse_element(args.element, algebra)
     v = deform.nijenhuis_check(R, x)
-    report.verdict("eq1_ok", v.eq1_ok)
-    report.verdict("eq2_ok", v.eq2_ok)
+    report.fields(v, "eq1_ok", "eq2_ok")
     code = report.check("is_nijenhuis_element", v.is_nijenhuis_element,
                         "Nijenhuis element", f" (eq1 {v.eq1_ok}, eq2 {v.eq2_ok})")
     if v.eq1_witness is not None:
@@ -405,9 +395,7 @@ def cmd_double_graph(args, report):
 def cmd_double_complement(args, report):
     algebra, R = _load_operator(args, report)
     rep = doubling.complement_certificate(R)
-    report.verdict("direct_sum_ok", rep.direct_sum_ok)
-    report.verdict("diagonal_subalgebra_ok", rep.diagonal_subalgebra_ok)
-    report.verdict("graph_subalgebra_ok", rep.graph_subalgebra_ok)
+    report.fields(rep, "direct_sum_ok", "diagonal_subalgebra_ok", "graph_subalgebra_ok")
     return report.check("ok", rep.ok, "g(+)g = diagonal (+) graph, both subalgebras",
                         f" (rank {rep.rank_total} of {2 * algebra.dim}, "
                         f"intersection dim {rep.intersection_dim})")
@@ -416,10 +404,8 @@ def cmd_double_complement(args, report):
 def cmd_involutive_analyze(args, report):
     _, R = _load_operator(args, report)
     rep = rmatrix.involutive_analyze(R)
-    report.verdict("mcybe_ok", rep.mcybe_ok)
-    report.verdict("nijenhuis_operator_ok", rep.nijenhuis_operator_ok)
-    report.verdict("eigensplit_ok", rep.eigensplit_ok)
-    report.verdict("product_structure_ok", rep.product_structure_ok)
+    report.fields(rep, "mcybe_ok", "nijenhuis_operator_ok", "eigensplit_ok",
+                  "product_structure_ok")
     code = report.check("verdict", rep.verdict, "involutive equivalences (all four agree)")
     report.witness("plus_eigenbasis", [list(v) for v in rep.plus_basis])
     report.witness("minus_eigenbasis", [list(v) for v in rep.minus_basis])
@@ -447,8 +433,7 @@ def cmd_compatible(args, report):
     t1 = rational_from_json(args.t1)
     t2 = rational_from_json(args.t2)
     rep = deform.compatible_bracket_check(R, rhat, t1, t2)
-    report.verdict("jacobi_ok", rep.jacobi_ok)
-    report.verdict("midpoint_ok", rep.midpoint_ok)
+    report.fields(rep, "jacobi_ok", "midpoint_ok")
     return report.check("compatible", rep.ok,
                         f"bracket sum at t1={rational_str(t1)}, t2={rational_str(t2)}")
 

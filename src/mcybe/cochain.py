@@ -159,14 +159,9 @@ class Cochain:
     def to_endo(self) -> Endo:
         if self.arity != 1:
             raise InputError(f"arity-{self.arity} cochain is not an endomorphism")
-        # the values are exact, so column j's entries go into the rows as they are
-        n = self.algebra.dim
-        rows = [{} for _ in range(n)]
-        for j in range(n):
-            for row, x in zip(rows, self.coeffs.get((j,), ())):
-                if x:
-                    row[j] = x
-        return Endo(Matrix.from_sparse(rows, n), self.algebra)
+        # the values are exact, so the value at (j,) is taken as column j as it is
+        columns = [self.get((j,)) for j in range(self.algebra.dim)]
+        return Endo(Matrix._exact_rows(columns).transpose(), self.algebra)
 
     # -- basic structure -------------------------------------------------
 
@@ -561,7 +556,7 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     inc = None
     for degree in range(1, max_degree + 1):
         arity = degree - 1
-        dim_c = cochain_space_dim(n, arity) if arity <= n else 0
+        dim_c = cochain_space_dim(n, arity)
         if dim_c == 0:
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue

@@ -64,14 +64,11 @@ def build_double(a: LieAlgebra) -> DoubledAlgebra:
 
 
 def graph_basis(R: Endo):
-    """Basis (e_i - R e_i, -e_i - R e_i) of the graph complement of R."""
-    a = R.algebra
-    out = []
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ri = R.apply(ei)
-        out.append(tuple(vsub(ei, ri)) + tuple(vneg(vadd(ei, ri))))
-    return tuple(out)
+    """Basis (e_i - R e_i, -e_i - R e_i) of the graph complement of R, with
+    R e_i read as row i of R's transpose."""
+    a, columns = R.algebra, R.matrix.transpose()
+    return tuple(vsub(e, r) + vneg(vadd(e, r))
+                 for e, r in zip(a.basis(), map(columns.row, range(a.dim))))
 
 
 def graph_complement(R: Endo) -> SubspaceCert:
@@ -109,8 +106,7 @@ def complement_certificate(R: Endo) -> ComplementReport:
     double = build_double(R.algebra)
     n = R.algebra.dim
     gbasis = graph_basis(R)
-    stacked = Matrix.from_columns(list(double.diagonal_basis) + list(gbasis))
-    rank = stacked.rank()
+    rank = Matrix._exact_rows(double.diagonal_basis + gbasis).rank()    # the rows are exact
     graph_ok, _ = subspace_closure(double.algebra, gbasis)
     intersection = 2 * n - rank
     ok = rank == 2 * n and double.diagonal_cert.is_subalgebra and graph_ok

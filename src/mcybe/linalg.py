@@ -43,26 +43,25 @@ _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def ratio(x) -> Rational:
-    """Coerce x to an exact rational, refusing floats."""
+    """Coerce x to an exact rational, refusing floats; an int subclass
+    (other than bool, which is refused) becomes a plain int."""
     if type(x) is int:
         return x
     if isinstance(x, bool):
         raise InputError("booleans are not rationals")
     if isinstance(x, int):
-        return x
+        return int(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise InputError(f"not an exact rational: {x!r} of type {type(x).__name__}")
 
 
 def rational_from_json(v) -> Rational:
-    """Decode an int or a 'p/q' string."""
-    if type(v) is int:
-        return v
+    """Decode an int (as a plain int) or a 'p/q' string."""
     if isinstance(v, bool):
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
-        return v
+        return int(v)
     if isinstance(v, str):
         if not _RATIONAL_STRING.fullmatch(v):
             raise InputError(f"bad rational string {v!r}: use an integer or 'p/q'")

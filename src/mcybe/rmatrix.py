@@ -122,7 +122,8 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
 
     Routes: (1) MCYBE defect on basis pairs; (2) vanishing Nijenhuis
     torsion; (3) both eigenspaces of R closed under the bracket; (4) the
-    projector identities P[Px, Py] = [Px, Py] for P = (Id +- R)/2.
+    projector identities P[Px, Py] = [Px, Py] for P = (Id +- R)/2, tested
+    as (Q - 2 Id)[Qx, Qy] = 0 for Q = 2P, which halves nothing.
     """
     a = R.algebra
     bad = R.involution_defect()
@@ -147,11 +148,12 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     eigensplit_ok = plus_closed and minus_closed
 
     def projector_ok(sign):
-        """P[Px, Py] = [Px, Py] on basis pairs, for P = (Id + sign R)/2."""
-        proj = (ident + R.scale(sign)).scale(Fraction(1, 2))
-        images = [proj.apply(e) for e in a.basis()]
-        return all(proj.apply(w) == w for w in (a.bracket(images[i], images[j])
-                                                for i, j in combinations(range(a.dim), 2)))
+        """(Q - 2 Id)[Qx, Qy] = 0 on basis pairs, Q = Id + sign R = 2P."""
+        q = ident + R.scale(sign)
+        images = q.matrix.transpose().rows_list()   # the columns Qe_i
+        excess = q - ident.scale(2)
+        return not any(any(excess.apply(a.bracket(images[i], images[j])))
+                       for i, j in combinations(range(a.dim), 2))
 
     product_ok = projector_ok(1) and projector_ok(-1)
 

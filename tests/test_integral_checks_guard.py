@@ -3,9 +3,10 @@
 mc_deformation_check tests 2 [[R, R']] + [[R', R']] = 0, defect_polynomial
 compares plus - minus with 2 S1 and plus + minus with 2 (S0 + S2), and
 compatible_bracket_check compares the summed bracket with that of
-2R + (t1 + t2) Rhat, so on integral operators and parameters no step
-halves a value.  Spies on Fraction.__mul__ and __rmul__ count every
-product with a Fraction operand.
+2R + (t1 + t2) Rhat, and involutive_analyze tests the projector route as
+(Q - 2 Id)[Qx, Qy] = 0 for Q = Id +- R, so on integral operators and
+parameters no step halves a value.  Spies on Fraction.__mul__ and
+__rmul__ count every product with a Fraction operand.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from mcybe import (Cochain, check_linear_deformation, compatible_bracket_check, d_apply,
-                   mc_deformation_check)
+                   involutive_analyze, mc_deformation_check)
 
 
 @pytest.fixture()
@@ -45,6 +46,15 @@ def test_integral_checks_multiply_no_fraction(sl3, fraction_products):
     assert check_linear_deformation(r, valid).valid
     assert not check_linear_deformation(r, invalid).valid
     assert compatible_bracket_check(r, valid, 1, 2).ok
+    assert fraction_products == []
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_involutive_analyze_multiplies_no_fraction(name, sign, request, fraction_products):
+    _, r = request.getfixturevalue(name)
+    report = involutive_analyze(r.scale(sign))
+    assert report.all_agree() and report.product_structure_ok
     assert fraction_products == []
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: rank, kernels, solving, edge shapes."""
 
+import enum
 import json
 import random
 import sys
@@ -8,8 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mcybe import (InputError, InternalError, Matrix, coboundary_matrix, cohomology, linalg,
-                   rb_from_r)
+from mcybe import (Cochain, InputError, InternalError, LieAlgebra, Matrix, coboundary_matrix,
+                   cohomology, linalg, rb_from_r)
 from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json, rational_str,
                           rational_to_json, rationals_from_json)
 
@@ -277,6 +278,30 @@ def test_entry_normalization():
     m = Matrix([[Fraction(4, 2), Fraction(1, 3)]])
     assert m.entry(0, 0) == 2 and isinstance(m.entry(0, 0), int)
     assert m.entry(0, 1) == Fraction(1, 3)
+
+
+class Weird(int):
+    def __str__(self):
+        return "weird"
+
+
+class Three(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("three", [Weird(3), Three.THREE], ids=["str-override", "IntEnum"])
+def test_int_subclasses_are_stored_as_plain_ints(three):
+    # every stored entry is a plain int or a Fraction, whatever int subclass came in
+    assert type(ratio(three)) is int and type(rational_from_json(three)) is int
+    assert rational_str(three) == "3" and rationals_from_json([three], "row") == [3]
+    m = Matrix([[three, 0]])
+    assert repr(m) == "Matrix[3 0]" and type(m.entry(0, 0)) is int
+    assert type(Matrix.diagonal([three]).entry(0, 0)) is int
+    algebra = LieAlgebra(2, {(0, 1): (0, three)})
+    assert [type(x) for x in algebra.structure[(0, 1)]] == [int, int]
+    f = Cochain(algebra, 1, {(0,): (three, 1)})
+    assert [type(x) for x in f.get((0,))] == [int, int]
+    assert type(f.to_endo().matrix.entry(0, 0)) is int
 
 
 def rand_sparse(rng, r, c, fill=0.3):
