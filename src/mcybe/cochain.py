@@ -330,6 +330,8 @@ def _complex(P, flavor, k, check=True) -> _Complex:
     whose flavor is certified to be flavor, else a new one.  An arity out of
     range is refused before anything is built."""
     flavor = _canon_flavor(flavor)
+    if type(k) is not int:
+        raise InputError(f"arity k must be an integer, got {k!r}")
     if not 0 <= k <= P.algebra.dim:
         raise InputError(f"arity k={k} out of range 0..{P.algebra.dim}")
     if isinstance(P, _Complex):
@@ -539,21 +541,23 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
     Degrees whose cochain space vanishes (arity > dim) are reported as zero.
     """
     flavor = _canon_flavor(flavor)
+    if type(max_degree) is not int:
+        raise InputError(f"max_degree must be an integer, got {max_degree!r}")
     if max_degree < 1:
         raise InputError("max_degree must be >= 1")
     a = P.algebra
     n = a.dim
 
     # one complex, checked as it is built, serves every degree; one walk
-    # over the degrees: the outgoing matrix of degree m (arity m-1), as
+    # over the degrees: the outgoing matrix d_m of degree m (arity m-1), as
     # assembled in ints, 1/scale times d with the same ranks, kernels and
-    # pivots, is eliminated once (Matrix caches it) and its rank certified;
-    # its certified kernel gives the cocycles at degree m, and as the
-    # incoming matrix of degree m+1 its pivots give the coboundaries there
+    # pivots, is eliminated once (Matrix caches it) and its rank certified:
+    # dim Z^m = dim C^m - rank d_m, dim B^m = rank d_(m-1).  Only witnesses
+    # read its kernel, the cocycles, and keep it for its pivots in degree m+1
     side = _complex(P, flavor, 0)
     den = side.scale.denominator        # scale is 1/den
     degrees = {}
-    inc = None
+    dim_b, inc = 0, None                # d_0, from C^0 = 0, has rank 0
     for degree in range(1, max_degree + 1):
         arity = degree - 1
         dim_c = cochain_space_dim(n, arity)
@@ -561,27 +565,21 @@ def cohomology(P: Endo, max_degree=3, flavor="R", witnesses=True) -> CohomologyR
             degrees[degree] = DegreeReport(degree, arity, 0, 0, 0, 0)
             continue
         out = coboundary_matrix(side, arity, flavor=flavor).integral
-        rank, kernel = certified_rank(out)
-        dim_z = kernel.nrows
-        certify(rank + dim_z == dim_c, "rank + nullity != cochain dimension")
-        z_witnesses = []
+        rank = certified_rank(out)
+        z_witnesses, b_witnesses = [], []
         if witnesses:
+            kernel = out.null_space()
             z_witnesses = [Cochain.from_sparse(a, arity, kernel.nonzeros(i))
-                           for i in range(dim_z)]
-        b_witnesses = []
-        if degree == 1:
-            dim_b = 0
-        else:
-            pivots = inc.pivot_columns()
-            dim_b = len(pivots)
-            if witnesses:
+                           for i in range(kernel.nrows)]
+            if inc is not None:
                 images = inc.transpose()    # its row col is den times d of basis cochain col
                 b_witnesses = [(Cochain.from_sparse(a, arity - 1, {col: 1}), Cochain.from_sparse(
                     a, arity, {i: _quotient(x, den) for i, x in images.nonzeros(col).items()}))
-                    for col in pivots]
-        dim_h = dim_z - dim_b
+                    for col in inc.pivot_columns()]
+            inc = out
+        dim_h = dim_c - rank - dim_b
         certify(dim_h >= 0, "more coboundaries than cocycles")
-        degrees[degree] = DegreeReport(degree, arity, dim_c, dim_z, dim_b, dim_h,
+        degrees[degree] = DegreeReport(degree, arity, dim_c, dim_c - rank, dim_b, dim_h,
                                        z_witnesses, b_witnesses)
-        inc = out
+        dim_b = rank
     return CohomologyReport(flavor, max_degree, degrees)

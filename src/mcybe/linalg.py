@@ -15,13 +15,13 @@ kept, and the rows eliminated, which _integral scaled to integers without
 the empty rows (most rows of a coboundary matrix), or, in a matrix of
 ints that Matrix._int_rows made, only dropped.  rank and pivot_columns
 read it as it is, and null_space divides by the leads.  certified_rank,
-which cochain.cohomology calls for every rank it reports, checks that rank
-on the same form by two routes: the rows against the null space vectors,
-read off basis and leads over one common denominator with no product
-matrix (an upper bound), and the kept rows restricted to the pivot
-columns, an r x r minor eliminated modulo the prime 2^61 - 1 (a lower
-bound).  solve(b) eliminates, with b as one more column, only the rows
-that shared columns connect to a nonzero of b.
+which cochain.cohomology calls for every rank it reports, returns the rank
+checked by two routes on the form null_space reads: the rows against the
+null space vectors over one common denominator, with no product matrix
+(an upper bound), and the kept rows restricted to the pivot columns, an
+r x r minor eliminated modulo the prime 2^61 - 1 (a lower bound).
+solve(b) eliminates, with b as one more column, only the rows that
+shared columns connect to a nonzero of b.
 """
 
 import re
@@ -227,17 +227,17 @@ def eliminate(rows, modulus=0):
     return basis, leads, kept
 
 
-def certified_rank(m: "Matrix"):
-    """(m.rank(), m.null_space()), certified by two routes on m's echelon
-    form (basis, leads, kept, rows); InternalError when either fails.
+def certified_rank(m: "Matrix") -> int:
+    """m.rank(), certified by two routes on m's echelon form (basis, leads,
+    kept, rows); InternalError when either fails.
 
     Upper bound: the integral rows, which the exact elimination read, must
     annihilate the null_space() vector of every free column f, that is
     r[f] = sum_c r[c] basis[c][f] / leads[c] over the pivots c for each
     such row r.  This is checked in int arithmetic over den = lcm(leads),
     with basis[c] scaled by den // leads[c], so the rank over Q is at most
-    m.rank(); null_space(), the kernel handed back, is built from the same
-    basis and leads.
+    m.rank(); null_space() reads the same basis and leads, so the kernel it
+    builds is the one checked here.
     Lower bound: the r rows the elimination kept, restricted to its r pivot
     columns, must have rank m.rank() modulo the prime MODULUS.  Over Q that
     minor is invertible, since the reduced rows are an invertible
@@ -274,7 +274,7 @@ def certified_rank(m: "Matrix"):
     rank = m.rank()
     certify(len(eliminate(minor, MODULUS)[0]) == rank,
             "rank mod p and rank over Q disagree")
-    return rank, m.null_space()
+    return rank
 
 
 class Matrix:

@@ -126,19 +126,18 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
     as (Q - 2 Id)[Qx, Qy] = 0 for Q = 2P, which halves nothing.
     """
     a = R.algebra
-    bad = R.involution_defect()
-    if bad is not None:
+    ident, square = Endo.identity(a), R.compose(R)
+    if square.matrix != ident.matrix:
         raise InputError(
             f"involutive_analyze needs R^2 = Id; fails on basis vector "
-            f"{a.basis_names[bad]}")
+            f"{a.basis_names[R.involution_defect()]}")
 
     defect = mcybe_defect(R)
     mcybe_ok = defect.is_zero
 
-    nij_pair = next((pair for pair, _ in operator_identity(R, R.compose(R))), None)
+    nij_pair = next((pair for pair, _ in operator_identity(R, square)), None)
     nij_ok = nij_pair is None
 
-    ident = Endo.identity(a)
     plus_basis = tuple((R - ident).matrix.kernel_basis())
     minus_basis = tuple((R + ident).matrix.kernel_basis())
     certify(len(plus_basis) + len(minus_basis) == a.dim,

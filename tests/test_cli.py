@@ -708,9 +708,9 @@ sys.exit(run(["cohomology", "--algebra", sys.argv[1], "--map", sys.argv[2],
 
 
 def test_certificate_survives_python_O(sl2_files):
-    # the rank + nullity certificate in cohomology() was an assert once; an
-    # overcounted rank is now refused first by the modular route inside
-    # certified_rank, before cohomology() compares rank + nullity
+    # the certificates of cohomology() were asserts once; an overcounted
+    # rank is refused by the modular route inside certified_rank, whose
+    # rank every dimension is read from, also under python -O
     algebra, borel = sl2_files
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
                            str(algebra), str(borel)],

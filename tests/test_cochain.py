@@ -20,8 +20,8 @@ from mcybe.liealg import vadd, vsub
 from mcybe.linalg import ratio
 from mcybe.rmatrix import require_modified
 
-from conftest import (conjugate, full_solve, input_error, nilpotent_exp, rand_cochain,
-                      rand_endo, rand_vector)
+from conftest import (borel_with_cartan, conjugate, full_solve, input_error, nilpotent_exp,
+                      rand_cochain, rand_endo, rand_vector)
 
 
 def vscale(c, u):
@@ -443,21 +443,81 @@ def test_precondition_read_off_the_image_table(name, flavor, request, rng=random
         route()
 
 
-@pytest.mark.parametrize("flavor", ["R", "B"])
-@pytest.mark.parametrize("name", ["sl3", "sl3_conjugate"])
-def test_cohomology_builds_each_kernel_once(name, flavor, request, monkeypatch):
-    # certified_rank hands back the kernel it checked, and the cocycle
-    # witnesses are its rows
+@pytest.mark.parametrize("name, flavor, witnesses", [
+    pytest.param(name, flavor, witnesses, id=f"{name}-{flavor}" + ("" if witnesses else "-ranks"))
+    for witnesses in (True, False) for name in ("sl3", "sl3_conjugate") for flavor in "RB"])
+def test_cohomology_builds_each_kernel_once(name, flavor, witnesses, request, monkeypatch):
+    # every dimension comes from the certified ranks; only witnesses read a
+    # kernel, whose rows are the cocycle witnesses, and the pivots of the
+    # previous coboundary, the preimages of the coboundary witnesses
     a, r = request.getfixturevalue(name)
-    kernels = []
-    true_null_space = Matrix.null_space
+    kernels, pivots = [], []
+    true_null_space, true_pivot_columns = Matrix.null_space, Matrix.pivot_columns
     monkeypatch.setattr(Matrix, "null_space",
                         lambda m: kernels.append(true_null_space(m)) or kernels[-1])
-    rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor)
-    assert [d.arity for d in rep.degrees.values() if d.dim_cochains] == [0, 1, 2]
-    assert len(kernels) == 3
-    for kernel, d in zip(kernels, rep.degrees.values()):
+    monkeypatch.setattr(Matrix, "pivot_columns",
+                        lambda m: pivots.append(true_pivot_columns(m)) or pivots[-1])
+    rep = cohomology(r if flavor == "R" else rb_from_r(r), 3, flavor=flavor,
+                     witnesses=witnesses)
+    degrees = list(rep.degrees.values())
+    assert [d.arity for d in degrees if d.dim_cochains] == [0, 1, 2]
+    assert (len(kernels), len(pivots)) == ((3, 2) if witnesses else (0, 0))
+    for kernel, d in zip(kernels, degrees):
         assert [w.to_coeff_vector() for w in d.cocycle_witnesses] == kernel.rows_list()
+    for cols, d in zip(pivots, degrees[1:]):
+        assert [pre.to_coeff_vector().index(1) for pre, _ in d.coboundary_witnesses] == \
+            list(cols)
+
+
+DIMENSIONS = ("dim_cochains", "dim_cocycles", "dim_coboundaries", "dim_cohomology")
+CARTAN_BLOCKS = {"sl2_cartan": (2, [[3]]), "sl3_cartan": (3, [[1, 5], [0, -2]])}
+
+
+@pytest.mark.parametrize("flavor", ["R", "B"])
+@pytest.mark.parametrize("name, max_degree", [
+    ("sl2", 6), ("sl3", 4), ("sl4", 3), ("sl3_conjugate", 3), ("sl2_cartan", 6),
+    ("sl3_cartan", 3)])
+def test_witnesses_change_no_dimension(name, max_degree, flavor, request):
+    # a run without witnesses reads each dimension off the ranks alone; a
+    # run with them reports the same numbers, one witness for each
+    if name in CARTAN_BLOCKS:
+        _, r = borel_with_cartan(*CARTAN_BLOCKS[name])
+    else:
+        _, r = request.getfixturevalue(name)
+    P = r if flavor == "R" else rb_from_r(r)
+    full, bare = (cohomology(P, max_degree, flavor=flavor, witnesses=w) for w in (True, False))
+    assert list(full.degrees) == list(bare.degrees) == list(range(1, max_degree + 1))
+    for d, rep in full.degrees.items():
+        assert [getattr(rep, key) for key in DIMENSIONS] == \
+            [getattr(bare.degrees[d], key) for key in DIMENSIONS]
+        assert (len(rep.cocycle_witnesses), len(rep.coboundary_witnesses)) == \
+            (rep.dim_cocycles, rep.dim_coboundaries)
+        assert not bare.degrees[d].cocycle_witnesses and not bare.degrees[d].coboundary_witnesses
+
+
+# an integer argument given as a bool, a float, a Fraction or a string
+NON_INT = pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"],
+                                  ids=["bool", "float", "Fraction", "str"])
+
+
+@NON_INT
+def test_cohomology_refuses_a_non_int_max_degree(sl2, bad):
+    _, r = sl2
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        assert input_error(lambda: cohomology(P, max_degree=bad, flavor=flavor)) == \
+            f"max_degree must be an integer, got {bad!r}"
+
+
+@NON_INT
+def test_coboundary_matrix_refuses_a_non_int_arity(sl2, bad):
+    # after a k = 1 call, basis_tuples(n, 1) is cached, and its key (n, 1)
+    # equals (n, 1.0) and (n, Fraction(1)): the arity is refused before the
+    # cache is read
+    _, r = sl2
+    for flavor, P in (("R", r), ("B", rb_from_r(r))):
+        coboundary_matrix(P, 1, flavor=flavor)
+        assert input_error(lambda: coboundary_matrix(P, bad, flavor=flavor)) == \
+            f"arity k must be an integer, got {bad!r}"
 
 
 def test_cohomology_sl2(sl2):

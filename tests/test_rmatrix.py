@@ -235,6 +235,21 @@ def test_involutive_analyze_rejects_non_involution(sl2):
         involutive_analyze(Endo.from_diagonal(a, [1, -1, 2]))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_involutive_analyze_forms_r_squared_once(name, sign, request, monkeypatch):
+    # one product R o R both checks R^2 = Id and is S of the torsion route
+    _, r = request.getfixturevalue(name)
+    R = r.scale(sign)
+    products = []
+    true_matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda m, other: products.append((m, other)) or true_matmul(m, other))
+    report = involutive_analyze(R)
+    assert report.all_agree() and report.verdict
+    assert products == [(R.matrix, R.matrix)]
+
+
 # first failing pair and value on fixed non-solutions; pinned so that any
 # rewrite of the basis-pair loops keeps reporting the same witness
 _WORSE = [[1, 1, -2], [0, 2, 1], [1, 0, 1]]
