@@ -4,14 +4,15 @@ The graph G = {(x - Rx, -x - Rx)} of an operator R is a subalgebra of the
 product exactly when R solves the modified Yang-Baxter equation, and then
 it is a complement of the diagonal, giving the matched-pair decomposition
 g (+) g = g_diag (+) G.  The certificate attests exactly that: two
-subalgebras forming a direct-sum complement.
+subalgebras forming a direct-sum complement, the rank of the two spanning
+sets together read off certified_rank.
 """
 
 from dataclasses import dataclass
 
 from .errors import certify
 from .liealg import Endo, LieAlgebra, subspace_closure, vadd, vneg, vsub
-from .linalg import Matrix
+from .linalg import Matrix, certified_rank
 from .deform import require_deformation
 from .rmatrix import mcybe_defect, require_modified
 
@@ -103,10 +104,15 @@ class ComplementReport:
 def complement_certificate(R: Endo) -> ComplementReport:
     """Certify that the graph of a modified r-matrix complements the diagonal."""
     require_modified(R, "complement_certificate")
-    double = build_double(R.algebra)
+    return _complement_in(build_double(R.algebra), R)
+
+
+def _complement_in(double: DoubledAlgebra, R: Endo) -> ComplementReport:
+    """complement_certificate(R) inside double = build_double(R.algebra), for
+    an R already required modified; the rank is certified_rank's."""
     n = R.algebra.dim
     gbasis = graph_basis(R)
-    rank = Matrix._exact_rows(double.diagonal_basis + gbasis).rank()    # the rows are exact
+    rank = certified_rank(Matrix._exact_rows(double.diagonal_basis + gbasis))  # exact rows
     graph_ok, _ = subspace_closure(double.algebra, gbasis)
     intersection = 2 * n - rank
     ok = rank == 2 * n and double.diagonal_cert.is_subalgebra and graph_ok
@@ -115,6 +121,15 @@ def complement_certificate(R: Endo) -> ComplementReport:
 
 
 def deformed_complements(R: Endo, Rhat: Endo, t_values):
-    """Complement certificates along the family R + t Rhat; all must pass."""
+    """Complement certificates along the family R + t Rhat; all must pass.
+
+    The operators share R's algebra, so g (+) g is built once for them all.
+    """
     require_deformation(R, Rhat, "deformed_complements")
-    return [(t, complement_certificate(R + Rhat.scale(t))) for t in t_values]
+    double = build_double(R.algebra)
+    reports = []
+    for t in t_values:
+        Rt = R + Rhat.scale(t)
+        require_modified(Rt, "complement_certificate")
+        reports.append((t, _complement_in(double, Rt)))
+    return reports

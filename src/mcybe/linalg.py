@@ -8,20 +8,24 @@ only nonzeros.
 One routine, eliminate(), is a sparse Gauss-Jordan elimination on rows
 scaled to integers.  Over Q it yields the reduced row echelon form, which
 is canonical, so the pivots, kernel bases and solutions read off it are
-deterministic.  A matrix eliminates itself at most once and keeps the
-integral output as its one echelon form (basis, leads, kept, rows): the
-reduced row and leading entry of each pivot column, the indices of the rows
-kept, and the rows eliminated, which _integral scaled to integers without
-the empty rows (most rows of a coboundary matrix), or, in a matrix of
-ints that Matrix._int_rows made, only dropped.  rank and pivot_columns
-read it as it is, and null_space divides by the leads.  certified_rank,
-which cochain.cohomology calls for every rank it reports, returns the rank
-checked by two routes on the form null_space reads: the rows against the
-null space vectors over one common denominator, with no product matrix
-(an upper bound), and the kept rows restricted to the pivot columns, an
-r x r minor eliminated modulo the prime 2^61 - 1 (a lower bound).
-solve(b) eliminates, with b as one more column, only the rows that
-shared columns connect to a nonzero of b.
+deterministic.  Most nonempty rows of the coboundary matrices of a diagonal
+operator hold one entry; eliminate takes the one-entry rows first and
+settles each by a lookup, with no arithmetic, and the kernel check of
+certified_rank passes each by a lookup too.  A matrix eliminates itself at
+most once and keeps the integral output as its one echelon form (basis,
+leads, kept, rows): the reduced row and leading entry of each pivot column,
+the indices of the rows kept, and the rows eliminated, which _integral
+scaled to integers without the empty rows (most rows of a coboundary
+matrix), or, in a matrix of ints that Matrix._int_rows made, only dropped.
+rank and pivot_columns read it as it is, and null_space divides by the
+leads.  certified_rank, which cochain.cohomology and
+doubling.complement_certificate call for every rank they report, returns
+the rank checked by two routes on the form null_space reads: the rows
+against the null space vectors over one common denominator, with no product
+matrix (an upper bound), and the kept rows restricted to the pivot columns,
+an r x r minor eliminated modulo the prime 2^61 - 1 (a lower bound).
+solve(b) eliminates, with b as one more column, only the rows that shared
+columns connect to a nonzero of b.
 """
 
 import re
@@ -155,7 +159,10 @@ def eliminate(rows, modulus=0):
     fill-in never leaves the block of rows that shared columns connect.
     The arithmetic is integral: over Q a kept row is divided by the gcd of
     its entries, with a positive lead, and over GF(modulus) it is scaled to
-    lead with 1.
+    lead with 1.  The one-entry rows come first, while every pivot's
+    reduced row is empty, so each is settled by a lookup with no arithmetic:
+    dropped if its column is a pivot, else kept as that pivot with an empty
+    reduced row and lead 1, just as the general loop would leave it.
 
     Returns (basis, leads, kept).  basis maps each pivot column to the rest
     of its reduced row and leads maps it to the row's entry there, so
@@ -165,7 +172,16 @@ def eliminate(rows, modulus=0):
     """
     basis, leads, kept = {}, {}, []
     holders = {}        # non-pivot column -> pivots whose reduced row holds it
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+    for i in sorted(range(len(rows)), key=list(map(len, rows)).__getitem__):
+        if len(rows[i]) == 1:
+            # only empty and one-entry rows came before, so every pivot's
+            # reduced row is empty: a pivot c drops {c: x}, and otherwise
+            # the row scales to {c: 1}
+            c, = rows[i]
+            if c not in basis:
+                basis[c], leads[c] = {}, 1
+                kept.append(i)
+            continue
         row = dict(rows[i])
         for c in [c for c in row if c in basis]:
             f = row.pop(c)
@@ -237,7 +253,10 @@ def certified_rank(m: "Matrix") -> int:
     such row r.  This is checked in int arithmetic over den = lcm(leads),
     with basis[c] scaled by den // leads[c], so the rank over Q is at most
     m.rank(); null_space() reads the same basis and leads, so the kernel it
-    builds is the one checked here.
+    builds is the one checked here.  A one-entry row {c: x} gives
+    x v_f[c], which is 0 for every f when c is a pivot with an empty reduced
+    row: such a row passes by that lookup, and any other goes through the
+    sum.
     Lower bound: the r rows the elimination kept, restricted to its r pivot
     columns, must have rank m.rank() modulo the prime MODULUS.  Over Q that
     minor is invertible, since the reduced rows are an invertible
@@ -254,6 +273,12 @@ def certified_rank(m: "Matrix") -> int:
     scaled = basis if den == 1 else {
         c: {f: y * (den // leads[c]) for f, y in rest.items()} for c, rest in basis.items()}
     for row in rows:
+        if len(row) == 1:
+            # row . v_f = x v_f[c] for a row {c: x}: 0 for every free column
+            # f when c is a pivot whose reduced row is empty
+            c, = row
+            if basis.get(c) == {}:
+                continue
         # den (row . v_f) for each free column f: den row[f] - sum_c row[c] scaled[c][f]
         acc = {}
         for c, x in row.items():

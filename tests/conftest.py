@@ -1,12 +1,14 @@
 """Shared fixtures: catalog instances, extra algebras, random generators, ast guard helpers."""
 
 import ast
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mcybe
 from mcybe import Endo, InputError, LieAlgebra, Matrix, catalog, linalg
 from mcybe.cochain import Cochain, basis_tuples
 
@@ -80,6 +82,14 @@ def gl2_like():
 
 # The package's source, which the ast guards parse.
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcybe"
+
+
+def env_with_src():
+    """os.environ with the directory holding the imported mcybe first on
+    PYTHONPATH, for a subprocess to import the same package."""
+    src = str(Path(mcybe.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def package_modules(*skip):

@@ -1,12 +1,10 @@
 """Command-line interface: exit codes, witnesses, deterministic reports."""
 
 import json
-import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +12,8 @@ import mcybe
 from mcybe import Cochain
 from mcybe.cli import Report, _jsonable, run
 from mcybe.rmatrix import DefectReport
+
+from conftest import env_with_src
 
 
 @pytest.fixture()
@@ -27,13 +27,6 @@ def sl2_files(tmp_path):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def _env_with_src():
-    """os.environ with the directory holding the imported mcybe first on PYTHONPATH."""
-    src = str(Path(mcybe.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def test_check_mcybe_pass(sl2_files, capsys):
@@ -366,7 +359,7 @@ def test_parser_is_built_once_and_not_at_import():
               "assert cli._build_parser.cache_info().currsize == 0\n"
               "assert cli._build_parser() is cli._build_parser()\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_env_with_src(), timeout=120)
+                          text=True, env=env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -606,7 +599,7 @@ def test_defect_route_disagreement_exit_3(sl2_files, tmp_path, flags, command, o
     proc = subprocess.run([sys.executable, *flags, "-c", _ROUTE_SCRIPT, *command,
                            "--algebra", str(algebra), "--map", str(borel), option, zero,
                            "optimized" if flags else "plain"],
-                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"internal error: {message}\n"
     assert not proc.stdout
@@ -688,7 +681,7 @@ def test_corrupt_rref_entry_exit_3(sl2_files, flags):
     algebra, borel = sl2_files
     proc = subprocess.run([sys.executable, *flags, "-c", _CORRUPT_RREF_SCRIPT,
                            str(algebra), str(borel), "optimized" if flags else "plain"],
-                          capture_output=True, text=True, env=_env_with_src(),
+                          capture_output=True, text=True, env=env_with_src(),
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "internal error: null space vector is not annihilated\n"
@@ -714,7 +707,32 @@ def test_certificate_survives_python_O(sl2_files):
     algebra, borel = sl2_files
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
                            str(algebra), str(borel)],
-                          capture_output=True, text=True, env=_env_with_src(),
+                          capture_output=True, text=True, env=env_with_src(),
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "internal error: rank mod p and rank over Q disagree\n"
+
+
+_COMPLEMENT_RANK_SCRIPT = """
+import sys
+from mcybe import Matrix
+from mcybe.cli import run
+assert sys.argv[3] == ("optimized" if not __debug__ else "plain")
+true_rank = Matrix.rank
+Matrix.rank = lambda self: true_rank(self) + 1
+sys.exit(run(["double", "complement", "--algebra", sys.argv[1], "--map", sys.argv[2],
+              "--json"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_complement_rank_is_certified(sl2_files, flags):
+    # the complement certificate reads its rank off certified_rank, whose
+    # modular route refuses an overcounted rank, with asserts on or off
+    algebra, borel = sl2_files
+    proc = subprocess.run([sys.executable, *flags, "-c", _COMPLEMENT_RANK_SCRIPT,
+                           str(algebra), str(borel), "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "internal error: rank mod p and rank over Q disagree\n"
+    assert not proc.stdout

@@ -2,14 +2,13 @@
 print the bytes pinned here: the sha256 of each demo's stdout."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import mcybe
+from conftest import env_with_src
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -33,11 +32,8 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    src = str(Path(mcybe.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          env=env, timeout=120)
+                          env=env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]

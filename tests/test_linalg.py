@@ -3,8 +3,10 @@
 import enum
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from mcybe import (Cochain, InputError, InternalError, LieAlgebra, Matrix, cobou
 from mcybe.linalg import (MODULUS, certified_rank, ratio, rational_from_json, rational_str,
                           rational_to_json, rationals_from_json)
 
-from conftest import full_solve, input_error
+from conftest import env_with_src, full_solve, input_error
 
 
 def rand_matrix(rng, r, c, span=6, frac=False):
@@ -434,6 +436,141 @@ def test_certified_rank_refuses_where_rank_mod_p_falls_short():
     with pytest.raises(InternalError, match="rank mod p and rank over Q disagree"):
         certified_rank(m)
     assert m.rank() == 2
+
+
+def general_eliminate(rows, modulus=0):
+    """linalg.eliminate with every row taken through the general loop, one-entry
+    rows too: the reference the one-entry fast path must agree with."""
+    basis, leads, kept = {}, {}, []
+    holders = {}
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        row = dict(rows[i])
+        for c in [c for c in row if c in basis]:
+            f = row.pop(c)
+            if leads[c] != 1:
+                for j in row:
+                    row[j] *= leads[c]
+            for j, x in basis[c].items():
+                v = row.get(j, 0) - f * x
+                if modulus:
+                    v %= modulus
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        if not row:
+            continue
+        kept.append(i)
+        pivot = min(row)
+        lead = row.pop(pivot)
+        if modulus:
+            inv = pow(lead, -1, modulus)
+            row = {j: x * inv % modulus for j, x in row.items()}
+            lead = 1
+        else:
+            g = gcd(lead, *row.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+                lead //= g
+        for q in holders.pop(pivot, ()):
+            held = basis[q]
+            f = held.pop(pivot)
+            if lead != 1:
+                leads[q] *= lead
+                for j in held:
+                    held[j] *= lead
+            for j, x in row.items():
+                v = held.get(j, 0) - f * x
+                if modulus:
+                    v %= modulus
+                if v:
+                    if j not in held:
+                        holders.setdefault(j, set()).add(q)
+                    held[j] = v
+                else:
+                    del held[j]
+                    holders[j].discard(q)
+            if not modulus:
+                g = gcd(leads[q], *held.values())
+                if g != 1:
+                    leads[q] //= g
+                    for j in held:
+                        held[j] //= g
+        basis[pivot] = row
+        leads[pivot] = lead
+        for j in row:
+            holders.setdefault(j, set()).add(pivot)
+    return basis, leads, kept
+
+
+def one_entry_rows(rng, nrows, ncols):
+    """Seeded int rows, mostly of one entry, on few columns so that columns
+    repeat; entries negative, small, or multiples of MODULUS, and some rows empty."""
+    def entry():
+        return rng.choice((1, -1, 2, -3, 7, MODULUS, -2 * MODULUS, 5 * MODULUS + 1))
+    rows = []
+    for _ in range(nrows):
+        size = rng.choice((0, 1, 1, 1, 1, 1, 2, 3))
+        rows.append({j: entry() for j in rng.sample(range(ncols), min(size, ncols))})
+    return rows
+
+
+def test_one_entry_rows_eliminate_like_the_general_loop(rng=random.Random(117)):
+    singles = 0
+    for _ in range(200):
+        rows = one_entry_rows(rng, rng.randint(0, 12), rng.randint(1, 6))
+        residues = [{j: r for j, x in row.items() if (r := x % MODULUS)} for row in rows]
+        singles += sum(len(row) == 1 for row in rows + residues)
+        for args in ((rows,), (residues, MODULUS)):
+            before = [dict(row) for row in args[0]]
+            assert linalg.eliminate(*args) == general_eliminate(*args)
+            assert args[0] == before
+    assert singles > 1000
+
+
+_FORGED_FORM_SCRIPT = """
+import sys
+from mcybe import InternalError, Matrix
+from mcybe.linalg import certified_rank
+assert sys.argv[2] == ("optimized" if not __debug__ else "plain")
+m = Matrix([[1, 0], [0, 1]] if sys.argv[1] == "free" else [[1, 0]])
+m.rank()
+basis, leads, kept, rows = m._echelon
+if sys.argv[1] == "free":
+    # the row {1: 1} is dropped, so its column is left free
+    del basis[1], leads[1]
+    kept.pop()
+else:
+    # pivot 0 of the row {0: 1} gets a nonempty reduced row
+    basis[0][1] = 1
+try:
+    certified_rank(m)
+except InternalError as exc:
+    sys.exit(f"internal error: {exc}")
+"""
+
+
+@pytest.mark.parametrize("forgery", ["free", "filled"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_forged_one_entry_rows_are_refused(forgery, flags):
+    # a one-entry row is checked by one lookup: on a free column, or on a
+    # pivot whose reduced row is not empty, some null space vector misses it
+    proc = subprocess.run([sys.executable, *flags, "-c", _FORGED_FORM_SCRIPT, forgery,
+                           "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "internal error: null space vector is not annihilated\n"
+
+
+def test_zero_rows_reach_no_solution():
+    # a zero row of A against a nonzero entry of b is the one-entry row on b's column
+    a = Matrix([[1, 2], [0, 0], [3, 4]])
+    assert a.solve((1, 1, 0)) is None
+    assert a.solve((1, 0, 3)) == (1, 0)
+    assert Matrix([[1, 2], [0, 0]]).inverse() is None
+    assert Matrix([[0, 0], [0, 5]]).inverse() is None
 
 
 def test_rref_and_kernel_match_sympy_on_sparse(rng=random.Random(108)):
