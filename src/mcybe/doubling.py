@@ -104,12 +104,7 @@ class ComplementReport:
 def complement_certificate(R: Endo) -> ComplementReport:
     """Certify that the graph of a modified r-matrix complements the diagonal."""
     require_modified(R, "complement_certificate")
-    return _complement_in(build_double(R.algebra), R)
-
-
-def _complement_in(double: DoubledAlgebra, R: Endo) -> ComplementReport:
-    """complement_certificate(R) inside double = build_double(R.algebra), for
-    an R already required modified; the rank is certified_rank's."""
+    double = build_double(R.algebra)
     n = R.algebra.dim
     gbasis = graph_basis(R)
     rank = certified_rank(Matrix._exact_rows(double.diagonal_basis + gbasis))  # exact rows
@@ -121,15 +116,6 @@ def _complement_in(double: DoubledAlgebra, R: Endo) -> ComplementReport:
 
 
 def deformed_complements(R: Endo, Rhat: Endo, t_values):
-    """Complement certificates along the family R + t Rhat; all must pass.
-
-    The operators share R's algebra, so g (+) g is built once for them all.
-    """
+    """Complement certificates along the family R + t Rhat; all must pass."""
     require_deformation(R, Rhat, "deformed_complements")
-    double = build_double(R.algebra)
-    reports = []
-    for t in t_values:
-        Rt = R + Rhat.scale(t)
-        require_modified(Rt, "complement_certificate")
-        reports.append((t, _complement_in(double, Rt)))
-    return reports
+    return [(t, complement_certificate(R + Rhat.scale(t))) for t in t_values]

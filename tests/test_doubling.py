@@ -8,7 +8,6 @@ import pytest
 from mcybe import (Endo, PreconditionError, build_double,
                    complement_certificate, deformed_complements,
                    graph_complement, mcybe_defect)
-from mcybe import doubling
 from mcybe.doubling import graph_basis
 
 from conftest import rand_endo, rand_vector
@@ -114,20 +113,6 @@ def test_deformed_complements(sl2):
     reports = deformed_complements(r, rhat, [0, 1, Fraction(-2, 3)])
     assert [t for t, _ in reports] == [0, 1, Fraction(-2, 3)]
     assert all(rep.ok for _, rep in reports)
-
-
-def test_deformed_complements_build_the_double_once(sl3, monkeypatch):
-    from mcybe.cochain import Cochain
-    from mcybe import d_apply
-    a, r = sl3
-    rhat = d_apply(r, Cochain.from_vector(a, a.basis_vector(0)), check=False).to_endo()
-    t_values = [0, 1, Fraction(-2, 3)]
-    built = []
-    true_build = doubling.build_double
-    monkeypatch.setattr(doubling, "build_double", lambda a: built.append(a) or true_build(a))
-    reports = deformed_complements(r, rhat, t_values)
-    assert built == [a]
-    assert reports == [(t, complement_certificate(r + rhat.scale(t))) for t in t_values]
 
 
 def test_deformed_complements_precondition(sl2):
