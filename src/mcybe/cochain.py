@@ -87,6 +87,10 @@ def basis_tuples(n, k) -> tuple:
 
 
 def cochain_space_dim(n, arity) -> int:
+    if type(arity) is not int:
+        raise InputError(f"cochain arity must be an integer, got {arity!r}")
+    if arity < 0:
+        raise InputError("negative cochain arity")
     return comb(n, arity) * n
 
 
@@ -113,8 +117,7 @@ class Cochain:
     __slots__ = ("algebra", "arity", "coeffs")
 
     def __init__(self, algebra: LieAlgebra, arity: int, coeffs=None):
-        if arity < 0:
-            raise InputError("negative cochain arity")
+        cochain_space_dim(algebra.dim, arity)    # refuses a bad arity
         checked = {}
         n = algebra.dim
         for key, value in (coeffs or {}).items():
@@ -216,10 +219,11 @@ class Cochain:
         keys come from basis_tuples, so __init__'s checks of them are skipped.
         """
         n = algebra.dim
+        size = cochain_space_dim(n, arity)
         tuples = basis_tuples(n, arity)
         blocks = {}
         for i, x in entries.items():
-            if not 0 <= i < len(tuples) * n:
+            if not 0 <= i < size:
                 raise InputError(f"coefficient index {i} out of range")
             blocks.setdefault(tuples[i // n], [0] * n)[i % n] = ratio(x)
         return cls.__new__(cls)._fill(algebra, arity, blocks)

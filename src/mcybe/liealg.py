@@ -95,6 +95,8 @@ class LieAlgebra:
     def _fill(self, dim, structure, basis_names, check, vector):
         """self as __init__ makes it; vector(value) is the exact tuple of a
         structure value, through ratio or as it is once decoded."""
+        if type(dim) is not int:
+            raise InputError(f"bad algebra dim {dim!r}")
         if dim < 0:
             raise InputError("negative dimension")
         self.dim = dim
@@ -571,6 +573,8 @@ def _sl_structure(n):
 
 def sl_algebra(n) -> LieAlgebra:
     """sl(n, Q) with basis: upper E_ij, lower E_ij, Cartan H_i = E_ii - E_(i+1)(i+1)."""
+    if type(n) is not int:
+        raise InputError(f"sl(n) needs an integer n, got {n!r}")
     if n < 2:
         raise InputError("sl(n) needs n >= 2")
     dim, structure = _sl_structure(n)
@@ -594,6 +598,8 @@ def catalog(name, n):
     from the matrix-unit brackets with no matrix product; abelian: the
     n-dimensional abelian algebra with the identity operator.
     """
+    if type(n) is not int:
+        raise InputError(f"catalog needs an integer n, got {n!r}")
     if n < 2:
         raise InputError(f"catalog needs n >= 2, got {n}")
     if name == "sl-borel":

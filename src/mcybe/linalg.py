@@ -550,7 +550,7 @@ class Matrix:
         n = self.nrows
         basis, leads, _ = eliminate(_integral([{**row, n + i: 1}
                                                for i, row in enumerate(self._rows)]))
-        if len(basis) < n or any(c >= n for c in basis):
+        if any(c >= n for c in basis):
             return None
         return Matrix.from_sparse([{j - n: _quotient(x, leads[c]) for j, x in basis[c].items()}
                                    for c in range(n)], n)

@@ -5,14 +5,14 @@ The central object is the defect
     S(R)(x, y) = [Rx, Ry] - R([Rx, y] + [x, Ry]) + [x, y],
 
 which vanishes exactly when R solves the modified classical Yang-Baxter
-equation.  It, the weight-lambda Rota-Baxter axiom and the Nijenhuis
-torsion are all evaluated by the one kernel liealg.operator_identity, and
-the induced bracket [x, y]_R comes from the same module; all of them are
-read off one image table [Re_i, e_j] per call.  Here also: the
-correspondence R = Id + 2B and the involutive-case equivalence analyzer.
-Under it S(Id + 2B) is 4 times the weight-1 Rota-Baxter defect of B, so
-the coboundaries of cochain check either flavor's precondition as t^2
-S(R) off their lambda rows (liealg._modified_defect), calling nothing here.
+equation.  It and the weight-lambda Rota-Baxter axiom are evaluated by the
+one kernel liealg.operator_identity, and the induced bracket [x, y]_R comes
+from the same module, all off one image table [Re_i, e_j] per call.  The
+involutive analyzer reads its MCYBE and Nijenhuis verdicts off one defect,
+S(R) being the torsion of an involution.  Under R = Id + 2B, S(R) is 4 times
+the weight-1 Rota-Baxter defect of B, so the coboundaries of cochain check
+either flavor's precondition as t^2 S(R) off their lambda rows
+(liealg._modified_defect), calling nothing here.
 """
 
 from dataclasses import dataclass
@@ -94,8 +94,8 @@ def induced_bracket(R: Endo, force=False) -> LieAlgebra:
 class InvolutiveReport:
     """Four equivalent certificates for an involution R (R^2 = Id).
 
-    One consistency cross-check, not four features: the verdicts are
-    computed along independent routes and must coincide.
+    One consistency cross-check, not four features: the first two are read
+    off S(R), the torsion of an involution, the last two along other routes.
     """
     mcybe_ok: bool
     nijenhuis_operator_ok: bool
@@ -120,24 +120,18 @@ class InvolutiveReport:
 def involutive_analyze(R: Endo) -> InvolutiveReport:
     """For R with R^2 = Id, decide the four equivalent structures together.
 
-    Routes: (1) MCYBE defect on basis pairs; (2) vanishing Nijenhuis
-    torsion; (3) both eigenspaces of R closed under the bracket; (4) the
-    projector identities P[Px, Py] = [Px, Py] for P = (Id +- R)/2, tested
-    as (Q - 2 Id)[Qx, Qy] = 0 for Q = 2P, which halves nothing.
+    Routes: (1) MCYBE defect on basis pairs, also the Nijenhuis torsion;
+    (2) both eigenspaces of R closed under the bracket; (3) the projector
+    identities P[Px, Py] = [Px, Py] for P = (Id +- R)/2, tested as
+    (Q - 2 Id)[Qx, Qy] = 0 for Q = 2P, which halves nothing.
     """
     a = R.algebra
-    ident, square = Endo.identity(a), R.compose(R)
-    if square.matrix != ident.matrix:
+    if (bad := R.involution_defect()) is not None:
         raise InputError(
-            f"involutive_analyze needs R^2 = Id; fails on basis vector "
-            f"{a.basis_names[R.involution_defect()]}")
+            f"involutive_analyze needs R^2 = Id; fails on basis vector {a.basis_names[bad]}")
 
     defect = mcybe_defect(R)
-    mcybe_ok = defect.is_zero
-
-    nij_pair = next((pair for pair, _ in operator_identity(R, square)), None)
-    nij_ok = nij_pair is None
-
+    ident = Endo.identity(a)
     plus_basis = tuple((R - ident).matrix.kernel_basis())
     minus_basis = tuple((R + ident).matrix.kernel_basis())
     certify(len(plus_basis) + len(minus_basis) == a.dim,
@@ -156,8 +150,7 @@ def involutive_analyze(R: Endo) -> InvolutiveReport:
 
     product_ok = projector_ok(1) and projector_ok(-1)
 
-    report = InvolutiveReport(mcybe_ok, nij_ok, eigensplit_ok, product_ok,
-                              plus_basis, minus_basis,
-                              failing_pair=defect.worst_pair or nij_pair)
+    report = InvolutiveReport(defect.is_zero, defect.is_zero, eigensplit_ok, product_ok,
+                              plus_basis, minus_basis, failing_pair=defect.worst_pair)
     certify(report.all_agree(), f"involutive certificates disagree: {report}")
     return report

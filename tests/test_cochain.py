@@ -520,6 +520,19 @@ def test_coboundary_matrix_refuses_a_non_int_arity(sl2, bad):
             f"arity k must be an integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1.0, "cochain arity must be an integer, got 1.0"),
+    (1.5, "cochain arity must be an integer, got 1.5"),
+    (True, "cochain arity must be an integer, got True"),
+    (-1, "negative cochain arity")], ids=["float", "fractional", "bool", "negative"])
+def test_cochain_constructors_refuse_a_bad_arity(sl2, bad, message):
+    a, _ = sl2
+    for call in (lambda: Cochain(a, bad, {(0,): (1, 0, 0)}), lambda: Cochain.zero(a, bad),
+                 lambda: Cochain.from_sparse(a, bad, {0: 1}),
+                 lambda: Cochain.from_coeff_vector(a, bad, [0] * 9)):
+        assert input_error(call) == message
+
+
 def test_cohomology_sl2(sl2):
     a, r = sl2
     rep = cohomology(r, 3)

@@ -358,12 +358,37 @@ def test_trivial_deformation_needs_modified_r_matrix(sl2):
 
 def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
     # all three in check_linear_deformation; the Nijenhuis equations, d x
-    # and the equivalence certificate take R unchecked
+    # and the equivalence certificate take R unchecked.  eq1 is scanned
+    # once, and d is applied to x and to Rhat (the t coefficient) only
     aff, raff = affine2
     seen = _count_defects(monkeypatch)
+    scans, arities = [], []
+    true_witness, true_d_apply = deform._commutator_witness, deform.d_apply
+    monkeypatch.setattr(deform, "_commutator_witness",
+                        lambda ad_x: scans.append(ad_x) or true_witness(ad_x))
+    monkeypatch.setattr(deform, "d_apply", lambda P, f, **kw: arities.append(f.arity)
+                        or true_d_apply(P, f, **kw))
     rhat, dv = trivial_deformation(raff, aff.basis_vector(1))
     assert dv.valid and not rhat.is_zero()
     assert seen == [raff, raff + rhat, raff - rhat]
+    assert scans == [aff.ad(aff.basis_vector(1))]
+    assert arities == [0, 1]
+
+
+def test_trivial_deformation_certifies_equivalence(affine2, monkeypatch):
+    # a validity check forced to pass and a stray a -> a term in Rhat = d n,
+    # which ad_n sends to -n: the t^2 condition ad_x Rhat = 0 refuses it
+    # through certify, so also under python -O
+    aff, raff = affine2
+    stray = Cochain.from_endo(Endo(Matrix([[1, 0], [0, 0]]), aff))
+    true_d_apply = deform.d_apply
+    monkeypatch.setattr(deform, "d_apply", lambda P, f, **kw: true_d_apply(P, f, **kw)
+                        + (stray if f.arity == 0 else Cochain.zero(aff, f.arity + 1)))
+    monkeypatch.setattr(deform, "check_linear_deformation",
+                        lambda R, rhat: deform.DeformationVerdict(True, True, True))
+    with pytest.raises(InternalError) as info:
+        trivial_deformation(raff, aff.basis_vector(1))
+    assert str(info.value) == "trivial deformation failed the equivalence certificate"
 
 
 def test_nijenhuis_check_and_scan_require_modified_r(sl2):

@@ -291,6 +291,15 @@ def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
 
 
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_a_non_int_dimension_is_refused(bad):
+    assert input_error(lambda: LieAlgebra(bad, {})) == f"bad algebra dim {bad!r}"
+    assert input_error(lambda: sl_algebra(bad)) == f"sl(n) needs an integer n, got {bad!r}"
+    for name in ("sl-borel", "abelian"):
+        assert input_error(lambda: catalog(name, bad)) == \
+            f"catalog needs an integer n, got {bad!r}"
+
+
 def test_subspace_closure(sl2):
     a, _ = sl2
     e, f, h = a.basis()

@@ -9,6 +9,7 @@ from mcybe import (Cochain, Endo, InputError, LieAlgebra, Matrix, PreconditionEr
                    catalog, induced_bracket, involutive_analyze, is_rota_baxter,
                    mcybe_defect, nijenhuis_operator_check, operator_identity, r_from_rb,
                    rb_from_r, rho)
+from mcybe import rmatrix
 from mcybe.deform import weight0_defect_cochain
 from mcybe.liealg import vadd
 
@@ -238,16 +239,20 @@ def test_involutive_analyze_rejects_non_involution(sl2):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_involutive_analyze_forms_r_squared_once(name, sign, request, monkeypatch):
-    # one product R o R both checks R^2 = Id and is S of the torsion route
+    # one product R o R checks R^2 = Id; the torsion of an involution is
+    # S(R), so one operator-identity evaluation decides both verdicts
     _, r = request.getfixturevalue(name)
     R = r.scale(sign)
-    products = []
-    true_matmul = Matrix.__matmul__
+    products, identities = [], []
+    true_matmul, true_identity = Matrix.__matmul__, rmatrix.operator_identity
     monkeypatch.setattr(Matrix, "__matmul__",
                         lambda m, other: products.append((m, other)) or true_matmul(m, other))
+    monkeypatch.setattr(rmatrix, "operator_identity",
+                        lambda P, S=None: identities.append((P, S)) or true_identity(P, S))
     report = involutive_analyze(R)
     assert report.all_agree() and report.verdict
     assert products == [(R.matrix, R.matrix)]
+    assert identities == [(R, Endo.identity(R.algebra))]
 
 
 # first failing pair and value on fixed non-solutions; pinned so that any
