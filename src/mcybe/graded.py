@@ -165,9 +165,10 @@ def mc_deformation_check(R: Endo, Rp: Endo) -> bool:
 class KuranishiReport:
     """[[f, f]] for a 2-cocycle f, with its class in degree-3 cohomology.
 
-    vanishes_in_H3 says whether [[f, f]] is a coboundary; witness is an
-    explicit primitive g with d g = [[f, f]] when one exists, making the
-    vanishing certificate independently checkable.
+    is_cocycle is certified, so always True; vanishes_in_H3 says whether
+    [[f, f]] is a coboundary; witness is an explicit primitive g with
+    d g = [[f, f]] when one exists, making the vanishing certificate
+    independently checkable.
     """
     ff: Cochain
     is_cocycle: bool
@@ -179,7 +180,12 @@ class KuranishiReport:
 
 
 def kuranishi(R: Endo, f) -> KuranishiReport:
-    """Obstruction class of a 2-cocycle f: the class of [[f, f]] in H^3."""
+    """Obstruction class of a 2-cocycle f: the class of [[f, f]] in H^3.
+
+    [[f, f]] is closed for every f in Z^2, since d_R = [[R, .]] is a
+    derivation by graded Jacobi: d_R [[f, f]] = 0 checks graded_bracket
+    against d_apply, and is certified.
+    """
     fc = as_graded(f)
     if fc.arity != 1:
         raise InputError("kuranishi expects a degree-2 cochain (arity 1)")
@@ -189,6 +195,6 @@ def kuranishi(R: Endo, f) -> KuranishiReport:
     if not is_cocycle(side, fc):
         raise PreconditionError("kuranishi needs f in Z^2: d f != 0")
     ff = graded_bracket(fc, fc)
-    closed = is_cocycle(side, ff)
+    certify(is_cocycle(side, ff), "[[f, f]] of a 2-cocycle is not a cocycle")
     witness = coboundary_preimage(side, ff)
-    return KuranishiReport(ff, closed, witness is not None, witness)
+    return KuranishiReport(ff, True, witness is not None, witness)

@@ -616,6 +616,77 @@ def test_route_disagreement_exit_3(sl2_files, monkeypatch, capsys):
     assert not captured.out
 
 
+def test_each_doubling_entry_runs_only_the_closures_it_reads(sl2, monkeypatch):
+    # graph_complement reads the graph closure, complement_certificate the
+    # diagonal and graph closures; only build_double runs the antidiagonal
+    a, r = sl2
+    double = mcybe.build_double(a)
+    graph = mcybe.doubling.graph_basis(r)
+    closed, true_closure = [], mcybe.doubling.subspace_closure
+    monkeypatch.setattr(mcybe.doubling, "subspace_closure",
+                        lambda alg, basis: closed.append(basis) or true_closure(alg, basis))
+    for call, arg, bases in [
+            (mcybe.graph_complement, r, [graph]),
+            (mcybe.complement_certificate, r, [double.diagonal_basis, graph]),
+            (mcybe.build_double, a, [double.diagonal_basis, double.antidiagonal_basis])]:
+        closed.clear()
+        assert call(arg)
+        assert closed == bases
+
+
+_FAULT_SCRIPT = """
+import sys
+from mcybe import Cochain, deform, doubling, graded
+from mcybe.cli import run
+fault, argv = sys.argv[1], sys.argv[2:-1]
+assert sys.argv[-1] == ("optimized" if not __debug__ else "plain")
+if fault == "graph":
+    # the closure of the graph of a modified r-matrix reads as failed
+    graphs, true_basis, true_closure = [], doubling.graph_basis, doubling.subspace_closure
+    doubling.graph_basis = lambda R: graphs.append(true_basis(R)) or graphs[-1]
+    doubling.subspace_closure = lambda a, basis: ((False, (0, 1)) if basis in graphs
+                                                  else true_closure(a, basis))
+elif fault == "ff":
+    # one entry of [[f, f]] is off by e
+    true_bracket = graded.graded_bracket
+    graded.graded_bracket = lambda f, g: (true_bracket(f, g)
+                                          + Cochain(f.algebra, 2, {(0, 1): (1, 0, 0)}))
+else:
+    # every induced bracket gains h in [e, f], which breaks Jacobi on sl(2)
+    true_table = deform.induced_bracket_table
+
+    def induced_bracket_table(P):
+        table = true_table(P)
+        table[0, 1] = tuple(x + y for x, y in zip(table.get((0, 1), (0, 0, 0)), (0, 0, 1)))
+        return table
+    deform.induced_bracket_table = induced_bracket_table
+sys.exit(run(argv))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("fault, command, message", [
+    ("graph", ["double", "complement"], "the graph of modified R is not a subalgebra"),
+    ("ff", ["kuranishi", "--cocycle", "f.json"], "[[f, f]] of a 2-cocycle is not a cocycle"),
+    ("jacobi", ["compatible", "--rhat", "rhat.json", "--t1", "1/2", "--t2", "-3"],
+     "the bracket sum of a valid deformation fails the Jacobi identity"),
+], ids=["double-complement", "kuranishi", "compatible"])
+def test_theorem_verdict_fault_exit_3(sl2_files, tmp_path, flags, fault, command, message):
+    # each of these verdicts is a theorem once the input passed its checks,
+    # so a fault in the route behind it is certified, not reported as a FAIL
+    algebra, borel = sl2_files
+    write_json(tmp_path / "f.json", {"degree": 1, "entries": [{"tuple": [2], "value": [0, 0, 1]}]})
+    write_json(tmp_path / "rhat.json", {"matrix": [[0, 0, 0], [0, 0, 0], [0, 2, 0]]})
+    argv = [str(tmp_path / c) if c.endswith(".json") else c for c in command]
+    proc = subprocess.run([sys.executable, *flags, "-c", _FAULT_SCRIPT, fault, *argv,
+                           "--algebra", str(algebra), "--map", str(borel), "--json",
+                           "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"internal error: {message}\n"
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize("route, message", [
     ("modular", "rank mod p and rank over Q disagree"),
     ("exact", "null space vector is not annihilated"),

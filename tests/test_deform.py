@@ -308,7 +308,7 @@ def test_nijenhuis_witnesses_match_dense_oracle(name, request):
                         if k in support else 0 for k in range(a.dim)))
     eq1 = eq2 = 0
     for x in xs:
-        v = deform._nijenhuis_verdict(r, x)
+        v = deform._nijenhuis_verdict(r, a.ad(x))
         assert (deform._commutator_witness(a.ad(x)) == v.eq1_witness
                 == _dense_commutator_witness(a, x))
         assert v.eq2_witness == _dense_eq2_witness(r, x)
@@ -358,8 +358,8 @@ def test_trivial_deformation_needs_modified_r_matrix(sl2):
 
 def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
     # all three in check_linear_deformation; the Nijenhuis equations, d x
-    # and the equivalence certificate take R unchecked.  eq1 is scanned
-    # once, and d is applied to x and to Rhat (the t coefficient) only
+    # and the equivalence certificate take R unchecked.  ad_x is built and
+    # eq1 scanned once, and d is applied to x and to Rhat (the t coefficient) only
     aff, raff = affine2
     seen = _count_defects(monkeypatch)
     scans, arities = [], []
@@ -368,8 +368,11 @@ def test_trivial_deformation_evaluates_three_defects(affine2, monkeypatch):
                         lambda ad_x: scans.append(ad_x) or true_witness(ad_x))
     monkeypatch.setattr(deform, "d_apply", lambda P, f, **kw: arities.append(f.arity)
                         or true_d_apply(P, f, **kw))
+    builds, true_ad = [], LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: builds.append(x) or true_ad(self, x))
     rhat, dv = trivial_deformation(raff, aff.basis_vector(1))
     assert dv.valid and not rhat.is_zero()
+    assert builds == [aff.basis_vector(1)]
     assert seen == [raff, raff + rhat, raff - rhat]
     assert scans == [aff.ad(aff.basis_vector(1))]
     assert arities == [0, 1]
