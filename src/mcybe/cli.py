@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import InputError, InternalError, PreconditionError, too_long_to_print
+from .errors import InputError, InternalError, PreconditionError, certify, too_long_to_print
 from .linalg import rational_from_json, rational_str, rational_to_json, rationals_from_json
 from .liealg import Endo, LieAlgebra, vector_str
 from . import rmatrix
@@ -276,6 +276,8 @@ def cmd_induced(args, report):
     _, R = _load_operator(args, report)
     induced = rmatrix.induced_bracket(R, force=args.force)
     jac = induced.verify_jacobi()
+    certify(args.force or jac.ok,
+            "the induced bracket of a modified r-matrix fails the Jacobi identity")
     code = report.check("jacobi_ok", jac.ok, "induced bracket jacobi")
     report.verdict("algebra", induced)
     for (i, j), vec in sorted(induced.structure.items()):

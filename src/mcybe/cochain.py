@@ -94,6 +94,14 @@ def cochain_space_dim(n, arity) -> int:
     return comb(n, arity) * n
 
 
+def _index_tuple(key):
+    """key as a tuple of int indices; a float or bool index is refused."""
+    key = tuple(key)
+    if not all(type(t) is int for t in key):
+        raise InputError(f"cochain tuple {list(key)} needs integer indices")
+    return key
+
+
 def insert_sorted(tup, s):
     """Sort s into a strictly increasing tuple.
 
@@ -121,7 +129,7 @@ class Cochain:
         checked = {}
         n = algebra.dim
         for key, value in (coeffs or {}).items():
-            key = tuple(key)
+            key = _index_tuple(key)
             if len(key) != arity:
                 raise InputError(f"tuple {key} has length != arity {arity}")
             if any(not 0 <= t < n for t in key) or any(
@@ -215,7 +223,7 @@ class Cochain:
         """The cochain with coefficient x at each index i of {i: x}: entry
         i % n of its value on basis_tuples(n, arity)[i // n]; others are 0.
 
-        Each index is range-checked and each entry passed through ratio; the
+        Each index must be an int in range and each entry passes ratio; the
         keys come from basis_tuples, so __init__'s checks of them are skipped.
         """
         n = algebra.dim
@@ -223,6 +231,8 @@ class Cochain:
         tuples = basis_tuples(n, arity)
         blocks = {}
         for i, x in entries.items():
+            if type(i) is not int:
+                raise InputError(f"coefficient index {i!r} is not an integer")
             if not 0 <= i < size:
                 raise InputError(f"coefficient index {i} out of range")
             blocks.setdefault(tuples[i // n], [0] * n)[i % n] = ratio(x)
@@ -257,9 +267,7 @@ class Cochain:
         coeffs = {}
         for entry in json_array(entries, "cochain entries"):
             tup, value = json_object(entry, "cochain entry", ("tuple", "value"))
-            tup = tuple(json_array(tup, "cochain tuple"))
-            if not all(type(t) is int for t in tup):
-                raise InputError(f"cochain tuple {list(tup)} needs integer indices")
+            tup = _index_tuple(json_array(tup, "cochain tuple"))
             if tup in coeffs:
                 raise InputError(f"duplicate cochain entry for {tup}")
             coeffs[tup] = vector_from_json(value, algebra.dim)

@@ -12,11 +12,14 @@ The same pass reads _denominator, the lcm of the structure constants'
 denominators.  LieAlgebra(...) passes every value through ratio;
 _from_exact takes values exact as they are: from_json_dict's decoded ones
 and the tables the package computes (sl_algebra, induced_bracket,
-build_double, the compatible-bracket sum).  _sparse_bracket sums [x, y]
-over the nonzero (index, value) pairs of x and y; bracket reads a dense
-vector off it, and the graded bracket and the Nijenhuis witnesses use it as
-it is.  The read-only mapping structure keeps the validated input for
-equality, is_abelian, JSON, pi_cochain and build_double.
+build_double, the compatible-bracket sum).  LieAlgebra(...) refuses a
+structure key that is not a pair of ints and a basis name that is not a
+str; from_json_dict's decoder refuses them before a key is hashed.
+_sparse_bracket sums [x, y] over the nonzero (index, value) pairs of x and
+y; bracket reads a dense vector off it, and the graded bracket and the
+Nijenhuis witnesses use it as it is.  The read-only mapping structure keeps
+the validated input for equality, is_abelian, JSON, pi_cochain and
+build_double.
 
 The operator-identity kernel (operator_identity, induced_bracket_table and
 mu of the coboundary) reads off one sparse image table [Pe_i, e_j] per
@@ -90,6 +93,14 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra given by rational structure constants."""
 
     def __init__(self, dim, structure, basis_names=None, check=True):
+        if basis_names is not None:
+            basis_names = list(basis_names)
+            if not all(type(s) is str for s in basis_names):
+                raise InputError(f"algebra basis names must be strings, got {basis_names!r}")
+        for key in structure:
+            if not (type(key) is tuple and len(key) == 2
+                    and type(key[0]) is int and type(key[1]) is int):
+                raise InputError(f"structure key {key!r} needs two integer indices")
         self._fill(dim, structure, basis_names, check, lambda value: tuple(map(ratio, value)))
 
     def _fill(self, dim, structure, basis_names, check, vector):
@@ -102,7 +113,6 @@ class LieAlgebra:
         self.dim = dim
         if basis_names is None:
             basis_names = [f"x{i + 1}" for i in range(dim)]
-        basis_names = [str(s) for s in basis_names]
         if len(basis_names) != dim:
             raise InputError(f"{len(basis_names)} basis names for dimension {dim}")
         seen = set()
@@ -150,6 +160,8 @@ class LieAlgebra:
         return vzero(self.dim)
 
     def basis_vector(self, i) -> Vector:
+        if type(i) is not int:
+            raise InputError(f"basis index {i!r} is not an integer")
         if not 0 <= i < self.dim:
             raise InputError(f"basis index {i} out of range")
         return tuple(1 if k == i else 0 for k in range(self.dim))
@@ -174,6 +186,8 @@ class LieAlgebra:
 
     def bracket_basis(self, i, j) -> Vector:
         """[e_i, e_j] as a dense vector."""
+        if type(i) is not int or type(j) is not int:
+            raise InputError(f"basis index pair ({i!r}, {j!r}) needs integer indices")
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise InputError(f"basis index pair ({i}, {j}) out of range")
         vec = [0] * self.dim
@@ -361,6 +375,9 @@ def subspace_closure(algebra: LieAlgebra, basis_vectors):
     (is_closed, failing_pair_or_None); the empty subspace is closed.
     """
     vecs = [tuple(v) for v in basis_vectors]
+    for v in vecs:
+        if len(v) != algebra.dim:
+            raise InputError(f"vector length {len(v)} != dim {algebra.dim}")
     annihilator = Matrix(vecs).null_space()
     for i, j in combinations(range(len(vecs)), 2):
         if any(annihilator.apply(algebra.bracket(vecs[i], vecs[j]))):

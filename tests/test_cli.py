@@ -634,9 +634,24 @@ def test_each_doubling_entry_runs_only_the_closures_it_reads(sl2, monkeypatch):
         assert closed == bases
 
 
+def test_module_entry_point_exits_with_the_run_code(capsys):
+    # python -m mcybe.cli runs main(), the console script's target: it prints
+    # the bytes run() prints and exits with run()'s code
+    assert run(["catalog", "sl", "--n", "2", "--json"]) == 0
+    expected = capsys.readouterr().out
+    command = [sys.executable, "-m", "mcybe.cli", "catalog", "sl"]
+    ok = subprocess.run(command + ["--n", "2", "--json"], capture_output=True, text=True,
+                        env=env_with_src(), timeout=120)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, expected, "")
+    usage = subprocess.run(command, capture_output=True, text=True, env=env_with_src(),
+                           timeout=120)
+    assert usage.returncode == 2 and not usage.stdout
+    assert "the following arguments are required: --n" in usage.stderr
+
+
 _FAULT_SCRIPT = """
 import sys
-from mcybe import Cochain, deform, doubling, graded
+from mcybe import Cochain, deform, doubling, graded, rmatrix
 from mcybe.cli import run
 fault, argv = sys.argv[1], sys.argv[2:-1]
 assert sys.argv[-1] == ("optimized" if not __debug__ else "plain")
@@ -659,7 +674,7 @@ else:
         table = true_table(P)
         table[0, 1] = tuple(x + y for x, y in zip(table.get((0, 1), (0, 0, 0)), (0, 0, 1)))
         return table
-    deform.induced_bracket_table = induced_bracket_table
+    deform.induced_bracket_table = rmatrix.induced_bracket_table = induced_bracket_table
 sys.exit(run(argv))
 """
 
@@ -670,7 +685,8 @@ sys.exit(run(argv))
     ("ff", ["kuranishi", "--cocycle", "f.json"], "[[f, f]] of a 2-cocycle is not a cocycle"),
     ("jacobi", ["compatible", "--rhat", "rhat.json", "--t1", "1/2", "--t2", "-3"],
      "the bracket sum of a valid deformation fails the Jacobi identity"),
-], ids=["double-complement", "kuranishi", "compatible"])
+    ("jacobi", ["induced"], "the induced bracket of a modified r-matrix fails the Jacobi identity"),
+], ids=["double-complement", "kuranishi", "compatible", "induced"])
 def test_theorem_verdict_fault_exit_3(sl2_files, tmp_path, flags, fault, command, message):
     # each of these verdicts is a theorem once the input passed its checks,
     # so a fault in the route behind it is certified, not reported as a FAIL
@@ -685,6 +701,22 @@ def test_theorem_verdict_fault_exit_3(sl2_files, tmp_path, flags, fault, command
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"internal error: {message}\n"
     assert not proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_forced_induced_jacobi_fault_exit_1(sl2_files, flags):
+    # --force lifts the modified r-matrix check, so Jacobi is no theorem
+    # there: the same fault is the reported FAIL of a raw table
+    algebra, borel = sl2_files
+    proc = subprocess.run([sys.executable, *flags, "-c", _FAULT_SCRIPT, "jacobi", "induced",
+                           "--force", "--algebra", str(algebra), "--map", str(borel), "--json",
+                           "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert not proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdicts"]["jacobi_ok"] is False
+    assert report["verdicts"]["algebra"]["brackets"][0] == {"i": 0, "j": 1, "value": [0, 0, 1]}
 
 
 @pytest.mark.parametrize("route, message", [

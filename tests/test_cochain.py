@@ -959,11 +959,17 @@ def test_cochain_json_roundtrip(sl3, rng=random.Random(27)):
     (lambda a, r: Cochain.from_json_dict(
         {"degree": 2, "entries": [{"tuple": [0], "value": [1, 0, 0]}]}, a),
      "tuple (0,) has length != arity 2"),
+    (lambda a, r: Cochain(a, 1, {(True,): (1, 0, 0)}), "cochain tuple [True] needs integer indices"),
+    (lambda a, r: Cochain(a, 2, {(0, 1.0): (1, 0, 0)}),
+     "cochain tuple [0, 1.0] needs integer indices"),
+    (lambda a, r: Cochain.from_sparse(a, 1, {1.0: 1}), "coefficient index 1.0 is not an integer"),
+    (lambda a, r: Cochain.from_sparse(a, 1, {True: 1}), "coefficient index True is not an integer"),
 ], ids=["flavor", "negative-arity", "tuple-length", "value-length", "to-endo-arity", "conform",
         "coeff-vector-length", "preimage-degree-1", "json-not-object", "json-no-degree",
         "entry-not-object", "entry-no-tuple", "float", "float-zero", "bool", "bool-false",
         "unsorted", "repeated", "index-range", "json-float", "json-bool", "json-unsorted",
-        "json-float-index", "json-value-length", "json-tuple-length"])
+        "json-float-index", "json-value-length", "json-tuple-length", "bool-index",
+        "float-index", "sparse-float-index", "sparse-bool-index"])
 def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
 

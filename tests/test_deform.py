@@ -1,6 +1,8 @@
 """Linear deformations, equivalences, Nijenhuis elements, compatible brackets."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +19,7 @@ from mcybe import deform, rmatrix
 from mcybe.deform import defect_polynomial, weight0_defect_cochain
 from mcybe.rmatrix import induced_bracket_table
 
-from conftest import NON_RATIONAL, input_error, rand_endo, rand_vector
+from conftest import NON_RATIONAL, env_with_src, input_error, rand_endo, rand_vector
 
 
 def d_endo(r, x):
@@ -527,13 +529,19 @@ TWO_POINT_CASES = {3: [[(1, 1, 2)]],
                    8: [[(3, 3, 2)], [(5, 5, -2)], [(2, 2, -2), (3, 1, -1), (6, 3, -1)]]}
 
 
-def test_induced_bracket_family_failing_path_against_sympy(sl2, sl3, monkeypatch,
-                                                          rng=random.Random(48)):
-    # a valid deformation always passes, so accept every Rhat to reach the
-    # failing path; sparse Rhat give failing triples other than the first
+def _accept_every_rhat(monkeypatch):
+    """Make every Rhat pass as a valid deformation, to reach a failing family."""
     monkeypatch.setattr(deform, "check_linear_deformation",
                         lambda R, Rhat: deform.DeformationVerdict(True, True, True))
-    verdicts = set()
+
+
+def test_induced_bracket_family_fault_is_certified_against_sympy(sl2, sl3, monkeypatch,
+                                                                 rng=random.Random(48)):
+    # a valid deformation always passes, so every Rhat is accepted to reach
+    # a failing family: it raises InternalError, naming the first failing
+    # t, exactly when sympy finds a Jacobiator of R + t Rhat nonzero in t
+    _accept_every_rhat(monkeypatch)
+    outcomes = set()
     for (a, r), cases in ((sl2, 8), (sl3, 4)):
         n = a.dim
         rhats = [d_endo(r, a.basis_vector(0))]
@@ -543,11 +551,62 @@ def test_induced_bracket_family_failing_path_against_sympy(sl2, sl3, monkeypatch
                                    for _ in range(rng.randint(1, 2))])
                   for _ in range(cases)]
         for rhat in rhats:
-            rep = induced_bracket_deformation(r, rhat)
-            expected = _jacobi_family_oracle(a, r, rhat)
-            assert (rep.jacobi_ok, rep.failing_triple) == (expected is None, expected)
-            verdicts.add(expected if expected in (None, (0, 1, 2)) else "later")
-    assert verdicts == {None, (0, 1, 2), "later"}
+            if _jacobi_family_oracle(a, r, rhat) is None:
+                assert induced_bracket_deformation(r, rhat).jacobi_ok
+                outcomes.add("ok")
+                continue
+            with pytest.raises(InternalError) as info:
+                induced_bracket_deformation(r, rhat)
+            message, t = str(info.value).rsplit(" ", 1)
+            assert message == ("the induced bracket of a valid deformation fails "
+                               "the Jacobi identity at t =")
+            outcomes.add(t)
+    assert outcomes == {"ok", "1", "-1"}
+
+
+_INDUCED_FAULT_SCRIPT = """
+import sys
+from mcybe import Cochain, Endo, InternalError, LieAlgebra, Matrix, catalog, d_apply, deform
+assert sys.argv[1] == ("optimized" if not __debug__ else "plain")
+a, r = catalog("sl-borel", 2)
+true_bracket, true_check = deform.induced_bracket, deform.check_linear_deformation
+
+
+def induced_bracket(P, force=False):
+    # [e, f] gains f
+    b = true_bracket(P, force)
+    structure = dict(b.structure)
+    structure[0, 1] = tuple(x + y for x, y in zip(structure.get((0, 1), (0, 0, 0)), (0, 1, 0)))
+    return LieAlgebra._from_exact(b.dim, structure, b.basis_names)
+
+
+def accept(R, Rhat):
+    return deform.DeformationVerdict(True, True, True)
+
+
+d_e = d_apply(r, Cochain.from_vector(a, a.basis_vector(0)), check=False).to_endo()
+for bracket, check, rhat in [(induced_bracket, true_check, d_e),
+                             (true_bracket, accept, Endo(Matrix.diagonal([0, 2, 0]), a))]:
+    deform.induced_bracket, deform.check_linear_deformation = bracket, check
+    try:
+        deform.induced_bracket_deformation(r, rhat)
+    except InternalError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_induced_bracket_family_fault_raises_internal_error(flags):
+    # a faulted bracket on the valid deformation d e of the sl(2) Borel R,
+    # and the forced path with a Rhat whose family fails at t = -1 only,
+    # each raise InternalError, also under python -O
+    proc = subprocess.run([sys.executable, *flags, "-c", _INDUCED_FAULT_SCRIPT,
+                           "optimized" if flags else "plain"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(
+        f"the induced bracket of a valid deformation fails the Jacobi identity at t = {t}\n"
+        for t in (0, -1))
 
 
 def test_compatible_brackets_trivial_cases(sl2):
@@ -569,6 +628,21 @@ def test_compatible_brackets_random_parameters(sl2, affine2, rng=random.Random(4
             t2 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             rep = compatible_bracket_check(r_, rhat_, t1, t2)
             assert rep.ok and rep.jacobi_ok and rep.midpoint_ok
+
+
+def test_compatible_brackets_build_two_tables(sl2, monkeypatch):
+    # the sum of the brackets of R + t1 Rhat and R + t2 Rhat is built from
+    # two tables; the midpoint's, an identity of the linear table, is not
+    a, r = sl2
+    rhat = d_endo(r, a.basis_vector(0))
+    built, true_table = [], deform.induced_bracket_table
+    monkeypatch.setattr(deform, "induced_bracket_table",
+                        lambda P: built.append(P) or true_table(P))
+    for t1, t2 in ((1, 2), (Fraction(1, 2), -3), (0, 0)):
+        built.clear()
+        rep = compatible_bracket_check(r, rhat, t1, t2)
+        assert rep.ok and rep.jacobi_ok and rep.midpoint_ok
+        assert built == [r + rhat.scale(t1), r + rhat.scale(t2)]
 
 
 def test_compatible_brackets_precondition(sl2):

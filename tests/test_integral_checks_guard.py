@@ -1,12 +1,12 @@
 """The cross-checks of integral inputs multiply no fractions.
 
 mc_deformation_check tests 2 [[R, R']] + [[R', R']] = 0, defect_polynomial
-compares plus - minus with 2 S1 and plus + minus with 2 (S0 + S2), and
-compatible_bracket_check compares the summed bracket with that of
-2R + (t1 + t2) Rhat, and involutive_analyze tests the projector route as
-(Q - 2 Id)[Qx, Qy] = 0 for Q = Id +- R, so on integral operators and
-parameters no step halves a value.  Spies on Fraction.__mul__ and
-__rmul__ count every product with a Fraction operand.
+compares plus - minus with 2 S1 and plus + minus with 2 (S0 + S2),
+compatible_bracket_check sums the brackets of R + t1 Rhat and R + t2 Rhat
+and forms no midpoint (t1 + t2)/2, and involutive_analyze tests the
+projector route as (Q - 2 Id)[Qx, Qy] = 0 for Q = Id +- R, so on integral
+operators and parameters no step halves a value.  Spies on
+Fraction.__mul__ and __rmul__ count every product with a Fraction operand.
 """
 
 from fractions import Fraction

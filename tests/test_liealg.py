@@ -282,11 +282,24 @@ def test_json_algebra_decodes_each_value_once(sl3_rescaled, monkeypatch):
      "endomorphism matrix (2, 2) does not fit dim 3"),
     (lambda a, r: Endo.from_json_dict({"matrix": []}, a),
      "endomorphism matrix (0, 0) does not fit dim 3"),
+    (lambda a, r: LieAlgebra(3, {(True, 2): (1, 0, 0)}),
+     "structure key (True, 2) needs two integer indices"),
+    (lambda a, r: LieAlgebra(3, {(0.0, 1): (1, 0, 0)}),
+     "structure key (0.0, 1) needs two integer indices"),
+    (lambda a, r: LieAlgebra(3, {(0, 1, 2): (1, 0, 0)}),
+     "structure key (0, 1, 2) needs two integer indices"),
+    (lambda a, r: LieAlgebra(2, {}, basis_names=[1, None]),
+     "algebra basis names must be strings, got [1, None]"),
+    (lambda a, r: a.basis_vector(True), "basis index True is not an integer"),
+    (lambda a, r: a.bracket_basis(True, 0), "basis index pair (True, 0) needs integer indices"),
+    (lambda a, r: subspace_closure(a, [(1, 0)]), "vector length 2 != dim 3"),
 ], ids=["vector-length", "negative-dim", "basis-name-count", "structure-value-length",
         "basis-vector-range", "diagonal-length", "rho-length", "sl1", "algebra-not-object",
         "algebra-no-dim", "bracket-not-object", "bracket-no-value", "bracket-value-not-array",
         "bracket-value-boolean", "bracket-duplicate", "endo-not-object",
-        "endo-ragged", "endo-shape", "endo-empty"])
+        "endo-ragged", "endo-shape", "endo-empty", "structure-key-bool", "structure-key-float",
+        "structure-key-length", "basis-names-not-strings", "basis-vector-bool",
+        "bracket-basis-bool", "closure-vector-length"])
 def test_input_errors(sl2, call, message):
     assert input_error(lambda: call(*sl2)) == message
 
